@@ -245,9 +245,11 @@ def _sweep_queries(grid: dict[str, list[str]]) -> list[RadiusQuery]:
 
 
 def _thread_cap() -> int:
+    # Rows are GIL-bound pure Python: a second thread measures slower than
+    # one, so the sweep runs serially unless WRIGHT_RADII_THREADS asks.
     raw = os.environ.get("WRIGHT_RADII_THREADS")
     if raw is None:
-        return min(8, os.cpu_count() or 1)
+        return 1
     try:
         n = int(raw)
     except ValueError:

@@ -17,6 +17,8 @@ when individual factors would overflow a double.
 """
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,6 +105,8 @@ def wright_eval(p: WrightParams, z: complex, tol: float = 1e-12) -> EvalResult:
     """
     if not (tol > 0):
         raise ParameterError(f"tol must be > 0, got {tol}")
+    if not cmath.isfinite(z):
+        raise ParameterError(f"z must be finite, got {z!r}")
     az = abs(z)
     if az == 0.0:
         return EvalResult(complex(1.0 / math.exp(log_gamma(p.beta))), 0.0, 1)
@@ -166,28 +170,21 @@ def wright_derivative(p: WrightParams, z: complex, order: int,
 # ----------------------------------------------------------------------------
 # For |u| fixed, the term magnitudes |u|^n/(n! Gamma(rho n + beta)) are a
 # scalar sequence shared by every point of the circle; only the unit phases
-# differ.  The radii module leans on this to sweep boundaries cheaply.
+# differ.  A boundary sweep in the radii module keeps |u| fixed over all of
+# its refinement levels, and the queries of one (kind, params) revisit the
+# same radii, so the magnitude rows are cached and only the phase powers are
+# formed per call.
 
-def circle_eval(p: WrightParams, modulus: float, phases: np.ndarray,
-                shifts: tuple[int, ...] = (0,), tol: float = 1e-14) -> np.ndarray:
-    """W(rho, beta + s*rho; u) for u = modulus*phases, for each s in shifts.
+@functools.lru_cache(maxsize=256)
+def _magnitude_rows(rho: float, beta: float, modulus: float,
+                    shifts: tuple[int, ...], tol: float) -> np.ndarray:
+    """Read-only (n_terms, len(shifts)) term magnitudes at modulus > 0.
 
-    phases must be unit-modulus complex.  Returns an array of shape
-    (len(shifts), len(phases)).  The stopping rule is the same certified
-    geometric-tail criterion as wright_eval, applied to the worst shift.
+    The term count is fixed by the certified geometric-tail criterion of
+    wright_eval applied to the worst shift.  Formed by math.exp/math.lgamma
+    term by term: np.exp differs from math.exp in the last ulp on some
+    inputs, which would change sweep output digits.
     """
-    if modulus < 0:
-        raise ParameterError("modulus must be >= 0")
-    rho, beta = p.rho, p.beta
-    n_shift = len(shifts)
-    if modulus == 0.0:
-        out = np.zeros((n_shift, len(phases)), dtype=complex)
-        for k, s in enumerate(shifts):
-            out[k, :] = 1.0 / math.exp(log_gamma(beta + s * rho))
-        return out
-
-    # Magnitude sequences are independent of the phases: fix the term count
-    # from them alone, then apply one matrix product against the phase powers.
     log_u = math.log(modulus)
     log_fact = 0.0
     mag_rows: list[list[float]] = []
@@ -218,15 +215,38 @@ def circle_eval(p: WrightParams, modulus: float, phases: np.ndarray,
             f"circle series for (rho={rho}, beta={beta}, |u|={modulus:.3g}) "
             f"did not certify tail <= {tol:g} within {_TERM_CAP} terms"
         )
+    mags = np.asarray(mag_rows, dtype=float)
+    mags.setflags(write=False)
+    return mags
 
-    n_terms = len(mag_rows)
+
+def circle_eval(p: WrightParams, modulus: float, phases: np.ndarray,
+                shifts: tuple[int, ...] = (0,), tol: float = 1e-14) -> np.ndarray:
+    """W(rho, beta + s*rho; u) for u = modulus*phases, for each s in shifts.
+
+    phases must be unit-modulus complex.  Returns an array of shape
+    (len(shifts), len(phases)).  The stopping rule is the same certified
+    geometric-tail criterion as wright_eval, applied to the worst shift.
+    """
+    if modulus < 0:
+        raise ParameterError("modulus must be >= 0")
+    rho, beta = p.rho, p.beta
+    if modulus == 0.0:
+        out = np.zeros((len(shifts), len(phases)), dtype=complex)
+        for k, s in enumerate(shifts):
+            out[k, :] = 1.0 / math.exp(log_gamma(beta + s * rho))
+        return out
+
+    # Magnitude sequences are independent of the phases: the cached rows fix
+    # the term count, then one matrix product against the phase powers.
+    mags = _magnitude_rows(rho, beta, modulus, tuple(shifts), tol)
+    n_terms = len(mags)
     powers = np.empty((n_terms, len(phases)), dtype=complex)
     powers[0, :] = 1.0
     if n_terms > 1:
         np.multiply.accumulate(
             np.broadcast_to(phases, (n_terms - 1, len(phases))),
             axis=0, out=powers[1:, :])
-    mags = np.asarray(mag_rows, dtype=float)          # (n_terms, n_shift)
     return mags.T @ powers
 
 
@@ -312,6 +332,8 @@ def term_exponent_max(p: WrightParams, x: float) -> float:
     for _ in range(200):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
+        if m1 == lo and m2 == hi:
+            break                        # no update can move lo or hi again
         if phi(m1) < phi(m2):
             lo = m1
         else:

@@ -29,6 +29,7 @@ Finding by cross_validate, with the certifier authoritative.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -198,16 +199,27 @@ def region_functional(query: RadiusQuery, z: complex, tol: float = 1e-12) -> flo
 # boundary sweep
 # ----------------------------------------------------------------------------
 
+# Level-0 angle grid of the default sweep and its phases, built once.
+_GRID0 = 256
+_THETA0 = np.linspace(0.0, math.pi, _GRID0 + 1)
+_PHASES0 = np.exp(1j * _THETA0)
+_THETA0.setflags(write=False)
+_PHASES0.setflags(write=False)
+
+
 def _sup_scan(values_at: Callable[[np.ndarray], np.ndarray], tol_theta: float,
-              initial_grid: int) -> tuple[float, float]:
+              initial_grid: int, stop_at: float = math.inf) -> tuple[float, float]:
     """Max of values_at over [0, pi]: coarse grid plus local 10x refinements.
 
     Refinement stops when the triangle bound on the missed-peak excess (half
     the largest adjacent difference near the argmax) falls below tol_theta.
     Both boundary-sup routes share this exact schedule so that they sample
-    identical angle sequences and differ only by evaluation noise.
+    identical angle sequences and differ only by evaluation noise.  The scan
+    also stops at the first level whose running max reaches stop_at: the
+    running max only grows, so the full scan's max would reach it too.
     """
-    theta = np.linspace(0.0, math.pi, initial_grid + 1)
+    theta = (_THETA0 if initial_grid == _GRID0
+             else np.linspace(0.0, math.pi, initial_grid + 1))
     best_sup = -math.inf
     best_angle = 0.0
     for _level in range(12):
@@ -216,6 +228,8 @@ def _sup_scan(values_at: Callable[[np.ndarray], np.ndarray], tol_theta: float,
         if vals[i] > best_sup:
             best_sup = float(vals[i])
             best_angle = float(theta[i])
+        if best_sup >= stop_at:
+            break
         lo = theta[max(i - 1, 0)]
         hi = theta[min(i + 1, len(theta) - 1)]
         step = (hi - lo) / 2.0
@@ -231,7 +245,8 @@ def _sup_scan(values_at: Callable[[np.ndarray], np.ndarray], tol_theta: float,
 
 
 def boundary_sup(query: RadiusQuery, r: float, tol_theta: float = 1e-10,
-                 initial_grid: int = 256) -> tuple[float, float]:
+                 initial_grid: int = 256, *,
+                 _stop_at: float = math.inf) -> tuple[float, float]:
     """sup over theta in [0, pi] of the region modulus at z = r e^{i theta}.
 
     Conjugate symmetry of the functionals halves the circle.
@@ -240,10 +255,10 @@ def boundary_sup(query: RadiusQuery, r: float, tol_theta: float = 1e-10,
         raise ParameterError(f"r must be > 0, got {r}")
 
     def values_at(theta: np.ndarray) -> np.ndarray:
-        return _region_of_values(query,
-                                 _functional_circle(query, r, np.exp(1j * theta)))
+        phases = _PHASES0 if theta is _THETA0 else np.exp(1j * theta)
+        return _region_of_values(query, _functional_circle(query, r, phases))
 
-    return _sup_scan(values_at, tol_theta, initial_grid)
+    return _sup_scan(values_at, tol_theta, initial_grid, _stop_at)
 
 
 # ----------------------------------------------------------------------------
@@ -284,7 +299,7 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9) -> RadiusResu
     def holds(r: float) -> bool:
         nonlocal pole_seen
         try:
-            s, _ = boundary_sup(query, r)
+            s, _ = boundary_sup(query, r, _stop_at=1.0)
         except PoleProximityError:
             pole_seen = True
             return False
@@ -322,6 +337,20 @@ def default_constant(query: RadiusQuery) -> float:
     return LEM_CONSTANT
 
 
+@functools.lru_cache(maxsize=128)
+def _real_axis_grid(kind: NormalizedKind, params: WrightParams, is_star: bool,
+                    hi: float) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The 50-point grid on (0, hi] and the real-axis functional on it.
+
+    The functional depends on (kind, params, star/convex) alone, so the
+    lemniscate and Janowski queries of one group share these values.
+    """
+    grid = np.linspace(hi / 50.0, hi, 50)
+    grid.setflags(write=False)
+    real = starlike_real if is_star else convex_real
+    return grid, tuple(real(kind, params, float(g)) for g in grid)
+
+
 def radius_real_axis(query: RadiusQuery, c: float | None = None,
                      tol: float = 1e-9, method_label: str = "real_axis") -> RadiusResult:
     """Unique r in (0, domain bound) with functional(r) = c.
@@ -337,8 +366,7 @@ def radius_real_axis(query: RadiusQuery, c: float | None = None,
     bound = domain_bound(query, tol)
     hi = bound * (1.0 - 1e-9) if query.is_star else bound
 
-    grid = np.linspace(hi / 50.0, hi, 50)
-    vals = [_functional_real(query, float(g)) for g in grid]
+    grid, vals = _real_axis_grid(query.kind, query.params, query.is_star, hi)
     for v1, v2 in zip(vals, vals[1:]):
         if v2 >= v1 + 1e-12:
             raise MonotonicityError(
@@ -458,6 +486,12 @@ def cross_validate(query: RadiusQuery, tol: float = 1e-9) -> CrossCheckResult:
     delta = abs(cert.radius - real.radius)
     finding = None
     if delta > CROSS_CHECK_TOLERANCE:
+        if real.radius < cert.radius:
+            why = ("so the real-axis constant is a containment bound, not the "
+                   "radius")
+        else:
+            why = ("so real-axis sharpness fails (it holds only for Janowski "
+                   "B <= 0) and the real-axis crossing overestimates the radius")
         finding = Finding(
             query=query,
             certifier_radius=cert.radius,
@@ -467,8 +501,7 @@ def cross_validate(query: RadiusQuery, tol: float = 1e-9) -> CrossCheckResult:
             message=(f"real-axis radius {real.radius:.9f} differs from the "
                      f"certified radius {cert.radius:.9f} by {delta:.3e}; the "
                      f"boundary extremum sits at angle {cert.argmax_angle:.4f} "
-                     f"off the real axis, so the real-axis constant is a "
-                     f"containment bound, not the radius"),
+                     f"off the real axis, {why}"),
         )
     return CrossCheckResult(certifier=cert, real_axis=real, delta=delta,
                             finding=finding)

@@ -190,8 +190,8 @@ class _ComboSeries:
                 n += 1
             return total
 
-    def _dps_budget(self, x: float) -> int:
-        e_max = term_exponent_max(self.p, x)
+    def _dps_budget(self, x: float, e_max: float) -> int:
+        """Working digits at x, given e_max = term_exponent_max(p, x)."""
         e_sig = envelope_exponent(self.p, x)
         return max(25, int(20.0 + (e_max - min(e_sig, 0.0)) / _LN10))
 
@@ -212,7 +212,7 @@ class _ComboSeries:
                 v, noise = res
                 if abs(v) > 30.0 * noise:
                     return v
-        dps = self._dps_budget(x)
+        dps = self._dps_budget(x, e_max)
         for _ in range(3):
             v = self._eval_mp(x, dps)
             with mp.workdps(30):

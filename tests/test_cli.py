@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,15 @@ def test_eval_rejects_nonpositive_rho(capsys):
     assert code == 2
     assert out == ""
     assert "rho must be > 0" in err
+
+
+@pytest.mark.parametrize("z", (("--z", "nan"), ("--z", "inf"),
+                               ("--z", "0.5", "--z-imag", "nan")))
+def test_eval_nonfinite_argument_exits_2(capsys, z):
+    code, out, err = run(capsys, "eval", "--rho", "1", "--beta", "1", *z)
+    assert code == 2
+    assert out == ""
+    assert "z must be finite" in err
 
 
 def test_eval_json_mode(capsys):
@@ -205,6 +218,31 @@ def test_sweep_thread_env_does_not_change_bytes(tmp_path, capsys, monkeypatch):
     code2, out2, _ = run(capsys, "sweep", str(grid))
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+SURFACE_GRID = """rho = 0.5, 1, 2
+beta = 0.5, 1, 1.5, 2
+kind = f, g, h
+what = lem-star, lem-convex, jan-star, jan-convex
+A = 1, 1, 0.5
+B = -1, 0, -0.5
+"""
+
+
+def test_sweep_check_reproduces_reference_bytes(tmp_path):
+    # The 288-row cross-checked sweep in a fresh interpreter (cold caches, as
+    # a user runs it) must print the stored reference byte for byte.
+    root = Path(__file__).resolve().parents[1]
+    grid = tmp_path / "grid.txt"
+    grid.write_text(SURFACE_GRID)
+    env = {k: v for k, v in os.environ.items() if k != "WRIGHT_RADII_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wright_radii.cli", "sweep", str(grid), "--check"],
+        env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (root / "perfbench" / "reference_sweep.csv").read_bytes()
 
 
 def test_sweep_check_appends_delta(tmp_path, capsys):

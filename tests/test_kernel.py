@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,8 @@ from wright_radii import (
     wright_derivative,
     wright_eval,
 )
-from wright_radii.kernel import combo_neg_axis, envelope_exponent, term_exponent_max
+from wright_radii.kernel import (_magnitude_rows, circle_eval, combo_neg_axis,
+                                 envelope_exponent, term_exponent_max)
 
 # Frozen reference values.  The Bessel literals pin the classical reductions
 # of the Wright series, so an error in the series, the Gamma recursion, or
@@ -193,6 +195,69 @@ def test_eval_overflowing_argument_raises(bessel_params):
         wright_eval(bessel_params, 1.0e8)
 
 
+@pytest.mark.parametrize("z", (math.nan, math.inf, -math.inf,
+                               complex(0.5, math.nan), complex(math.inf, 0.0)))
+def test_eval_rejects_nonfinite_argument(bessel_params, z):
+    with pytest.raises(ParameterError, match="z must be finite"):
+        wright_eval(bessel_params, z)
+
+
+# ----------------------------------------------------------------------------
+# shared-magnitude evaluation on a circle
+# ----------------------------------------------------------------------------
+
+def _circle_eval_oracle(p, modulus, phases, shifts, tol=1e-14):
+    # The uncached evaluation, term by term with math.exp and math.lgamma:
+    # the cached magnitude rows must reproduce it bit for bit.
+    log_u = math.log(modulus)
+    log_fact = 0.0
+    mag_rows = []
+    last_log = None
+    decays = 0
+    for n in range(10_000):
+        if n > 0:
+            log_fact += math.log(n)
+        log_row = [n * log_u - log_fact - math.lgamma(p.rho * n + p.beta + s * p.rho)
+                   for s in shifts]
+        log_mag = max(log_row)
+        mag_rows.append([math.exp(v) for v in log_row])
+        if last_log is not None:
+            dlog = log_mag - last_log
+            decays = decays + 1 if dlog < math.log(0.5) else 0
+            if decays >= 3:
+                q = math.exp(dlog)
+                if max(math.exp(log_mag) * (q / (1.0 - q)), 5e-324) <= tol:
+                    break
+        last_log = log_mag
+    n_terms = len(mag_rows)
+    powers = np.empty((n_terms, len(phases)), dtype=complex)
+    powers[0, :] = 1.0
+    np.multiply.accumulate(np.broadcast_to(phases, (n_terms - 1, len(phases))),
+                           axis=0, out=powers[1:, :])
+    return np.asarray(mag_rows, dtype=float).T @ powers
+
+
+@pytest.mark.parametrize("rho", (0.5, 1.0, 2.0))
+@pytest.mark.parametrize("shifts", ((0, 1), (0, 1, 2)))
+def test_circle_eval_matches_uncached_loop(rho, shifts):
+    p = WrightParams(rho, 1.5)
+    coarse = np.exp(1j * np.linspace(0.0, math.pi, 257))
+    fine = np.exp(1j * np.linspace(1.0, 1.1, 21))
+    for modulus in (0.07, 0.4, 1.3, 4.0):
+        for phases in (coarse, fine, coarse):       # repeated calls hit the cache
+            got = circle_eval(p, modulus, -phases, shifts)
+            assert np.array_equal(got, _circle_eval_oracle(p, modulus, -phases, shifts))
+
+
+def test_magnitude_rows_are_read_only_and_bounded():
+    rows = _magnitude_rows(1.0, 1.0, 0.5, (0, 1), 1e-14)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 2.0
+    assert _magnitude_rows(1.0, 1.0, 0.5, (0, 1), 1e-14) is rows
+    assert 0 < _magnitude_rows.cache_info().maxsize <= 1024
+
+
 # ----------------------------------------------------------------------------
 # negative-axis combo in plain doubles
 # ----------------------------------------------------------------------------
@@ -242,6 +307,29 @@ def test_term_exponent_max_tracks_peak_term():
     for m in (5.0, 10.0, 20.0, 40.0):
         e = term_exponent_max(p, m * m)
         assert e == pytest.approx(2.0 * m - math.log(2.0 * math.pi * m), abs=0.2)
+
+
+def test_term_exponent_max_equals_full_ternary_search(grid_params):
+    # The search stops once its bracket can no longer shrink; the full
+    # 200-step schedule must give the same double.
+    def full_search(p, x):
+        log_x = math.log(x)
+
+        def phi(t):
+            return t * log_x - math.lgamma(t + 1.0) - math.lgamma(p.rho * t + p.beta)
+
+        lo, hi = 0.0, 20.0 + 4.0 * x ** (1.0 / (1.0 + p.rho)) * (1.0 + 1.0 / p.rho)
+        for _ in range(200):
+            m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+            if phi(m1) < phi(m2):
+                lo = m1
+            else:
+                hi = m2
+        return max(phi(0.5 * (lo + hi)), 0.0)
+
+    for p in grid_params:
+        for x in (0.3, 2.0, 45.0, 900.0, 2.5e4):
+            assert term_exponent_max(p, x) == full_search(p, x)
 
 
 def test_envelope_sits_below_term_peak(grid_params):

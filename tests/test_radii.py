@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 import scipy.special as sp
 from scipy.optimize import brentq
@@ -29,7 +30,9 @@ from wright_radii import (
     solve_registry_equation,
     starlike_real,
 )
-from wright_radii.radii import LEM_CONSTANT, RADIUS_KINDS, default_constant
+from wright_radii import radii
+from wright_radii.radii import (LEM_CONSTANT, RADIUS_KINDS, _real_axis_grid,
+                                default_constant)
 
 P11 = WrightParams(1.0, 1.0)
 
@@ -138,6 +141,50 @@ def test_boundary_sup_monotone_in_radius():
     assert sups[0] < sups[1] < sups[2]
 
 
+def test_early_exit_predicate_agrees_with_full_sup():
+    # The certifier's scan stops once its running max reaches 1; the verdict
+    # sup < 1 must be the full scan's, and a scan that never reaches 1 must
+    # return the full scan's result exactly.
+    for kind in NormalizedKind:
+        for what, A, B in (("lem_star", None, None), ("lem_convex", None, None),
+                           ("jan_star", 0.5, -0.5), ("jan_convex", 1.0, 0.0)):
+            q = _q(kind, P11, what, A, B)
+            for r in np.linspace(0.02, 0.95, 12) * domain_bound(q):
+                full = boundary_sup(q, r)
+                early = boundary_sup(q, r, _stop_at=1.0)
+                assert (early[0] < 1.0) == (full[0] < 1.0)
+                if full[0] < 1.0:
+                    assert early == full
+
+
+def test_early_exit_skips_refinement(monkeypatch):
+    levels = []
+    circle = radii._functional_circle
+
+    def counted(*args):
+        levels.append(1)
+        return circle(*args)
+
+    monkeypatch.setattr(radii, "_functional_circle", counted)
+    q = _q(NormalizedKind.G, P11, "lem_star")
+    r = 0.9 * domain_bound(q)                  # far past the radius
+    boundary_sup(q, r)
+    full = len(levels)
+    levels.clear()
+    assert boundary_sup(q, r, _stop_at=1.0)[0] >= 1.0
+    assert len(levels) == 1 < full
+
+
+def test_real_axis_grid_shared_within_group():
+    _real_axis_grid.cache_clear()
+    for what, A, B in (("lem_star", None, None), ("jan_star", 1.0, -1.0),
+                       ("jan_star", 1.0, 0.0), ("jan_star", 0.5, -0.5)):
+        radius_real_axis(_q(NormalizedKind.H, WrightParams(2.0, 1.5), what, A, B))
+    info = _real_axis_grid.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert 0 < info.maxsize <= 1024
+
+
 def test_convex_radius_below_star_radius():
     # Convexity is the stricter condition at every target.
     for what_pair in (("lem_star", "lem_convex"), ("jan_star", "jan_convex")):
@@ -198,6 +245,16 @@ def test_cross_validate_lem_reports_finding():
     assert chk.finding.delta > 1e-5
     assert chk.finding.real_axis_radius < chk.finding.certifier_radius
     assert "containment bound" in chk.finding.message
+
+
+def test_finding_message_follows_the_sign_of_the_gap():
+    # For B > 0 the real-axis crossing lies past the certified radius: the
+    # message must not call it a containment bound.
+    q = _q(NormalizedKind.G, P11, "jan_star", 1.0, 0.5)
+    chk = cross_validate(q)
+    assert chk.finding.real_axis_radius > chk.finding.certifier_radius
+    assert "overestimates" in chk.finding.message
+    assert "containment bound" not in chk.finding.message
 
 
 def test_real_axis_constants():

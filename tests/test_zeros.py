@@ -214,9 +214,10 @@ def test_hypergeometric_route_matches_per_term_sum(rho, a, b):
     p = WrightParams(rho, 1.5)
     x = positive_zeros(p, "minus_z_squared", 80).zeros[-1] ** 2
     ev = _ComboSeries(p, a, b)
-    dps = ev._dps_budget(x)
+    e_max = term_exponent_max(p, x)
+    dps = ev._dps_budget(x, e_max)
     with mp.workdps(30):
-        floor = mp.mpf(10) ** (-(dps - 8)) * mp.exp(term_exponent_max(p, x))
+        floor = mp.mpf(10) ** (-(dps - 8)) * mp.exp(e_max)
     assert abs(ev._sum_hyper(x, dps) - ev._sum_terms(x, dps)) < floor
 
 
