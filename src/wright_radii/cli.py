@@ -263,7 +263,7 @@ def _thread_cap() -> int:
 
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
-    tol = float(grid["tol"][0]) if "tol" in grid else args.tol
+    tol = _floats(grid, "tol")[0] if "tol" in grid else args.tol
     queries = _sweep_queries(grid)
 
     def run(query: RadiusQuery) -> dict:

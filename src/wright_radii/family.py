@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearZeroDenominatorError, ParameterError
-from .kernel import EvalResult, WrightParams, circle_eval, log_gamma, wright_eval
+from .kernel import (EvalResult, WrightParams, _fixed_phases, circle_eval,
+                     log_gamma, wright_eval)
 
 
 class NormalizedKind(enum.Enum):
@@ -164,13 +165,34 @@ def convex_functional(kind: NormalizedKind, p: WrightParams, z: complex,
 # bisection margins dominate double-precision evaluation noise in the shallow
 # region where radii live.
 
+# Wright arguments -phases and -phases**2 of registered constant phase
+# arrays, keyed by identity like kernel._FIXED_POWERS.
+_FIXED_ARGS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _fixed_grid(phases: np.ndarray) -> np.ndarray:
+    """Register constant sweep phases: their Wright arguments are built once,
+    with power tables kept by the kernel."""
+    phases.setflags(write=False)
+    _FIXED_ARGS[id(phases)] = (phases, _fixed_phases(-phases),
+                               _fixed_phases(-(phases * phases)))
+    return phases
+
+
+def _circle_arg(phases: np.ndarray, squared: bool) -> np.ndarray:
+    entry = _FIXED_ARGS.get(id(phases))
+    if entry is None:
+        return -(phases * phases) if squared else -phases
+    return entry[2 if squared else 1]
+
+
 def starlike_on_circle(kind: NormalizedKind, p: WrightParams, r: float,
                        phases: np.ndarray) -> np.ndarray:
     """w(r * phases) for unit-modulus phases."""
     if kind is NormalizedKind.H:
-        vals = circle_eval(p, r, -phases, shifts=(0, 1))
+        vals = circle_eval(p, r, _circle_arg(phases, False), shifts=(0, 1))
         return 1.0 - (r * phases) * vals[1] / vals[0]
-    vals = circle_eval(p, r * r, -(phases * phases), shifts=(0, 1))
+    vals = circle_eval(p, r * r, _circle_arg(phases, True), shifts=(0, 1))
     scale = 2.0 / p.beta if kind is NormalizedKind.F else 2.0
     zz = (r * phases) ** 2
     return 1.0 - scale * zz * vals[1] / vals[0]
@@ -180,12 +202,12 @@ def convex_on_circle(kind: NormalizedKind, p: WrightParams, r: float,
                      phases: np.ndarray) -> np.ndarray:
     """C(r * phases) for unit-modulus phases."""
     if kind is NormalizedKind.H:
-        vals = circle_eval(p, r, -phases, shifts=(0, 1, 2))
+        vals = circle_eval(p, r, _circle_arg(phases, False), shifts=(0, 1, 2))
         z = r * phases
         num = -2.0 * z * vals[1] + z * z * vals[2]
         den = vals[0] - z * vals[1]
         return 1.0 + num / den
-    vals = circle_eval(p, r * r, -(phases * phases), shifts=(0, 1, 2))
+    vals = circle_eval(p, r * r, _circle_arg(phases, True), shifts=(0, 1, 2))
     zz = (r * phases) ** 2
     if kind is NormalizedKind.G:
         num = -6.0 * zz * vals[1] + 4.0 * zz * zz * vals[2]

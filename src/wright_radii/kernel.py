@@ -77,6 +77,12 @@ class EvalResult:
             raise ParameterError("terms_used must be >= 1")
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that is not a finite positive number."""
+    if not (0.0 < tol < math.inf):
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
+
+
 # ----------------------------------------------------------------------------
 # log-gamma
 # ----------------------------------------------------------------------------
@@ -103,8 +109,7 @@ def wright_eval(p: WrightParams, z: complex, tol: float = 1e-12) -> EvalResult:
     Raises ConvergenceError if the geometric-ratio regime with tail <= tol is
     not reached within the term cap.
     """
-    if not (tol > 0):
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    _check_tol(tol)
     if not cmath.isfinite(z):
         raise ParameterError(f"z must be finite, got {z!r}")
     az = abs(z)
@@ -220,6 +225,42 @@ def _magnitude_rows(rho: float, beta: float, modulus: float,
     return mags
 
 
+def _phase_power_rows(phases: np.ndarray, n_terms: int) -> np.ndarray:
+    """Rows phases**0 .. phases**(n_terms-1), each the previous times phases."""
+    powers = np.empty((n_terms, len(phases)), dtype=complex)
+    powers[0, :] = 1.0
+    if n_terms > 1:
+        np.multiply.accumulate(
+            np.broadcast_to(phases, (n_terms - 1, len(phases))),
+            axis=0, out=powers[1:, :])
+    return powers
+
+
+# Power tables of registered constant phase arrays (the level-0 sweep grid),
+# keyed by identity; a registered array is kept alive, so its id stays valid.
+_FIXED_POWERS: dict[int, list[np.ndarray]] = {}
+
+
+def _fixed_phases(phases: np.ndarray) -> np.ndarray:
+    """Register a constant phase array, now read-only: circle_eval keeps its
+    power table, grown on demand, instead of forming it per call."""
+    phases.setflags(write=False)
+    _FIXED_POWERS[id(phases)] = [phases, _phase_power_rows(phases, 1)]
+    return phases
+
+
+def _phase_powers(phases: np.ndarray, n_terms: int) -> np.ndarray:
+    """The first n_terms phase-power rows; read from the table if registered."""
+    entry = _FIXED_POWERS.get(id(phases))
+    if entry is None:
+        return _phase_power_rows(phases, n_terms)
+    if len(entry[1]) < n_terms:
+        rows = _phase_power_rows(phases, max(n_terms, 2 * len(entry[1])))
+        rows.setflags(write=False)
+        entry[1] = rows
+    return entry[1][:n_terms]
+
+
 def circle_eval(p: WrightParams, modulus: float, phases: np.ndarray,
                 shifts: tuple[int, ...] = (0,), tol: float = 1e-14) -> np.ndarray:
     """W(rho, beta + s*rho; u) for u = modulus*phases, for each s in shifts.
@@ -240,14 +281,7 @@ def circle_eval(p: WrightParams, modulus: float, phases: np.ndarray,
     # Magnitude sequences are independent of the phases: the cached rows fix
     # the term count, then one matrix product against the phase powers.
     mags = _magnitude_rows(rho, beta, modulus, tuple(shifts), tol)
-    n_terms = len(mags)
-    powers = np.empty((n_terms, len(phases)), dtype=complex)
-    powers[0, :] = 1.0
-    if n_terms > 1:
-        np.multiply.accumulate(
-            np.broadcast_to(phases, (n_terms - 1, len(phases))),
-            axis=0, out=powers[1:, :])
-    return mags.T @ powers
+    return mags.T @ _phase_powers(phases, len(mags))
 
 
 # ----------------------------------------------------------------------------

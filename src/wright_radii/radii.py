@@ -10,11 +10,12 @@ for convex kinds):
 
 Each radius is computed by two mutually checking routes:
 
-* radius_by_certification: bisection in r of the definitional predicate
-  sup_{|z|=r} |expression| < 1.  The sup over a circle of the modulus of an
-  analytic expression is continuous and nondecreasing in r (maximum
-  principle), equals 0 at r = 0, hence the predicate flips exactly once; the
-  maximum principle also converts "for all |z| < r" into the circle sup.
+* radius_by_certification: the bisection bracket in r of the definitional
+  predicate sup_{|z|=r} |expression| < 1, found by a bracketed solve.  The
+  sup over a circle of the modulus of an analytic expression is continuous
+  and nondecreasing in r (maximum principle), equals 0 at r = 0, hence the
+  predicate flips exactly once; the maximum principle also converts "for all
+  |z| < r" into the circle sup.
 * radius_real_axis: smallest positive root of the scalar equation
   functional(r) = c on the real axis, with shipped candidate constants
   c = (1-A)/(1-B) (Janowski) and c = 2 - sqrt(2) (lemniscate).
@@ -38,11 +39,11 @@ import numpy as np
 
 from .errors import (MonotonicityError, NotTranscribedError, ParameterError,
                      PoleProximityError)
-from .family import (NormalizedKind, convex_functional, convex_on_circle,
-                     convex_real, starlike_functional, starlike_on_circle,
-                     starlike_real)
-from .kernel import WrightParams
-from .zeros import derivative_positive_zeros, positive_zeros
+from .family import (NormalizedKind, _fixed_grid, convex_functional,
+                     convex_on_circle, convex_real, starlike_functional,
+                     starlike_on_circle, starlike_real)
+from .kernel import WrightParams, _check_tol
+from .zeros import _refine_bracket, derivative_positive_zeros, positive_zeros
 
 RADIUS_KINDS = ("lem_star", "lem_convex", "jan_star", "jan_convex")
 
@@ -199,12 +200,17 @@ def region_functional(query: RadiusQuery, z: complex, tol: float = 1e-12) -> flo
 # boundary sweep
 # ----------------------------------------------------------------------------
 
-# Level-0 angle grid of the default sweep and its phases, built once.
+# Level-0 angle grid of the default sweep and its phases, built once; the
+# phases are registered so their Wright arguments and power tables are kept.
 _GRID0 = 256
 _THETA0 = np.linspace(0.0, math.pi, _GRID0 + 1)
-_PHASES0 = np.exp(1j * _THETA0)
+_PHASES0 = _fixed_grid(np.exp(1j * _THETA0))
 _THETA0.setflags(write=False)
-_PHASES0.setflags(write=False)
+
+
+def _phases_of(theta: np.ndarray) -> np.ndarray:
+    """e^{i theta}, the kept level-0 phases for the level-0 grid."""
+    return _PHASES0 if theta is _THETA0 else np.exp(1j * theta)
 
 
 def _sup_scan(values_at: Callable[[np.ndarray], np.ndarray], tol_theta: float,
@@ -255,8 +261,7 @@ def boundary_sup(query: RadiusQuery, r: float, tol_theta: float = 1e-10,
         raise ParameterError(f"r must be > 0, got {r}")
 
     def values_at(theta: np.ndarray) -> np.ndarray:
-        phases = _PHASES0 if theta is _THETA0 else np.exp(1j * theta)
-        return _region_of_values(query, _functional_circle(query, r, phases))
+        return _region_of_values(query, _functional_circle(query, r, _phases_of(theta)))
 
     return _sup_scan(values_at, tol_theta, initial_grid, _stop_at)
 
@@ -283,41 +288,72 @@ def domain_bound(query: RadiusQuery, tol: float = 1e-9) -> float:
 # method 1: boundary certification
 # ----------------------------------------------------------------------------
 
-def radius_by_certification(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
-    """Bisection of the predicate sup_{|z|=r} |expression| < 1.
+def _certified_crossing(excess: Callable[[float], float], hi: float,
+                        f_hi: float, tol: float) -> tuple[float, float]:
+    """Bracket (lo, hi) of the crossing of a monotone predicate on (0, hi).
 
-    Sound because the sup is 0 at r -> 0, continuous, and nondecreasing in r.
-    If the condition still holds at the domain bound the bound itself is
-    reported with hit_domain_bound set.
+    excess(r) < 0 means the condition holds at r; it holds as r -> 0, where
+    every excess here equals -1 (the functionals start at 1), and fails at hi
+    with excess f_hi.  The result is exactly that of bisecting from (0, hi)
+    to width tol, found in fewer evaluations: an Anderson-Bjorck solve first
+    narrows the known bracket (a, b) to a quarter of tol, then the bisection
+    is replayed, deciding its midpoints at or below a (holds) and at or above
+    b (fails) by monotonicity and evaluating only those inside (a, b).  The
+    bisection stops early once a midpoint rounds to an endpoint.
     """
-    if not (tol > 0):
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    # below a few ulps of hi the solve could no longer shrink its bracket
+    a, b = _refine_bracket(excess, 0.0, hi, -1.0, f_hi,
+                           max(0.25 * tol, 4.0 * math.ulp(hi)))
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if a < mid < b:
+            if excess(mid) < 0.0:
+                a = mid
+            else:
+                b = mid
+        if mid <= a:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def radius_by_certification(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
+    """Largest r with sup_{|z|=r} |expression| < 1, bracketed to width tol.
+
+    Sound because the sup is 0 at r -> 0, continuous, and nondecreasing in r;
+    the bracket is the bisection's, found by _certified_crossing.  If the
+    condition still holds at the domain bound the bound itself is reported
+    with hit_domain_bound set.
+    """
+    _check_tol(tol)
     bound = domain_bound(query, tol)
     hi = bound - 10.0 * tol if query.is_star else bound
     pole_seen = False
 
-    def holds(r: float) -> bool:
+    def excess(r: float) -> float:
+        # A failing sweep stops once its running max reaches 1, so its excess
+        # is a lower bound; only the sign steers the bracket.  A pole on the
+        # sampled circle counts as a failure.
         nonlocal pole_seen
         try:
             s, _ = boundary_sup(query, r, _stop_at=1.0)
         except PoleProximityError:
             pole_seen = True
-            return False
-        return s < 1.0
+            return 1e300
+        return s - 1.0
 
-    if holds(hi):
+    f_hi = excess(hi)
+    if f_hi < 0.0:
         sup, ang = boundary_sup(query, hi)
         return RadiusResult(radius=bound, bracket=(hi, bound), method="certifier",
                             sup_at_radius=sup, argmax_angle=ang,
                             clamped=min(bound, 1.0), hit_domain_bound=True,
                             pole_truncated=pole_seen)
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _certified_crossing(excess, hi, f_hi, tol)
     radius = 0.5 * (lo + hi)
     sup, ang = boundary_sup(query, max(radius, tol))
     return RadiusResult(radius=radius, bracket=(lo, hi), method="certifier",
@@ -359,8 +395,7 @@ def radius_real_axis(query: RadiusQuery, c: float | None = None,
     decreasing from 1.  Reports the domain bound when the functional stays
     above c on the whole interval.
     """
-    if not (tol > 0):
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    _check_tol(tol)
     if c is None:
         c = default_constant(query)
     bound = domain_bound(query, tol)
@@ -513,51 +548,35 @@ def cross_validate(query: RadiusQuery, tol: float = 1e-9) -> CrossCheckResult:
 
 def halfplane_starlike_radius(kind: NormalizedKind, p: WrightParams,
                               tol: float = 1e-9) -> RadiusResult:
-    """Largest r with Re w > 0 on |z| = r, by direct harmonic-minimum bisection.
+    """Largest r with Re w > 0 on |z| = r, by the harmonic minimum of Re w.
 
     |(w-1)/(1+w)| < 1 is equivalent to Re w > 0, so this is an independent
     certifier for jan_star with (A, B) = (1, -1): it never forms the Janowski
-    modulus and bisects on min Re w instead of a sup.
+    modulus and brackets the crossing of min Re w instead of a sup.
     """
+    _check_tol(tol)
     query = RadiusQuery(kind=kind, params=p, radius_kind="jan_star",
                         janowski=JanowskiParams(1.0, -1.0))
     bound = domain_bound(query, tol)
     hi = bound - 10.0 * tol
 
-    def min_re(r: float) -> tuple[float, float]:
-        theta = np.linspace(0.0, math.pi, 257)
-        for _ in range(12):
-            w = starlike_on_circle(kind, p, r, np.exp(1j * theta))
-            i = int(np.argmin(w.real))
-            lo_t = theta[max(i - 1, 0)]
-            hi_t = theta[min(i + 1, len(theta) - 1)]
-            jump = 0.0
-            if i > 0:
-                jump = max(jump, abs(float(w.real[i] - w.real[i - 1])))
-            if i < len(theta) - 1:
-                jump = max(jump, abs(float(w.real[i] - w.real[i + 1])))
-            if jump * 0.5 < 1e-12 or (hi_t - lo_t) <= 2e-15:
-                return float(w.real[i]), float(theta[i])
-            theta = np.linspace(lo_t, hi_t, 21)
-        return float(w.real[i]), float(theta[i])
+    def max_minus_re(r: float, stop_at: float = math.inf) -> tuple[float, float]:
+        """-min Re w on |z| = r and its angle: the excess of Re w > 0."""
+        def values_at(theta: np.ndarray) -> np.ndarray:
+            return -starlike_on_circle(kind, p, r, _phases_of(theta)).real
 
-    m_hi, _ = min_re(hi)
-    if m_hi > 0.0:
-        sup, ang = min_re(hi)
+        return _sup_scan(values_at, 1e-12, _GRID0, stop_at)
+
+    m_hi, ang = max_minus_re(hi, 0.0)
+    if m_hi < 0.0:                  # a holding scan never stops early
         return RadiusResult(radius=bound, bracket=(hi, bound), method="certifier",
-                            sup_at_radius=1.0 - sup, argmax_angle=ang,
+                            sup_at_radius=1.0 + m_hi, argmax_angle=ang,
                             clamped=min(bound, 1.0), hit_domain_bound=True)
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if min_re(mid)[0] > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _certified_crossing(lambda r: max_minus_re(r, 0.0)[0], hi, m_hi, tol)
     radius = 0.5 * (lo + hi)
-    m, ang = min_re(max(radius, tol))
+    m, ang = max_minus_re(max(radius, tol))
     return RadiusResult(radius=radius, bracket=(lo, hi), method="certifier",
-                        sup_at_radius=1.0 - m, argmax_angle=ang,
+                        sup_at_radius=1.0 + m, argmax_angle=ang,
                         clamped=min(radius, 1.0))
 
 

@@ -41,7 +41,7 @@ from mpmath import mp
 from .errors import (ConvergenceError, NonIntegerWindingError, ParameterError,
                      ScanExhaustedError)
 from .family import NormalizedKind
-from .kernel import (WrightParams, circle_eval, combo_neg_axis,
+from .kernel import (WrightParams, _check_tol, circle_eval, combo_neg_axis,
                      envelope_exponent, log_gamma, term_exponent_max)
 
 _LN10 = math.log(10.0)
@@ -447,8 +447,7 @@ def positive_zeros(p: WrightParams, form: str, count: int,
         raise ParameterError(f"form must be one of {_FORMS}, got {form!r}")
     if not (isinstance(count, int) and count >= 1):
         raise ParameterError(f"count must be a positive integer, got {count!r}")
-    if not (tol > 0):
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    _check_tol(tol)
     xs = _axis_zeros(p, 1.0, 0.0, count, tol, form)
     rs = [math.sqrt(x) for x in xs] if form == "minus_z_squared" else list(xs)
     return ZeroTable(p, form, tuple(rs), tol)
@@ -474,6 +473,7 @@ def derivative_positive_zeros(kind: NormalizedKind, p: WrightParams, count: int,
         raise ParameterError(f"unknown kind {kind!r}")
     if not (isinstance(count, int) and count >= 1):
         raise ParameterError(f"count must be a positive integer, got {count!r}")
+    _check_tol(tol)
     form, combo = _DERIV_COMBO[kind]
     a, b = combo(p.beta)
     xs = _axis_zeros(p, a, b, count, tol, form)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -304,3 +305,51 @@ def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "sweep", str(grid))
     assert code == 2
     assert "WRIGHT_RADII_THREADS" in err
+
+
+# ----------------------------------------------------------------------------
+# tolerances
+# ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tol", ("1e-17", "1e-20"))
+def test_radius_below_one_ulp_tol_finishes(capsys, tol):
+    # The bisection midpoint rounds to an endpoint once the bracket is one
+    # ulp wide; the certifier stops there instead of looping.
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "radius", "--what", "lem-star", "--tol", tol)
+    assert code == 0
+    assert time.monotonic() - t0 < 5.0
+    row = rows_of(out)[0]
+    assert float(row["radius"]) == pytest.approx(0.4796529767, abs=2e-9)
+    assert float(row["bracket_lo"]) <= float(row["bracket_hi"])
+
+
+@pytest.mark.parametrize("argv", (
+    ("eval", "--rho", "1", "--beta", "1", "--z", "0.5"),
+    ("zeros", "--rho", "1", "--beta", "1", "--count", "2"),
+    ("radius", "--what", "lem-star"),
+    ("radius", "--what", "jan-star", "-A", "1", "-B", "-1", "--method", "real-axis"),
+))
+@pytest.mark.parametrize("tol", ("inf", "nan", "0"))
+def test_nonfinite_or_zero_tol_exits_2(capsys, argv, tol):
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "tol must be finite and > 0" in err
+
+
+def test_sweep_unparsable_tol_exits_2(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("rho=1\nbeta=1\nwhat=lem-star\ntol=abc\n")
+    code, out, err = run(capsys, "sweep", str(grid))
+    assert code == 2
+    assert out == ""
+    assert "'tol'" in err
+
+
+def test_sweep_infinite_tol_exits_2(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("rho=1\nbeta=1\nwhat=lem-star\ntol=inf\n")
+    code, out, err = run(capsys, "sweep", str(grid))
+    assert code == 2
+    assert "tol must be finite and > 0" in err

@@ -21,6 +21,7 @@ from wright_radii import (
     wright_eval,
 )
 from wright_radii.family import convex_on_circle, starlike_on_circle
+from wright_radii.radii import _PHASES0
 
 # First positive zero of J0, halved: the first zero of g(r) = r J0(2r).
 FIRST_G_ZERO_11 = 1.2024127788478864
@@ -184,6 +185,19 @@ def test_circle_routes_match_scalar(bessel_params):
                 starlike_functional(kind, bessel_params, z).value, rel=1e-12)
             assert cs[k] == pytest.approx(
                 convex_functional(kind, bessel_params, z).value, rel=1e-11)
+
+
+def test_circle_routes_on_the_fixed_grid_are_bit_identical(grid_params):
+    # The level-0 sweep grid reads its Wright arguments and power tables
+    # from the kept copies; a fresh array of the same phases forms them per
+    # call, and both routes must agree bit for bit.
+    fresh = _PHASES0.copy()
+    for p in grid_params[::5]:
+        for kind in NormalizedKind:
+            for on_circle in (starlike_on_circle, convex_on_circle):
+                for r in (0.2, 0.6):
+                    assert np.array_equal(on_circle(kind, p, r, _PHASES0),
+                                          on_circle(kind, p, r, fresh))
 
 
 @given(st.floats(min_value=0.05, max_value=0.55),

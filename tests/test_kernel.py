@@ -16,8 +16,10 @@ from wright_radii import (
     wright_derivative,
     wright_eval,
 )
-from wright_radii.kernel import (_magnitude_rows, circle_eval, combo_neg_axis,
-                                 envelope_exponent, term_exponent_max)
+from wright_radii import kernel
+from wright_radii.kernel import (_fixed_phases, _magnitude_rows, circle_eval,
+                                 combo_neg_axis, envelope_exponent,
+                                 term_exponent_max)
 
 # Frozen reference values.  The Bessel literals pin the classical reductions
 # of the Wright series, so an error in the series, the Gamma recursion, or
@@ -182,6 +184,12 @@ def test_eval_rejects_bad_tol(bessel_params):
         wright_eval(bessel_params, 1.0, tol=-1e-9)
 
 
+@pytest.mark.parametrize("tol", (math.inf, math.nan))
+def test_eval_rejects_nonfinite_tol(bessel_params, tol):
+    with pytest.raises(ParameterError, match="tol must be finite and > 0"):
+        wright_eval(bessel_params, 1.0, tol=tol)
+
+
 def test_eval_smallest_tolerance_still_honest(bessel_params):
     # Even at the smallest positive tolerance the reported bound must stay
     # nonzero: a truncated series never gets to claim a zero-width bound.
@@ -247,6 +255,20 @@ def test_circle_eval_matches_uncached_loop(rho, shifts):
         for phases in (coarse, fine, coarse):       # repeated calls hit the cache
             got = circle_eval(p, modulus, -phases, shifts)
             assert np.array_equal(got, _circle_eval_oracle(p, modulus, -phases, shifts))
+
+
+def test_fixed_phase_table_matches_uncached_loop(monkeypatch):
+    # A registered constant phase array keeps its power table and grows it
+    # when a larger modulus needs more terms; values stay bit for bit those
+    # of powers formed per call.
+    monkeypatch.setattr(kernel, "_FIXED_POWERS", dict(kernel._FIXED_POWERS))
+    p = WrightParams(1.0, 1.5)
+    loose = -np.exp(1j * np.linspace(0.0, math.pi, 65))
+    fixed = _fixed_phases(loose.copy())
+    assert not fixed.flags.writeable
+    for modulus in (0.07, 4.0, 30.0, 0.4, 30.0):
+        got = circle_eval(p, modulus, fixed, (0, 1))
+        assert np.array_equal(got, _circle_eval_oracle(p, modulus, loose, (0, 1)))
 
 
 def test_magnitude_rows_are_read_only_and_bounded():

@@ -6,6 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from wright_radii import (
@@ -30,7 +32,7 @@ from wright_radii import (
     solve_registry_equation,
     starlike_real,
 )
-from wright_radii import radii
+from wright_radii import radii, zeros
 from wright_radii.radii import (LEM_CONSTANT, RADIUS_KINDS, _real_axis_grid,
                                 default_constant)
 
@@ -183,6 +185,119 @@ def test_real_axis_grid_shared_within_group():
     info = _real_axis_grid.cache_info()
     assert (info.misses, info.hits) == (1, 3)
     assert 0 < info.maxsize <= 1024
+
+
+# ----------------------------------------------------------------------------
+# the bracket solve reproduces the bisection
+# ----------------------------------------------------------------------------
+
+def _bisection_oracle(query: RadiusQuery, tol: float = 1e-9) -> radii.RadiusResult:
+    # The certifier as plain bisection on the early-exit predicate, the
+    # reference its bracket solve must reproduce bit for bit.
+    bound = domain_bound(query, tol)
+    hi = bound - 10.0 * tol if query.is_star else bound
+    pole_seen = False
+
+    def holds(r: float) -> bool:
+        nonlocal pole_seen
+        try:
+            s, _ = boundary_sup(query, r, _stop_at=1.0)
+        except PoleProximityError:
+            pole_seen = True
+            return False
+        return s < 1.0
+
+    if holds(hi):
+        sup, ang = boundary_sup(query, hi)
+        return radii.RadiusResult(radius=bound, bracket=(hi, bound),
+                                  method="certifier", sup_at_radius=sup,
+                                  argmax_angle=ang, clamped=min(bound, 1.0),
+                                  hit_domain_bound=True, pole_truncated=pole_seen)
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    radius = 0.5 * (lo + hi)
+    sup, ang = boundary_sup(query, max(radius, tol))
+    return radii.RadiusResult(radius=radius, bracket=(lo, hi), method="certifier",
+                              sup_at_radius=sup, argmax_angle=ang,
+                              clamped=min(radius, 1.0), pole_truncated=pole_seen)
+
+
+# Janowski pairs with B < 0, B = 0 and B > 0
+ORACLE_TARGETS = (("lem_star", None, None), ("lem_convex", None, None),
+                  *((what, A, B) for what in ("jan_star", "jan_convex")
+                    for A, B in ((0.5, -0.5), (1.0, 0.0), (0.5, 0.25))))
+
+
+@pytest.mark.parametrize("p", (P11, WrightParams(0.5, 1.5), WrightParams(2.0, 0.5)))
+def test_certifier_equals_bisection(p):
+    for kind in NormalizedKind:
+        for what, A, B in ORACLE_TARGETS:
+            q = _q(kind, p, what, A, B)
+            assert radius_by_certification(q) == _bisection_oracle(q), q
+
+
+@settings(max_examples=8, deadline=None)
+@given(rho=st.floats(0.5, 2.0), beta=st.floats(0.5, 2.0),
+       kind=st.sampled_from(list(NormalizedKind)),
+       target=st.sampled_from(ORACLE_TARGETS))
+def test_certifier_equals_bisection_on_continuous_params(rho, beta, kind, target):
+    q = _q(kind, WrightParams(rho, beta), *target)
+    assert radius_by_certification(q) == _bisection_oracle(q)
+
+
+def test_certifier_sweep_count(monkeypatch):
+    # The bisection takes ~33 sweeps to tol 1e-9; the bracket solve with its
+    # replay takes about 13, counting the final sweep at the radius.
+    sweeps = []
+    sup = radii.boundary_sup
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[1])
+        return sup(*args, **kwargs)
+
+    q = _q(NormalizedKind.G, P11, "lem_star")
+    domain_bound(q)                                 # zero table outside the count
+    monkeypatch.setattr(radii, "boundary_sup", counted)
+    radius_by_certification(q)
+    assert len(sweeps) <= 16
+    assert len(set(sweeps)) == len(sweeps)          # no radius swept twice
+
+
+@pytest.mark.parametrize("tol", (1e-15, 1e-12))
+def test_certifier_equals_bisection_at_tight_tol(tol):
+    q = _q(NormalizedKind.H, P11, "jan_convex", 0.5, -0.5)
+    assert radius_by_certification(q, tol) == _bisection_oracle(q, tol)
+
+
+@pytest.mark.parametrize("tol", (1e-17, 1e-20, 5e-324))
+def test_certifier_stops_below_one_ulp(tol):
+    # Below the spacing of doubles near the radius the bisection midpoint
+    # rounds to an endpoint; the bracket then stops at adjacent doubles.
+    q = _q(NormalizedKind.G, P11, "lem_star")
+    for res in (radius_by_certification(q, tol),
+                halfplane_starlike_radius(NormalizedKind.G, P11, tol)):
+        lo, hi = res.bracket
+        assert lo < hi <= math.nextafter(lo, math.inf)
+        assert res.radius in (lo, hi)
+
+
+@pytest.mark.parametrize("tol", (0.0, -1e-9, math.inf, math.nan))
+def test_radius_routes_reject_bad_tol(tol):
+    q = _q(NormalizedKind.G, P11, "jan_star", 0.5, -0.5)
+    for route in (radius_by_certification, radius_real_axis):
+        with pytest.raises(ParameterError, match="tol must be finite and > 0"):
+            route(q, tol=tol)
+    with pytest.raises(ParameterError, match="tol must be finite and > 0"):
+        halfplane_starlike_radius(NormalizedKind.G, P11, tol)
+
+
+def test_one_bracket_solver_for_zeros_and_radii():
+    assert radii._refine_bracket is zeros._refine_bracket
 
 
 def test_convex_radius_below_star_radius():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -50,6 +51,11 @@ def test_positive_zeros_validation(bessel_params):
         positive_zeros(bessel_params, "minus_z_squared", 0)
     with pytest.raises(ParameterError):
         positive_zeros(bessel_params, "minus_z_squared", 3, tol=0.0)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="tol must be finite and > 0"):
+            positive_zeros(bessel_params, "minus_z_squared", 3, tol=tol)
+        with pytest.raises(ParameterError, match="tol must be finite and > 0"):
+            derivative_positive_zeros(NormalizedKind.G, bessel_params, 3, tol=tol)
 
 
 # ----------------------------------------------------------------------------
@@ -108,6 +114,29 @@ def test_zero_tables_are_deterministic(bessel_params):
     a = positive_zeros(bessel_params, "minus_z_squared", 3)
     b = positive_zeros(bessel_params, "minus_z_squared", 3)
     assert a.zeros == b.zeros
+
+
+# Cold 80-zero scans in x = r^2 at tol 1e-12, frozen when the bracket solver
+# began to serve the radius certifier too: a few zeros by value and the whole
+# scan by the SHA-256 of repr(xs), first 16 hex digits.  Cold scans, because
+# a table extended from a cached shorter one may differ in the last bits.
+FROZEN_SCANS = {
+    (1.0, 1.0): ((1.4457964907361407, 234.6197783689277, 3898.710448661637,
+                  15692.88770972001), "6fa8fc54ba83b127"),
+    (0.5, 0.5): ((0.960775351512676, 77.87656083553753, 660.1995805290271,
+                  1885.0736314050525), "986fd05d9a7af23d"),
+    (2.0, 2.0): ((7.235525569225327, 7073.571025373634, 452625.60286971857,
+                  3620972.3184051216), "237afbbe892caf1c"),
+}
+
+
+@pytest.mark.parametrize("rho, beta", sorted(FROZEN_SCANS))
+def test_deep_zero_scans_are_bit_identical(rho, beta):
+    xs = _scan_zeros(_ComboSeries(WrightParams(rho, beta), 1.0, 0.0), 80, 1e-12,
+                     "minus_z_squared")
+    values, digest = FROZEN_SCANS[rho, beta]
+    assert tuple(xs[i] for i in (0, 9, 39, 79)) == values
+    assert hashlib.sha256(repr(xs).encode()).hexdigest()[:16] == digest
 
 
 def test_tolerance_refinement_consistency(bessel_params):
