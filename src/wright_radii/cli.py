@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ParameterError, WrightRadiiError
 from .family import NormalizedKind
@@ -245,8 +244,9 @@ def _sweep_queries(grid: dict[str, list[str]]) -> list[RadiusQuery]:
 
 
 def _thread_cap() -> int:
-    # Rows are GIL-bound pure Python: a second thread measures slower than
-    # one, so the sweep runs serially unless WRIGHT_RADII_THREADS asks.
+    # Rows are GIL-bound pure Python and measured slower on two threads than
+    # on one, so the sweep runs serially; WRIGHT_RADII_THREADS is still
+    # validated but no longer changes the execution.
     raw = os.environ.get("WRIGHT_RADII_THREADS")
     if raw is None:
         return 1
@@ -261,10 +261,21 @@ def _thread_cap() -> int:
     return n
 
 
+def _sweep_tol(grid: dict, default: float) -> float:
+    if "tol" not in grid:
+        return default
+    tols = _floats(grid, "tol")
+    if len(tols) != 1:
+        raise ParameterError(
+            f"grid key 'tol' takes one value, got {len(tols)}: {grid['tol']}")
+    return tols[0]
+
+
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
-    tol = _floats(grid, "tol")[0] if "tol" in grid else args.tol
+    tol = _sweep_tol(grid, args.tol)
     queries = _sweep_queries(grid)
+    _thread_cap()
 
     def run(query: RadiusQuery) -> dict:
         if args.check:
@@ -275,8 +286,7 @@ def cmd_sweep(args) -> int:
             return row
         return _result_row(query, radius_by_certification(query, tol))
 
-    with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        rows = list(pool.map(run, queries))
+    rows = [run(q) for q in queries]
     emit(rows, args.json)
     findings = [r for r in rows if r.get("finding")]
     for r in findings:

@@ -288,21 +288,58 @@ def domain_bound(query: RadiusQuery, tol: float = 1e-9) -> float:
 # method 1: boundary certification
 # ----------------------------------------------------------------------------
 
-def _certified_crossing(excess: Callable[[float], float], hi: float,
-                        f_hi: float, tol: float) -> tuple[float, float]:
+def _seeded_bracket(excess: Callable[[float], float], seed: float, hi: float,
+                    tol: float) -> tuple[float, float, float, float | None]:
+    """(a, fa, b, fb) around a guessed crossing, each end checked by a sweep.
+
+    The ends start at seed -/+ 2 tol (at least 4 ulps of hi, so that they
+    differ from the seed) and widen 8x outward from the seed until
+    excess(a) < 0 <= excess(b); a checked point on the wrong side becomes the
+    other end.  The lower end stops at 0, where excess is -1.  fb is None
+    when the upper search reached hi without sweeping it: only the caller
+    knows whether that sweep decides the domain bound.
+    """
+    seed = min(max(seed, 0.0), hi)
+    start = max(2.0 * tol, 4.0 * math.ulp(hi))
+    a, fa, b, fb = 0.0, -1.0, hi, None
+    w = start
+    while seed - w > a:
+        fx = excess(seed - w)
+        if fx < 0.0:
+            a, fa = seed - w, fx
+            break
+        b, fb = seed - w, fx
+        w *= 8.0
+    if fb is None:
+        w = start
+        while seed + w < b:
+            fx = excess(seed + w)
+            if fx >= 0.0:
+                b, fb = seed + w, fx
+                break
+            a, fa = seed + w, fx
+            w *= 8.0
+    return a, fa, b, fb
+
+
+def _certified_crossing(excess: Callable[[float], float], a: float, b: float,
+                        fa: float, fb: float, hi: float,
+                        tol: float) -> tuple[float, float]:
     """Bracket (lo, hi) of the crossing of a monotone predicate on (0, hi).
 
     excess(r) < 0 means the condition holds at r; it holds as r -> 0, where
-    every excess here equals -1 (the functionals start at 1), and fails at hi
-    with excess f_hi.  The result is exactly that of bisecting from (0, hi)
-    to width tol, found in fewer evaluations: an Anderson-Bjorck solve first
-    narrows the known bracket (a, b) to a quarter of tol, then the bisection
-    is replayed, deciding its midpoints at or below a (holds) and at or above
-    b (fails) by monotonicity and evaluating only those inside (a, b).  The
-    bisection stops early once a midpoint rounds to an endpoint.
+    every excess here equals -1 (the functionals start at 1), and fails at
+    hi.  (a, b) inside [0, hi] is a checked start with excess fa < 0 <= fb,
+    (0, hi) when nothing more is known.  The result is exactly that of
+    bisecting from (0, hi) to width tol, found in fewer evaluations: an
+    Anderson-Bjorck solve first narrows (a, b) to a quarter of tol, then the
+    bisection is replayed, deciding its midpoints at or below a (holds) and
+    at or above b (fails) by monotonicity and evaluating only those inside
+    (a, b).  The bisection stops early once a midpoint rounds to an
+    endpoint.  A narrower start only saves evaluations.
     """
     # below a few ulps of hi the solve could no longer shrink its bracket
-    a, b = _refine_bracket(excess, 0.0, hi, -1.0, f_hi,
+    a, b = _refine_bracket(excess, a, b, fa, fb,
                            max(0.25 * tol, 4.0 * math.ulp(hi)))
     lo = 0.0
     while hi - lo > tol:
@@ -321,13 +358,16 @@ def _certified_crossing(excess: Callable[[float], float], hi: float,
     return lo, hi
 
 
-def radius_by_certification(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
+def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
+                            _seed: float | None = None) -> RadiusResult:
     """Largest r with sup_{|z|=r} |expression| < 1, bracketed to width tol.
 
     Sound because the sup is 0 at r -> 0, continuous, and nondecreasing in r;
     the bracket is the bisection's, found by _certified_crossing.  If the
     condition still holds at the domain bound the bound itself is reported
-    with hit_domain_bound set.
+    with hit_domain_bound set.  _seed is a guess of the radius that only
+    narrows the start bracket after sweeps check it (see _seeded_bracket);
+    every output bit is the unseeded one.
     """
     _check_tol(tol)
     bound = domain_bound(query, tol)
@@ -346,14 +386,20 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9) -> RadiusResu
             return 1e300
         return s - 1.0
 
-    f_hi = excess(hi)
-    if f_hi < 0.0:
-        sup, ang = boundary_sup(query, hi)
-        return RadiusResult(radius=bound, bracket=(hi, bound), method="certifier",
-                            sup_at_radius=sup, argmax_angle=ang,
-                            clamped=min(bound, 1.0), hit_domain_bound=True,
-                            pole_truncated=pole_seen)
-    lo, hi = _certified_crossing(excess, hi, f_hi, tol)
+    if _seed is None:
+        a, fa, b, fb = 0.0, -1.0, hi, None
+    else:
+        a, fa, b, fb = _seeded_bracket(excess, _seed, hi, tol)
+    if fb is None:
+        # hi decides the domain bound; a failing end below hi rules it out
+        fb = excess(hi)
+        if fb < 0.0:
+            sup, ang = boundary_sup(query, hi)
+            return RadiusResult(radius=bound, bracket=(hi, bound),
+                                method="certifier", sup_at_radius=sup,
+                                argmax_angle=ang, clamped=min(bound, 1.0),
+                                hit_domain_bound=True, pole_truncated=pole_seen)
+    lo, hi = _certified_crossing(excess, a, b, fa, fb, hi, tol)
     radius = 0.5 * (lo + hi)
     sup, ang = boundary_sup(query, max(radius, tol))
     return RadiusResult(radius=radius, bracket=(lo, hi), method="certifier",
@@ -514,10 +560,16 @@ def cross_validate(query: RadiusQuery, tol: float = 1e-9) -> CrossCheckResult:
 
     The certifier is definitional ground truth; a finding therefore flags the
     real-axis equation (its constant is a containment bound, or sharpness
-    fails for the parameters), never the certifier.
+    fails for the parameters), never the certifier.  For Janowski B <= 0 the
+    real-axis crossing is the radius (paper_equation_registry), so it seeds
+    the certifier's bracket; for B > 0 it overestimates and for the
+    lemniscate it lies far below, and a seed there costs more sweeps.
     """
-    cert = radius_by_certification(query, tol)
     real = radius_real_axis(query, tol=tol)
+    jp = query.janowski
+    sharp = jp is not None and jp.B <= 0.0 and not real.hit_domain_bound
+    cert = radius_by_certification(query, tol,
+                                   _seed=real.radius if sharp else None)
     delta = abs(cert.radius - real.radius)
     finding = None
     if delta > CROSS_CHECK_TOLERANCE:
@@ -572,7 +624,8 @@ def halfplane_starlike_radius(kind: NormalizedKind, p: WrightParams,
         return RadiusResult(radius=bound, bracket=(hi, bound), method="certifier",
                             sup_at_radius=1.0 + m_hi, argmax_angle=ang,
                             clamped=min(bound, 1.0), hit_domain_bound=True)
-    lo, hi = _certified_crossing(lambda r: max_minus_re(r, 0.0)[0], hi, m_hi, tol)
+    lo, hi = _certified_crossing(lambda r: max_minus_re(r, 0.0)[0],
+                                  0.0, hi, -1.0, m_hi, hi, tol)
     radius = 0.5 * (lo + hi)
     m, ang = max_minus_re(max(radius, tol))
     return RadiusResult(radius=radius, bracket=(lo, hi), method="certifier",

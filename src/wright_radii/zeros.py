@@ -24,14 +24,13 @@ series splits by n mod q into q hypergeometric series that mpmath sums in
 fixed point; irrational rho is summed term by term.  A sign that three
 escalations cannot certify raises ConvergenceError.
 
-Zero tables are cached per parameter set and extended on demand by resuming
-the scan past the last cached zero; the cache is shared read-only after
-construction (guarded by a lock during extension).
+Zero tables are cached per parameter set with the state of the scan that
+made them, and extended on demand by resuming that scan, so a table is the
+same whichever shorter tables were asked for first.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -321,29 +320,51 @@ def _extrapolate(zeros: list[float], power: float) -> float:
     return max(u, 0.0) ** (1.0 / power)
 
 
+@dataclass
+class _ScanState:
+    """Where a zero scan stopped: its zeros and its whole loop state.
+
+    Resuming from it continues the scan exactly as if it had never stopped,
+    so a table does not depend on the shorter tables asked for before it.
+    """
+
+    zeros: list[float]
+    x: float
+    fx: object                        # certified value at x: float or mpf
+    step: float
+    errors: dict[float, float]        # last prediction error per variable
+    preds: dict[float, float]
+    half: float | None                # prediction bracket half-width
+    steps: int
+
+
+def _start_scan(ev: _ComboSeries) -> _ScanState:
+    # last prediction error per extrapolation variable; x first
+    return _ScanState(zeros=[], x=1e-12, fx=ev.certified(1e-12), step=0.05,
+                      errors={1.0: 0.0, 1.0 / (1.0 + ev.p.rho): math.inf},
+                      preds={}, half=None, steps=0)
+
+
 def _scan_zeros(ev: _ComboSeries, count: int, tol: float, form: str,
-                known: list[float] = ()) -> list[float]:
+                state: _ScanState | None = None) -> list[float]:
     """First `count` positive x with s(x) = 0, by sign-change scan.
 
-    Resumes just past the zeros in `known` (found at this tol or tighter).
-    Once three zeros are known, the next one is bracketed around a
-    polynomial extrapolation of the last five (fewer at start-up), in x or
-    in x^(1/(1+rho)), where the zeros are asymptotically evenly spaced;
-    whichever variable predicted the last zero better is used.  The bracket
-    is 0.06 of the last gap on each side for the first prediction, then a
-    safety multiple of the last prediction's error, so the refinement starts
-    next to the zero.  The plain stepping scan covers start-up and recovers
-    any missed prediction.
+    Resumes from `state`, where an earlier scan of the same series at the
+    same tol stopped, and leaves it where this one stops; without it the
+    scan starts cold.  Once three zeros are known, the next one is bracketed
+    around a polynomial extrapolation of the last five (fewer at start-up),
+    in x or in x^(1/(1+rho)), where the zeros are asymptotically evenly
+    spaced; whichever variable predicted the last zero better is used.  The
+    bracket is 0.06 of the last gap on each side for the first prediction,
+    then a safety multiple of the last prediction's error, so the
+    refinement starts next to the zero.  The plain stepping scan covers
+    start-up and recovers any missed prediction.
     """
-    zeros = list(known)
-    x = zeros[-1] + _xtol_for(zeros[-1], tol, form) if zeros else 1e-12
-    fx = ev.certified(x)
-    step = 0.25 * (zeros[-1] - zeros[-2]) if len(zeros) >= 2 else 0.05
-    # last prediction error per extrapolation variable; x first
-    errors = {1.0: 0.0, 1.0 / (1.0 + ev.p.rho): math.inf}
-    preds: dict[float, float] = {}
-    half = None                       # prediction bracket half-width
-    steps = 0
+    if state is None:
+        state = _start_scan(ev)
+    zeros = list(state.zeros)
+    x, fx, step, half, steps = state.x, state.fx, state.step, state.half, state.steps
+    errors, preds = dict(state.errors), dict(state.preds)
     cap = _SCAN_CAP_PER_ZERO * count
 
     def found(lo: float, hi: float, flo, fhi) -> None:
@@ -402,6 +423,8 @@ def _scan_zeros(ev: _ComboSeries, count: int, tol: float, form: str,
             # until gap statistics exist, keep the step within 5% of scale;
             # zero gaps of these series grow at least that fast
             step = min(step, 0.05 * (1.0 + x))
+    state.zeros, state.x, state.fx, state.step = zeros, x, fx, step
+    state.errors, state.preds, state.half, state.steps = errors, preds, half, steps
     return zeros
 
 
@@ -409,9 +432,8 @@ def _scan_zeros(ev: _ComboSeries, count: int, tol: float, form: str,
 # cached table construction
 # ----------------------------------------------------------------------------
 
-_cache_lock = threading.Lock()
 _x_zero_cache: dict[tuple[float, float, float, float, str],
-                    tuple[float, list[float]]] = {}
+                    tuple[float, _ScanState]] = {}
 
 
 def _axis_zeros(p: WrightParams, a: float, b: float, count: int,
@@ -419,20 +441,22 @@ def _axis_zeros(p: WrightParams, a: float, b: float, count: int,
     """Cached x-space zeros of s(x), extended on demand.
 
     A cached table at this tol or tighter is reused: sliced, or extended by
-    resuming the scan past its last zero at its own tol.  A looser one is
-    rescanned at tol and replaced.  Keyed per form because the refinement
-    width that realizes a form-space tolerance differs between the two forms
-    (2 sqrt(x) tol vs tol).
+    resuming its scan at its own tol from the stored scan state, so the
+    result equals a cold scan.  A looser one is rescanned at tol and
+    replaced.  Keyed per form because the refinement width that realizes a
+    form-space tolerance differs between the two forms (2 sqrt(x) tol vs
+    tol).
     """
     key = (p.rho, p.beta, float(a), float(b), form)
-    with _cache_lock:
-        cached_tol, xs = _x_zero_cache.get(key, (tol, []))
-        if cached_tol > tol:
-            cached_tol, xs = tol, []
-        if len(xs) < count:
-            xs = _scan_zeros(_ComboSeries(p, a, b), count, cached_tol, form, xs)
-            _x_zero_cache[key] = (cached_tol, xs)
-        return xs[:count]
+    cached_tol, state = _x_zero_cache.get(key, (tol, None))
+    if cached_tol > tol:
+        cached_tol, state = tol, None
+    if state is None or len(state.zeros) < count:
+        ev = _ComboSeries(p, a, b)
+        state = state or _start_scan(ev)
+        _scan_zeros(ev, count, cached_tol, form, state)
+        _x_zero_cache[key] = (cached_tol, state)
+    return state.zeros[:count]
 
 
 def positive_zeros(p: WrightParams, form: str, count: int,

@@ -353,3 +353,13 @@ def test_sweep_infinite_tol_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "sweep", str(grid))
     assert code == 2
     assert "tol must be finite and > 0" in err
+
+
+def test_sweep_multi_value_tol_exits_2(tmp_path, capsys):
+    # One tol serves the whole grid; a list would silently drop all but one.
+    grid = tmp_path / "grid.txt"
+    grid.write_text("rho=1\nbeta=1\nwhat=lem-star\ntol=1e-6, 1e-3\n")
+    code, out, err = run(capsys, "sweep", str(grid))
+    assert code == 2
+    assert out == ""
+    assert "'tol' takes one value" in err

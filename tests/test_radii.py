@@ -268,6 +268,64 @@ def test_certifier_sweep_count(monkeypatch):
     assert len(set(sweeps)) == len(sweeps)          # no radius swept twice
 
 
+# ----------------------------------------------------------------------------
+# a seed from the real-axis crossing narrows the start bracket
+# ----------------------------------------------------------------------------
+
+def _seeds(query: RadiusQuery, tol: float = 1e-9) -> list[float]:
+    # the crossing, guesses off by a few tol, far off, and outside (0, hi)
+    c = radius_real_axis(query, tol=tol).radius
+    hi = domain_bound(query, tol)
+    return [c, *(c + k * tol for k in (-7, -3, -1, 1, 3, 7)), 0.5 * c, 1.5 * c,
+            0.0, -1.0, hi, 2.0 * hi]
+
+
+@settings(max_examples=10, deadline=None)
+@given(rho=st.floats(0.5, 2.0), beta=st.floats(0.5, 2.0),
+       kind=st.sampled_from(list(NormalizedKind)),
+       what=st.sampled_from(("jan_star", "jan_convex")),
+       B=st.floats(-1.0, 0.0), t=st.floats(0.1, 1.0))
+def test_seeded_certifier_equals_unseeded(rho, beta, kind, what, B, t):
+    q = _q(kind, WrightParams(rho, beta), what, B + t * (1.0 - B), B)
+    want = radius_by_certification(q)
+    assert want == _bisection_oracle(q)
+    for seed in _seeds(q):
+        assert radius_by_certification(q, _seed=seed) == want, seed
+
+
+def _certifier_sweeps(monkeypatch, query: RadiusQuery) -> int:
+    # boundary sweeps of one cross_validate: the real-axis route sweeps none
+    sweeps = []
+    sup = radii.boundary_sup
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[1])
+        return sup(*args, **kwargs)
+
+    domain_bound(query)                             # zero table outside the count
+    monkeypatch.setattr(radii, "boundary_sup", counted)
+    cross_validate(query)
+    monkeypatch.setattr(radii, "boundary_sup", sup)
+    return len(sweeps)
+
+
+def test_seeded_cross_validate_sweep_count(monkeypatch):
+    # Two sweeps check the seed's ends, about three close the bracket, one
+    # sweeps the radius; unseeded this query took 17.
+    q = _q(NormalizedKind.G, P11, "jan_star", 1.0, -1.0)
+    assert _certifier_sweeps(monkeypatch, q) <= 6
+
+
+@pytest.mark.parametrize("what, A, B, sweeps", (
+    ("jan_star", 1.0, 0.5, 9), ("jan_convex", 0.5, 0.25, 13),
+    ("lem_star", None, None, 15)))
+def test_unsharp_targets_stay_unseeded(monkeypatch, what, A, B, sweeps):
+    # For B > 0 and the lemniscate the real-axis crossing is no guess of the
+    # radius: cross_validate keeps the unseeded bracket and its sweep count.
+    q = _q(NormalizedKind.G, P11, what, A, B)
+    assert _certifier_sweeps(monkeypatch, q) == sweeps
+
+
 @pytest.mark.parametrize("tol", (1e-15, 1e-12))
 def test_certifier_equals_bisection_at_tight_tol(tol):
     q = _q(NormalizedKind.H, P11, "jan_convex", 0.5, -0.5)

@@ -22,6 +22,7 @@ from wright_radii import (
     positive_zeros,
     reciprocal_square_sum,
 )
+from wright_radii import zeros
 from wright_radii.kernel import term_exponent_max
 from wright_radii.zeros import _ComboSeries, _scan_zeros
 
@@ -299,6 +300,18 @@ def test_table_extension_resumes_and_keeps_tighter_tol(monkeypatch):
     seen.clear()
     positive_zeros(p, "minus_z_squared", 7)
     assert seen == []
+
+
+def test_table_does_not_depend_on_earlier_requests(monkeypatch):
+    # An extension resumes the stored scan state, so the 80-zero table built
+    # after shorter requests is the cold scan, bit for bit.
+    p = WrightParams(1.0, 1.0)
+    monkeypatch.setattr(zeros, "_x_zero_cache", {})
+    for n in (1, 2, 3, 4):
+        positive_zeros(p, "minus_z_squared", n)
+    warm = positive_zeros(p, "minus_z_squared", 80)
+    cold = _scan_zeros(_ComboSeries(p, 1.0, 0.0), 80, 1e-12, "minus_z_squared")
+    assert warm.zeros == tuple(math.sqrt(x) for x in cold)
 
 
 def test_uncertified_sign_raises(monkeypatch):
