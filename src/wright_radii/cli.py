@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .errors import ParameterError, WrightRadiiError
@@ -93,7 +92,7 @@ def _build_query(kind_token: str, rho: float, beta: float, what_token: str,
                        radius_kind=radius_kind, janowski=jp)
 
 
-def _result_row(query: RadiusQuery, res) -> dict:
+def _query_columns(query: RadiusQuery) -> dict:
     jp = query.janowski
     return {
         "kind": query.kind.value,
@@ -102,6 +101,12 @@ def _result_row(query: RadiusQuery, res) -> dict:
         "what": query.radius_kind,
         "A": jp.A if jp else None,
         "B": jp.B if jp else None,
+    }
+
+
+def _result_row(query: RadiusQuery, res) -> dict:
+    return {
+        **_query_columns(query),
         "method": res.method,
         "radius": res.radius,
         "clamped": res.clamped,
@@ -152,14 +157,8 @@ def cmd_radius(args) -> int:
         emit([_result_row(query, solve_registry_equation(query, args.tol))], args.json)
     elif args.method == "both":
         chk = cross_validate(query, args.tol)
-        jp = query.janowski
         emit([{
-            "kind": query.kind.value,
-            "rho": query.params.rho,
-            "beta": query.params.beta,
-            "what": query.radius_kind,
-            "A": jp.A if jp else None,
-            "B": jp.B if jp else None,
+            **_query_columns(query),
             "radius_certifier": chk.certifier.radius,
             "radius_real_axis": chk.real_axis.radius,
             "delta": chk.delta,
@@ -243,24 +242,6 @@ def _sweep_queries(grid: dict[str, list[str]]) -> list[RadiusQuery]:
     return queries
 
 
-def _thread_cap() -> int:
-    # Rows are GIL-bound pure Python and measured slower on two threads than
-    # on one, so the sweep runs serially; WRIGHT_RADII_THREADS is still
-    # validated but no longer changes the execution.
-    raw = os.environ.get("WRIGHT_RADII_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError(
-            f"WRIGHT_RADII_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ParameterError(
-            f"WRIGHT_RADII_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
 def _sweep_tol(grid: dict, default: float) -> float:
     if "tol" not in grid:
         return default
@@ -275,7 +256,6 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     tol = _sweep_tol(grid, args.tol)
     queries = _sweep_queries(grid)
-    _thread_cap()
 
     def run(query: RadiusQuery) -> dict:
         if args.check:

@@ -13,11 +13,16 @@ are computed from log-derivatives of Phi (resp. Psi) alone, so the fractional
 power in kind F is never evaluated and no branch cut is involved.
 
 All identities reduce to ratios of W(rho, beta + k*rho; .) for k = 0, 1, 2
-via the shift identity; see the kernel module.
+via the shift identity; see the kernel module.  Each functional is written
+once, in _starlike and _convex, and evaluated by two routes: at one point
+with a first-order error bound (starlike_functional, convex_functional and
+the *_real wrappers) and on a circle of points without (the *_on_circle
+functions the boundary sweeps use).
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,14 +60,51 @@ class FunctionalValue:
 # first-order error arithmetic
 # ----------------------------------------------------------------------------
 
-def _div(nv: complex, ne: float, dv: complex, de: float) -> tuple[complex, float]:
-    """Quotient with first-order propagated bound; rejects drowned denominators."""
-    ad = abs(dv)
-    if ad <= de:
-        raise NearZeroDenominatorError(
-            f"denominator {ad:.3e} below its propagated error bound {de:.3e}")
-    val = nv / dv
-    return val, (ne + abs(val) * de) / ad
+class _Bounded:
+    """A complex value with a first-order propagated error bound.
+
+    The operators keep CPython's operation order on the values, so a formula
+    written with them yields exactly the plain formula's value.  A plain
+    number enters on the left, as the formulas write it (2.0 * z * W1,
+    1.0 + q), or as a divisor.  Division rejects a denominator no larger
+    than its own bound.
+    """
+
+    __slots__ = ("value", "bound")
+
+    def __init__(self, value: complex, bound: float):
+        self.value = value
+        self.bound = bound
+
+    def __add__(self, other: "_Bounded") -> "_Bounded":
+        return _Bounded(self.value + other.value, self.bound + other.bound)
+
+    def __sub__(self, other: "_Bounded") -> "_Bounded":
+        return _Bounded(self.value - other.value, self.bound + other.bound)
+
+    def __mul__(self, other: "_Bounded") -> "_Bounded":
+        return _Bounded(self.value * other.value, abs(self.value) * other.bound
+                        + abs(other.value) * self.bound)
+
+    def __radd__(self, other: complex) -> "_Bounded":
+        return _Bounded(other + self.value, self.bound)
+
+    def __rsub__(self, other: complex) -> "_Bounded":
+        return _Bounded(other - self.value, self.bound)
+
+    def __rmul__(self, other: complex) -> "_Bounded":
+        return _Bounded(other * self.value, abs(other) * self.bound)
+
+    def __truediv__(self, other: "_Bounded | float") -> "_Bounded":
+        den, den_bound = ((other.value, other.bound) if isinstance(other, _Bounded)
+                          else (other, 0.0))
+        ad = abs(den)
+        if ad <= den_bound:
+            raise NearZeroDenominatorError(
+                f"denominator {ad:.3e} below its propagated error bound "
+                f"{den_bound:.3e}")
+        val = self.value / den
+        return _Bounded(val, (self.bound + abs(val) * den_bound) / ad)
 
 
 # ----------------------------------------------------------------------------
@@ -76,40 +118,26 @@ def base_eval(p: WrightParams, z: complex, tol: float = 1e-12) -> EvalResult:
     return EvalResult(gb * r.value, gb * r.abs_error_bound, r.terms_used)
 
 
-def _w_triplet(p: WrightParams, u: complex, tol: float,
-               orders: tuple[int, ...]) -> dict[int, EvalResult]:
-    return {k: wright_eval(p.shifted(k), u, tol) for k in orders}
-
-
 # ----------------------------------------------------------------------------
-# the two shape functionals
+# the two shape functionals, written once
 # ----------------------------------------------------------------------------
+# W[k] = W(rho, beta + k*rho; u) with u = -z^2 (kinds F, G) or u = -z (kind
+# H).  At a point, z is a complex and W holds _Bounded values; on a circle, z
+# is an array of points and W the rows of circle_eval.
 
-def starlike_functional(kind: NormalizedKind, p: WrightParams, z: complex,
-                        tol: float = 1e-12) -> FunctionalValue:
-    """w(z) = z f'(z)/f(z) for the requested kind.
-
-    G: w = 1 - 2 z^2 W1/W,  F: w = 1 - (2/beta) z^2 W1/W  (same Phi),
-    H: w = 1 - z W1/W, with W = W(rho,beta;u), W1 = W(rho,beta+rho;u) and
-    u = -z^2 (kinds F, G) or u = -z (kind H).
-    """
-    z = complex(z)
+def _starlike(kind: NormalizedKind, beta: float, z, W):
+    """w = z f'/f.  G: 1 - 2 z^2 W1/W,  F: 1 - (2/beta) z^2 W1/W,
+    H: 1 - z W1/W."""
     if kind is NormalizedKind.H:
-        ev = _w_triplet(p, -z, tol, (0, 1))
-        ratio, rerr = _div(z * ev[1].value, abs(z) * ev[1].abs_error_bound,
-                           ev[0].value, ev[0].abs_error_bound)
-        return FunctionalValue(1.0 - ratio, rerr)
-    ev = _w_triplet(p, -(z * z), tol, (0, 1))
-    scale = 2.0 / p.beta if kind is NormalizedKind.F else 2.0
-    zz = z * z
-    ratio, rerr = _div(zz * ev[1].value, abs(zz) * ev[1].abs_error_bound,
-                       ev[0].value, ev[0].abs_error_bound)
-    return FunctionalValue(1.0 - scale * ratio, scale * rerr)
+        return 1.0 - z * W[1] / W[0]
+    # Scaled after the quotient: the real-axis root solve amplifies a single
+    # ulp of w, so this order is the one its results were computed in.
+    scale = 2.0 / beta if kind is NormalizedKind.F else 2.0
+    return 1.0 - scale * (z * z * W[1] / W[0])
 
 
-def convex_functional(kind: NormalizedKind, p: WrightParams, z: complex,
-                      tol: float = 1e-12) -> FunctionalValue:
-    """C(z) = 1 + z f''(z)/f'(z) for the requested kind.
+def _convex(kind: NormalizedKind, beta: float, z, W):
+    """C = 1 + z f''/f'.
 
     G:  C = 1 + (-6 z^2 W1 + 4 z^4 W2)/(W - 2 z^2 W1)
     H:  C = 1 + (-2 z W1 + z^2 W2)/(W - z W1)
@@ -118,46 +146,37 @@ def convex_functional(kind: NormalizedKind, p: WrightParams, z: complex,
         C = 1 + a/beta + (a + z^2 Phi''/Phi - a^2)/(beta + a),
         from log f' = (1/beta) log Phi + log u, u = 1 + a/beta.
     """
-    z = complex(z)
     if kind is NormalizedKind.H:
-        ev = _w_triplet(p, -z, tol, (0, 1, 2))
-        az = abs(z)
-        num = -2.0 * z * ev[1].value + z * z * ev[2].value
-        nerr = 2.0 * az * ev[1].abs_error_bound + az * az * ev[2].abs_error_bound
-        den = ev[0].value - z * ev[1].value
-        derr = ev[0].abs_error_bound + az * ev[1].abs_error_bound
-        ratio, rerr = _div(num, nerr, den, derr)
-        return FunctionalValue(1.0 + ratio, rerr)
-
-    ev = _w_triplet(p, -(z * z), tol, (0, 1, 2))
+        return 1.0 + (-2.0 * z * W[1] + z * z * W[2]) / (W[0] - z * W[1])
     zz = z * z
-    azz = abs(zz)
     if kind is NormalizedKind.G:
-        num = -6.0 * zz * ev[1].value + 4.0 * zz * zz * ev[2].value
-        nerr = (6.0 * azz * ev[1].abs_error_bound
-                + 4.0 * azz * azz * ev[2].abs_error_bound)
-        den = ev[0].value - 2.0 * zz * ev[1].value
-        derr = ev[0].abs_error_bound + 2.0 * azz * ev[1].abs_error_bound
-        ratio, rerr = _div(num, nerr, den, derr)
-        return FunctionalValue(1.0 + ratio, rerr)
-
-    # kind F
-    beta = p.beta
-    a, aerr = _div(-2.0 * zz * ev[1].value, 2.0 * azz * ev[1].abs_error_bound,
-                   ev[0].value, ev[0].abs_error_bound)
-    phi2, p2err = _div(-2.0 * zz * ev[1].value + 4.0 * zz * zz * ev[2].value,
-                       2.0 * azz * ev[1].abs_error_bound
-                       + 4.0 * azz * azz * ev[2].abs_error_bound,
-                       ev[0].value, ev[0].abs_error_bound)
-    num = a + phi2 - a * a
-    nerr = aerr + p2err + 2.0 * abs(a) * aerr
-    ratio, rerr = _div(num, nerr, beta + a, aerr)
-    return FunctionalValue(1.0 + a / beta + ratio, aerr / beta + rerr)
+        return 1.0 + ((-6.0 * zz * W[1] + 4.0 * zz * zz * W[2])
+                      / (W[0] - 2.0 * zz * W[1]))
+    a = -2.0 * zz * W[1] / W[0]
+    phi2 = (-2.0 * zz * W[1] + 4.0 * zz * zz * W[2]) / W[0]
+    return 1.0 + a / beta + (a + phi2 - a * a) / (beta + a)
 
 
-# ----------------------------------------------------------------------------
-# vectorized circle variants
-# ----------------------------------------------------------------------------
+@functools.lru_cache(maxsize=256)
+def _shifted(p: WrightParams) -> tuple[WrightParams, ...]:
+    """(p, p shifted by rho, p shifted by 2 rho), built once per parameter
+    pair: validating new WrightParams at every point is a visible share of
+    a point's two or three wright_eval calls."""
+    return p, p.shifted(1), p.shifted(2)
+
+
+def _at_point(functional, kind: NormalizedKind, p: WrightParams, z: complex,
+              tol: float, n: int) -> _Bounded:
+    """functional at z from its first n Wright values, with bounds."""
+    z = complex(z)
+    u = -z if kind is NormalizedKind.H else -(z * z)
+    W = []
+    for q in _shifted(p)[:n]:
+        ev = wright_eval(q, u, tol)
+        W.append(_Bounded(ev.value, ev.abs_error_bound))
+    return functional(kind, p.beta, z, W)
+
+
 # Boundary sweeps in the radii module evaluate the functionals at many points
 # of one circle |z| = r.  The Wright argument u then has constant modulus
 # (r^2 for kinds F and G, r for kind H), so the kernel's shared-magnitude
@@ -179,57 +198,55 @@ def _fixed_grid(phases: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _circle_arg(phases: np.ndarray, squared: bool) -> np.ndarray:
-    entry = _FIXED_ARGS.get(id(phases))
-    if entry is None:
-        return -(phases * phases) if squared else -phases
-    return entry[2 if squared else 1]
+def _on_circle(functional, kind: NormalizedKind, p: WrightParams, r: float,
+               phases: np.ndarray, n: int) -> np.ndarray:
+    """functional at r * phases from one circle_eval of its n Wright rows."""
+    fixed = _FIXED_ARGS.get(id(phases))
+    if kind is NormalizedKind.H:
+        modulus, u = r, (-phases if fixed is None else fixed[1])
+    else:
+        modulus, u = r * r, (-(phases * phases) if fixed is None else fixed[2])
+    W = circle_eval(p, modulus, u, shifts=(0, 1, 2)[:n])
+    return functional(kind, p.beta, r * phases, W)
+
+
+# ----------------------------------------------------------------------------
+# entry points
+# ----------------------------------------------------------------------------
+
+def starlike_functional(kind: NormalizedKind, p: WrightParams, z: complex,
+                        tol: float = 1e-12) -> FunctionalValue:
+    """w(z) = z f'(z)/f(z) for the requested kind, with its error bound."""
+    v = _at_point(_starlike, kind, p, z, tol, 2)
+    return FunctionalValue(v.value, v.bound)
+
+
+def convex_functional(kind: NormalizedKind, p: WrightParams, z: complex,
+                      tol: float = 1e-12) -> FunctionalValue:
+    """C(z) = 1 + z f''(z)/f'(z) for the requested kind, with its error bound."""
+    v = _at_point(_convex, kind, p, z, tol, 3)
+    return FunctionalValue(v.value, v.bound)
 
 
 def starlike_on_circle(kind: NormalizedKind, p: WrightParams, r: float,
                        phases: np.ndarray) -> np.ndarray:
     """w(r * phases) for unit-modulus phases."""
-    if kind is NormalizedKind.H:
-        vals = circle_eval(p, r, _circle_arg(phases, False), shifts=(0, 1))
-        return 1.0 - (r * phases) * vals[1] / vals[0]
-    vals = circle_eval(p, r * r, _circle_arg(phases, True), shifts=(0, 1))
-    scale = 2.0 / p.beta if kind is NormalizedKind.F else 2.0
-    zz = (r * phases) ** 2
-    return 1.0 - scale * zz * vals[1] / vals[0]
+    return _on_circle(_starlike, kind, p, r, phases, 2)
 
 
 def convex_on_circle(kind: NormalizedKind, p: WrightParams, r: float,
                      phases: np.ndarray) -> np.ndarray:
     """C(r * phases) for unit-modulus phases."""
-    if kind is NormalizedKind.H:
-        vals = circle_eval(p, r, _circle_arg(phases, False), shifts=(0, 1, 2))
-        z = r * phases
-        num = -2.0 * z * vals[1] + z * z * vals[2]
-        den = vals[0] - z * vals[1]
-        return 1.0 + num / den
-    vals = circle_eval(p, r * r, _circle_arg(phases, True), shifts=(0, 1, 2))
-    zz = (r * phases) ** 2
-    if kind is NormalizedKind.G:
-        num = -6.0 * zz * vals[1] + 4.0 * zz * zz * vals[2]
-        den = vals[0] - 2.0 * zz * vals[1]
-        return 1.0 + num / den
-    beta = p.beta
-    a = -2.0 * zz * vals[1] / vals[0]
-    phi2 = (-2.0 * zz * vals[1] + 4.0 * zz * zz * vals[2]) / vals[0]
-    return 1.0 + a / beta + (a + phi2 - a * a) / (beta + a)
+    return _on_circle(_convex, kind, p, r, phases, 3)
 
-
-# ----------------------------------------------------------------------------
-# real-axis scalar paths
-# ----------------------------------------------------------------------------
 
 def starlike_real(kind: NormalizedKind, p: WrightParams, r: float,
                   tol: float = 1e-12) -> float:
     """w(r) for real r; the value is real by conjugate symmetry."""
-    return float(starlike_functional(kind, p, complex(r), tol).value.real)
+    return float(_at_point(_starlike, kind, p, r, tol, 2).value.real)
 
 
 def convex_real(kind: NormalizedKind, p: WrightParams, r: float,
                 tol: float = 1e-12) -> float:
     """C(r) for real r."""
-    return float(convex_functional(kind, p, complex(r), tol).value.real)
+    return float(_at_point(_convex, kind, p, r, tol, 3).value.real)

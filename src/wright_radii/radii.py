@@ -168,32 +168,28 @@ def _functional_real(query: RadiusQuery, r: float) -> float:
     return convex_real(query.kind, query.params, r)
 
 
-def _region_of_values(query: RadiusQuery, v: np.ndarray) -> np.ndarray:
-    """Vectorized |left side| of the region condition at functional values v."""
+def _region(query: RadiusQuery, v, floor: float):
+    """|left side| of the region condition at functional values v, one value
+    or an array; a Janowski denominator below floor raises."""
     if query.radius_kind.startswith("lem"):
-        return np.abs(v * v - 1.0)
+        return abs(v * v - 1.0)
     jp = query.janowski
     den = jp.A - jp.B * v
-    if np.min(np.abs(den)) < 1e-13:
+    if np.min(abs(den)) < floor:
         raise PoleProximityError(
-            f"Janowski denominator vanishes on the sampled circle "
+            f"Janowski denominator {np.min(abs(den)):.3e} below {floor:.3e} "
             f"(A={jp.A}, B={jp.B})")
-    return np.abs((v - 1.0) / den)
+    return abs((v - 1.0) / den)
 
 
 def region_functional(query: RadiusQuery, z: complex, tol: float = 1e-12) -> float:
-    """The modulus on the left of the region condition at one point."""
+    """The modulus on the left of the region condition at one point.
+
+    A Janowski denominator within 10x its propagated error bound raises."""
     fv = _functional_scalar(query, z, tol)
-    v = fv.value
-    if query.radius_kind.startswith("lem"):
-        return float(abs(v * v - 1.0))
     jp = query.janowski
-    den = jp.A - jp.B * v
-    if abs(den) < 10.0 * abs(jp.B) * fv.abs_error_bound + 1e-300:
-        raise PoleProximityError(
-            f"Janowski denominator {abs(den):.3e} within 10x the propagated "
-            f"error bound at z={z}")
-    return float(abs((v - 1.0) / den))
+    floor = 10.0 * abs(jp.B) * fv.abs_error_bound + 1e-300 if jp else 0.0
+    return float(_region(query, fv.value, floor))
 
 
 # ----------------------------------------------------------------------------
@@ -261,7 +257,7 @@ def boundary_sup(query: RadiusQuery, r: float, tol_theta: float = 1e-10,
         raise ParameterError(f"r must be > 0, got {r}")
 
     def values_at(theta: np.ndarray) -> np.ndarray:
-        return _region_of_values(query, _functional_circle(query, r, _phases_of(theta)))
+        return _region(query, _functional_circle(query, r, _phases_of(theta)), 1e-13)
 
     return _sup_scan(values_at, tol_theta, initial_grid, _stop_at)
 

@@ -459,6 +459,17 @@ def _axis_zeros(p: WrightParams, a: float, b: float, count: int,
     return state.zeros[:count]
 
 
+def _table(p: WrightParams, form: str, a: float, b: float, count: int,
+           tol: float) -> ZeroTable:
+    """The first `count` zeros in r of s(x), with x = r^2 or x = r by form."""
+    if not (isinstance(count, int) and count >= 1):
+        raise ParameterError(f"count must be a positive integer, got {count!r}")
+    _check_tol(tol)
+    xs = _axis_zeros(p, a, b, count, tol, form)
+    rs = [math.sqrt(x) for x in xs] if form == "minus_z_squared" else list(xs)
+    return ZeroTable(p, form, tuple(rs), tol)
+
+
 def positive_zeros(p: WrightParams, form: str, count: int,
                    tol: float = 1e-12) -> ZeroTable:
     """First `count` positive zeros of the base function.
@@ -469,12 +480,7 @@ def positive_zeros(p: WrightParams, form: str, count: int,
     """
     if form not in _FORMS:
         raise ParameterError(f"form must be one of {_FORMS}, got {form!r}")
-    if not (isinstance(count, int) and count >= 1):
-        raise ParameterError(f"count must be a positive integer, got {count!r}")
-    _check_tol(tol)
-    xs = _axis_zeros(p, 1.0, 0.0, count, tol, form)
-    rs = [math.sqrt(x) for x in xs] if form == "minus_z_squared" else list(xs)
-    return ZeroTable(p, form, tuple(rs), tol)
+    return _table(p, form, 1.0, 0.0, count, tol)
 
 
 _DERIV_COMBO = {
@@ -495,14 +501,8 @@ def derivative_positive_zeros(kind: NormalizedKind, p: WrightParams, count: int,
     """
     if kind not in _DERIV_COMBO:
         raise ParameterError(f"unknown kind {kind!r}")
-    if not (isinstance(count, int) and count >= 1):
-        raise ParameterError(f"count must be a positive integer, got {count!r}")
-    _check_tol(tol)
     form, combo = _DERIV_COMBO[kind]
-    a, b = combo(p.beta)
-    xs = _axis_zeros(p, a, b, count, tol, form)
-    rs = [math.sqrt(x) for x in xs] if form == "minus_z_squared" else list(xs)
-    return ZeroTable(p, form, tuple(rs), tol)
+    return _table(p, form, *combo(p.beta), count, tol)
 
 
 # ----------------------------------------------------------------------------
@@ -572,31 +572,26 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float,
             f"contour radius {R} too deep for double-precision quadrature")
     # Shared-magnitude rounding noise on the circle, same model as the axis.
     n_star = max(10.0, 2.0 * modulus ** (1.0 / (1.0 + p.rho)))
-    noise0 = 2.3e-16 * math.exp(e_max) * max(1.0, e_max) * math.sqrt(n_star)
-    e_max1 = term_exponent_max(p.shifted(1), modulus)
-    noise1 = 2.3e-16 * math.exp(e_max1) * max(1.0, e_max1) * math.sqrt(n_star)
+    noise0, noise1 = (2.3e-16 * math.exp(e) * max(1.0, e) * math.sqrt(n_star)
+                      for e in (e_max, term_exponent_max(p.shifted(1), modulus)))
+    squared = form == "minus_z_squared"
 
     prev_round: int | None = None
     m = quadrature_points
     while m <= quadrature_points * 16:
         theta = 2.0 * math.pi * np.arange(m) / m
         z = R * np.exp(1j * theta)
-        if form == "minus_z_squared":
-            u_phases = -np.exp(2j * theta)
-            vals = circle_eval(p, modulus, u_phases, shifts=(0, 1))
-        else:
-            u_phases = -np.exp(1j * theta)
-            vals = circle_eval(p, modulus, u_phases, shifts=(0, 1))
+        u_phases = -np.exp((2j if squared else 1j) * theta)
+        vals = circle_eval(p, modulus, u_phases, shifts=(0, 1))
         w0, w1 = vals[0].copy(), vals[1].copy()
         bad = (np.abs(w0) < 30.0 * noise0) | (np.abs(w1) < 30.0 * noise1)
         if np.any(bad):
-            dps = max(25, int(20.0 + (e_max - min(envelope_exponent(p, modulus),
-                                                  0.0)) / _LN10))
+            dps = _ComboSeries(p, 1.0, 0.0)._dps_budget(modulus, e_max)
             for j in np.nonzero(bad)[0]:
                 u = modulus * u_phases[j]
                 w0[j] = _mp_wright_complex(p, u, dps)
                 w1[j] = _mp_wright_complex(p.shifted(1), u, dps)
-        if form == "minus_z_squared":
+        if squared:
             integrand = -2.0 * (z * z) * w1 / w0
         else:
             integrand = -z * w1 / w0

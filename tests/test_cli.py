@@ -298,15 +298,6 @@ def test_sweep_jan_without_ab_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
-    grid = tmp_path / "grid.txt"
-    grid.write_text("rho=1\nbeta=1\nwhat=lem-star\n")
-    monkeypatch.setenv("WRIGHT_RADII_THREADS", "zero")
-    code, _, err = run(capsys, "sweep", str(grid))
-    assert code == 2
-    assert "WRIGHT_RADII_THREADS" in err
-
-
 # ----------------------------------------------------------------------------
 # tolerances
 # ----------------------------------------------------------------------------

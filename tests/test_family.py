@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wright_radii import (
+    EvalResult,
     NearZeroDenominatorError,
     NormalizedKind,
     WrightParams,
@@ -20,7 +21,9 @@ from wright_radii import (
     starlike_real,
     wright_eval,
 )
+from wright_radii import family
 from wright_radii.family import convex_on_circle, starlike_on_circle
+from wright_radii.kernel import circle_eval
 from wright_radii.radii import _PHASES0
 
 # First positive zero of J0, halved: the first zero of g(r) = r J0(2r).
@@ -218,3 +221,134 @@ def test_starlike_real_decreasing_from_one(r):
     # it stays below 1 wherever it is defined on the positive axis.
     p = WrightParams(1.0, 1.0)
     assert starlike_real(NormalizedKind.G, p, r) < 1.0
+
+
+# ----------------------------------------------------------------------------
+# the one-definition functionals reproduce the hand-written formulas
+# ----------------------------------------------------------------------------
+# The formulas as they were written before each functional had one
+# definition: twice per functional, once at a point with hand-propagated
+# bounds and once on a circle without.  They are the oracle the shared
+# definitions must reproduce: the same point values and circle arrays, and
+# bounds equal up to rounding.
+
+def _oracle_div(nv, ne, dv, de):
+    ad = abs(dv)
+    if ad <= de:
+        raise NearZeroDenominatorError("drowned denominator")
+    val = nv / dv
+    return val, (ne + abs(val) * de) / ad
+
+
+def _oracle_point(star, kind, p, z, tol=1e-12):
+    """(value, bound) of w (star) or C at one point."""
+    z = complex(z)
+    u = -z if kind is NormalizedKind.H else -(z * z)
+    ev = [wright_eval(p.shifted(k), u, tol) for k in (0, 1, 2)]
+    (w0, w1, w2), (e0, e1, e2) = ([e.value for e in ev],
+                                  [e.abs_error_bound for e in ev])
+    az, zz = abs(z), z * z
+    azz = abs(zz)
+    if star and kind is NormalizedKind.H:
+        ratio, rerr = _oracle_div(z * w1, az * e1, w0, e0)
+        return 1.0 - ratio, rerr
+    if star:
+        scale = 2.0 / p.beta if kind is NormalizedKind.F else 2.0
+        ratio, rerr = _oracle_div(zz * w1, azz * e1, w0, e0)
+        return 1.0 - scale * ratio, scale * rerr
+    if kind is NormalizedKind.H:
+        ratio, rerr = _oracle_div(-2.0 * z * w1 + z * z * w2,
+                                  2.0 * az * e1 + az * az * e2,
+                                  w0 - z * w1, e0 + az * e1)
+        return 1.0 + ratio, rerr
+    if kind is NormalizedKind.G:
+        ratio, rerr = _oracle_div(-6.0 * zz * w1 + 4.0 * zz * zz * w2,
+                                  6.0 * azz * e1 + 4.0 * azz * azz * e2,
+                                  w0 - 2.0 * zz * w1, e0 + 2.0 * azz * e1)
+        return 1.0 + ratio, rerr
+    beta = p.beta
+    a, aerr = _oracle_div(-2.0 * zz * w1, 2.0 * azz * e1, w0, e0)
+    phi2, p2err = _oracle_div(-2.0 * zz * w1 + 4.0 * zz * zz * w2,
+                              2.0 * azz * e1 + 4.0 * azz * azz * e2, w0, e0)
+    ratio, rerr = _oracle_div(a + phi2 - a * a, aerr + p2err + 2.0 * abs(a) * aerr,
+                              beta + a, aerr)
+    return 1.0 + a / beta + ratio, aerr / beta + rerr
+
+
+def _oracle_circle(star, kind, p, r, phases):
+    """w (star) or C at r * phases."""
+    if kind is NormalizedKind.H:
+        vals = circle_eval(p, r, -phases, shifts=(0, 1, 2))
+        z = r * phases
+        if star:
+            return 1.0 - z * vals[1] / vals[0]
+        return 1.0 + (-2.0 * z * vals[1] + z * z * vals[2]) / (vals[0] - z * vals[1])
+    vals = circle_eval(p, r * r, -(phases * phases), shifts=(0, 1, 2))
+    zz = (r * phases) ** 2
+    if star:
+        scale = 2.0 / p.beta if kind is NormalizedKind.F else 2.0
+        return 1.0 - scale * zz * vals[1] / vals[0]
+    if kind is NormalizedKind.G:
+        return 1.0 + ((-6.0 * zz * vals[1] + 4.0 * zz * zz * vals[2])
+                      / (vals[0] - 2.0 * zz * vals[1]))
+    beta = p.beta
+    a = -2.0 * zz * vals[1] / vals[0]
+    phi2 = (-2.0 * zz * vals[1] + 4.0 * zz * zz * vals[2]) / vals[0]
+    return 1.0 + a / beta + (a + phi2 - a * a) / (beta + a)
+
+
+ORACLE_POINTS = tuple(r * complex(math.cos(t), math.sin(t))
+                      for r in (0.05, 0.3, 0.6) for t in (0.0, 0.4, 1.3, 2.2, math.pi))
+
+
+@pytest.mark.parametrize("star", (True, False), ids=("starlike", "convex"))
+def test_point_functionals_equal_the_formulas(grid_params, star):
+    functional = starlike_functional if star else convex_functional
+    for p in grid_params:
+        for kind in NormalizedKind:
+            for z in ORACLE_POINTS:
+                want, want_bound = _oracle_point(star, kind, p, z)
+                got = functional(kind, p, z)
+                assert got.value == want, (kind, p, z)
+                assert got.abs_error_bound == pytest.approx(want_bound, rel=1e-15)
+                real = (starlike_real if star else convex_real)(kind, p, z.real)
+                assert real == _oracle_point(star, kind, p, z.real)[0].real
+
+
+@pytest.mark.parametrize("star", (True, False), ids=("starlike", "convex"))
+def test_circle_functionals_equal_the_formulas(grid_params, star):
+    # Starlike F scales z^2 W1/W by 2/beta after the division on a circle,
+    # where the formula scaled z^2 before it; the two agree bit for bit
+    # where 2/beta is a power of two, and within rounding elsewhere.
+    on_circle = starlike_on_circle if star else convex_on_circle
+    for p in grid_params:
+        exact = not (star and math.log2(2.0 / p.beta) % 1.0)
+        for kind in NormalizedKind:
+            for r in (0.2, 0.45, 0.7):
+                for phases in (_PHASES0, _PHASES0[::7].copy()):
+                    got = on_circle(kind, p, r, phases)
+                    want = _oracle_circle(star, kind, p, r, phases)
+                    if exact or kind is not NormalizedKind.F:
+                        assert np.array_equal(got, want), (kind, p, r)
+                    else:
+                        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", tuple(NormalizedKind))
+@pytest.mark.parametrize("functional", (starlike_functional, convex_functional))
+def test_drowned_denominator_raises(monkeypatch, kind, functional):
+    # Every denominator holds W(rho, beta; u); once its bound exceeds its
+    # modulus the quotient has no certified digits and must raise.
+    p, z = WrightParams(1.0, 1.5), 0.3 + 0.2j
+    functional(kind, p, z)
+    wright = family.wright_eval
+
+    def drowned(q, u, tol=1e-12):
+        ev = wright(q, u, tol)
+        if q.beta != p.beta:
+            return ev
+        return EvalResult(ev.value, 2.0 * abs(ev.value), ev.terms_used)
+
+    monkeypatch.setattr(family, "wright_eval", drowned)
+    with pytest.raises(NearZeroDenominatorError):
+        functional(kind, p, z)
