@@ -11,7 +11,8 @@ starts cold):
   - the 36 half-plane radii;
   - the point, real-axis and circle functionals and the region modulus on a
     grid;
-  - the 12 cold 80-zero tables, 5-zero derivative tables and winding counts;
+  - the 12 cold 80-zero tables, 5-zero derivative tables and winding counts,
+    plus one winding count for (0.3, 1.1) that needs the mpmath rescue;
   - the stdout bytes of `wright-radii sweep --check` on the surface grid.
 
 Prints, per output field, the items compared, the mismatches and the
@@ -151,6 +152,11 @@ def emit() -> dict:
         for kind in W.NormalizedKind:
             out.setdefault(f"zeros.derivative.{kind.name}", []).append(
                 list(W.derivative_positive_zeros(kind, p, 5).zeros))
+    # a contour whose drowned nodes go through the mpmath rescue
+    p = W.WrightParams(0.3, 1.1)
+    lam = W.positive_zeros(p, "minus_z_squared", 5).zeros
+    out["zeros.winding.rescued"] = [
+        W.count_zeros_in_disk(p, "minus_z_squared", 0.5 * (lam[3] + lam[4]))]
 
     with tempfile.TemporaryDirectory() as tmp:
         grid = Path(tmp) / "grid.txt"

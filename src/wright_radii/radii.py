@@ -210,7 +210,7 @@ def _phases_of(theta: np.ndarray) -> np.ndarray:
 
 
 def _sup_scan(values_at: Callable[[np.ndarray], np.ndarray], tol_theta: float,
-              initial_grid: int, stop_at: float = math.inf) -> tuple[float, float]:
+              stop_at: float = math.inf) -> tuple[float, float]:
     """Max of values_at over [0, pi]: coarse grid plus local 10x refinements.
 
     Refinement stops when the triangle bound on the missed-peak excess (half
@@ -220,8 +220,7 @@ def _sup_scan(values_at: Callable[[np.ndarray], np.ndarray], tol_theta: float,
     also stops at the first level whose running max reaches stop_at: the
     running max only grows, so the full scan's max would reach it too.
     """
-    theta = (_THETA0 if initial_grid == _GRID0
-             else np.linspace(0.0, math.pi, initial_grid + 1))
+    theta = _THETA0
     best_sup = -math.inf
     best_angle = 0.0
     for _level in range(12):
@@ -246,8 +245,7 @@ def _sup_scan(values_at: Callable[[np.ndarray], np.ndarray], tol_theta: float,
     return best_sup, best_angle
 
 
-def boundary_sup(query: RadiusQuery, r: float, tol_theta: float = 1e-10,
-                 initial_grid: int = 256, *,
+def boundary_sup(query: RadiusQuery, r: float, tol_theta: float = 1e-10, *,
                  _stop_at: float = math.inf) -> tuple[float, float]:
     """sup over theta in [0, pi] of the region modulus at z = r e^{i theta}.
 
@@ -259,7 +257,7 @@ def boundary_sup(query: RadiusQuery, r: float, tol_theta: float = 1e-10,
     def values_at(theta: np.ndarray) -> np.ndarray:
         return _region(query, _functional_circle(query, r, _phases_of(theta)), 1e-13)
 
-    return _sup_scan(values_at, tol_theta, initial_grid, _stop_at)
+    return _sup_scan(values_at, tol_theta, _stop_at)
 
 
 # ----------------------------------------------------------------------------
@@ -613,7 +611,7 @@ def halfplane_starlike_radius(kind: NormalizedKind, p: WrightParams,
         def values_at(theta: np.ndarray) -> np.ndarray:
             return -starlike_on_circle(kind, p, r, _phases_of(theta)).real
 
-        return _sup_scan(values_at, 1e-12, _GRID0, stop_at)
+        return _sup_scan(values_at, 1e-12, stop_at)
 
     m_hi, ang = max_minus_re(hi, 0.0)
     if m_hi < 0.0:                  # a holding scan never stops early
@@ -634,7 +632,7 @@ def halfplane_starlike_radius(kind: NormalizedKind, p: WrightParams,
 # ----------------------------------------------------------------------------
 
 def rescaled_boundary_sup(query: RadiusQuery, scale: float, r: float = 1.0,
-                          tol_theta: float = 1e-10, initial_grid: int = 256) -> float:
+                          tol_theta: float = 1e-10) -> float:
     """Boundary sup of the rescaled function f_s(z) = f(s z)/s at radius r.
 
     Both functionals are invariant under the rescaling substitution:
@@ -651,5 +649,5 @@ def rescaled_boundary_sup(query: RadiusQuery, scale: float, r: float = 1.0,
         return np.array([region_functional(
             query, scale * r * complex(math.cos(t), math.sin(t))) for t in theta])
 
-    sup, _ = _sup_scan(values_at, tol_theta, initial_grid)
+    sup, _ = _sup_scan(values_at, tol_theta)
     return sup

@@ -22,7 +22,8 @@ clears 30x its accumulated-rounding noise, otherwise mpmath at a working
 precision budgeted from the cancellation depth.  For rational rho = p/q the
 series splits by n mod q into q hypergeometric series that mpmath sums in
 fixed point; irrational rho is summed term by term.  A sign that three
-escalations cannot certify raises ConvergenceError.
+escalations cannot certify raises ConvergenceError; the winding count's
+rescue runs the same escalations at complex argument.
 
 Zero tables are cached per parameter set with the state of the scan that
 made them, and extended on demand by resuming that scan, so a table is the
@@ -88,7 +89,7 @@ def _hyp_param(c: Fraction):
 
 
 class _ComboSeries:
-    """Certified-sign evaluation of s(x) with adaptive precision."""
+    """Certified evaluation of s(x); the mpmath half also takes complex x."""
 
     def __init__(self, p: WrightParams, a: float, b: float):
         self.p = p
@@ -134,7 +135,7 @@ class _ComboSeries:
         caller's floor check certifies the sign.
         """
         P, Q = self._rho.numerator, self._rho.denominator
-        mx = -mp.mpf(x)
+        mx = -mp.mpmathify(x)
         z = mx ** Q / (Q ** Q * P ** P)
         total = mp.mpf(0)
         for j in range(Q):
@@ -161,7 +162,7 @@ class _ComboSeries:
             # Gamma's argument in mp: a double rho * n + beta would carry a
             # relative error of 1e-16 into every term, far above the floor.
             rho, beta = mp.mpf(self.p.rho), mp.mpf(self.p.beta)
-            mpx = mp.mpf(x)
+            mpx = mp.mpmathify(x)
             stop_off = -int((dps + 5) * 3.321928094887362) - 2
             total = mp.mpf(0)
             term_num = mp.mpf(1)               # x^n / n!
@@ -197,11 +198,7 @@ class _ComboSeries:
     # -- certified evaluation --------------------------------------------------
 
     def certified(self, x: float):
-        """Value of s(x) whose sign is trustworthy; float or mpf.
-
-        Raises ConvergenceError when three mp attempts, 40 digits apart, all
-        stay under the sign floor.
-        """
+        """Value of s(x) whose sign is trustworthy; float or mpf (see _certified_mp)."""
         if x < 0:
             raise ParameterError("negative x in zero scan")
         e_max = term_exponent_max(self.p, x)
@@ -211,7 +208,15 @@ class _ComboSeries:
                 v, noise = res
                 if abs(v) > 30.0 * noise:
                     return v
-        dps = self._dps_budget(x, e_max)
+        return self._certified_mp(x, e_max)
+
+    def _certified_mp(self, x, e_max: float):
+        """s(x), real or complex x, above the floor 10^-(dps-8) exp(e_max).
+
+        e_max = term_exponent_max(p, |x|).  Raises ConvergenceError when three
+        attempts, 40 digits apart, all stay under the floor.
+        """
+        dps = self._dps_budget(abs(x), e_max)
         for _ in range(3):
             v = self._eval_mp(x, dps)
             with mp.workdps(30):
@@ -220,8 +225,8 @@ class _ComboSeries:
                 return v
             dps += 40
         raise ConvergenceError(
-            f"sign of s({x!r}) for rho={self.p.rho}, beta={self.p.beta}, "
-            f"(a, b)=({self.a}, {self.b}) not certified at {dps - 40} digits")
+            f"s({x!r}) for rho={self.p.rho}, beta={self.p.beta}, "
+            f"(a, b)=({self.a}, {self.b}) under its floor at {dps - 40} digits")
 
 
 # ----------------------------------------------------------------------------
@@ -520,32 +525,9 @@ def base_residual(p: WrightParams, form: str, r: float) -> float:
 # argument-principle counting
 # ----------------------------------------------------------------------------
 
-def _mp_wright_complex(p: WrightParams, u: complex, dps: int):
-    """W(rho, beta; u) for complex u at working precision dps (rescue path)."""
-    rho, beta = p.rho, p.beta
-    with mp.workdps(dps + 10):
-        mpu = mp.mpc(u)
-        stop = mp.mpf(10) ** (-dps - 5)
-        total = mp.mpc(0)
-        term = mp.mpc(1)
-        max_mag = mp.mpf(1)
-        last = None
-        decays = 0
-        n = 0
-        while n < 200_000:
-            t = term / mp.gamma(rho * n + beta)
-            total += t
-            at = abs(t)
-            if at > max_mag:
-                max_mag = at
-            if last is not None and last > 0:
-                decays = decays + 1 if at < 0.5 * last else 0
-                if decays >= 3 and at < max_mag * stop:
-                    break
-            last = at
-            term = term * mpu / (n + 1)
-            n += 1
-        return complex(total)
+def _mp_wright_complex(p: WrightParams, u: complex, e_max: float) -> complex:
+    """W(rho, beta; u) at complex u, certified; e_max = term_exponent_max(p, |u|)."""
+    return complex(_ComboSeries(p, 1.0, 0.0)._certified_mp(-complex(u), e_max))
 
 
 def count_zeros_in_disk(p: WrightParams, form: str, R: float,
@@ -556,12 +538,13 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float,
     on |z| = R, spectrally accurate for the periodic integrand; node count is
     doubled until the rounded count repeats with residual < 0.1.  Nodes whose
     double-precision series value is drowned by cancellation noise (near the
-    negative-real axis of the Wright argument) are re-evaluated with mpmath.
+    negative-real axis of the Wright argument) are re-evaluated by the zero
+    scan's certified mpmath evaluator, or raise ConvergenceError.
     """
     if form not in _FORMS:
         raise ParameterError(f"form must be one of {_FORMS}, got {form!r}")
-    if not (R > 0):
-        raise ParameterError(f"R must be > 0, got {R}")
+    if not (R > 0 and math.isfinite(R)):
+        raise ParameterError(f"R must be finite and > 0, got {R}")
     if quadrature_points < 16:
         raise ParameterError("quadrature_points must be >= 16")
 
@@ -570,10 +553,11 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float,
     if e_max > 600.0:
         raise ParameterError(
             f"contour radius {R} too deep for double-precision quadrature")
+    e_max1 = term_exponent_max(p.shifted(1), modulus)
     # Shared-magnitude rounding noise on the circle, same model as the axis.
     n_star = max(10.0, 2.0 * modulus ** (1.0 / (1.0 + p.rho)))
     noise0, noise1 = (2.3e-16 * math.exp(e) * max(1.0, e) * math.sqrt(n_star)
-                      for e in (e_max, term_exponent_max(p.shifted(1), modulus)))
+                      for e in (e_max, e_max1))
     squared = form == "minus_z_squared"
 
     prev_round: int | None = None
@@ -585,12 +569,10 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float,
         vals = circle_eval(p, modulus, u_phases, shifts=(0, 1))
         w0, w1 = vals[0].copy(), vals[1].copy()
         bad = (np.abs(w0) < 30.0 * noise0) | (np.abs(w1) < 30.0 * noise1)
-        if np.any(bad):
-            dps = _ComboSeries(p, 1.0, 0.0)._dps_budget(modulus, e_max)
-            for j in np.nonzero(bad)[0]:
-                u = modulus * u_phases[j]
-                w0[j] = _mp_wright_complex(p, u, dps)
-                w1[j] = _mp_wright_complex(p.shifted(1), u, dps)
+        for j in np.nonzero(bad)[0]:
+            u = modulus * u_phases[j]
+            w0[j] = _mp_wright_complex(p, u, e_max)
+            w1[j] = _mp_wright_complex(p.shifted(1), u, e_max1)
         if squared:
             integrand = -2.0 * (z * z) * w1 / w0
         else:

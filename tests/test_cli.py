@@ -211,16 +211,6 @@ def test_sweep_row_count_and_determinism(tmp_path, capsys):
     assert "\r" not in out1                  # LF line endings
 
 
-def test_sweep_thread_env_does_not_change_bytes(tmp_path, capsys, monkeypatch):
-    grid = tmp_path / "grid.txt"
-    grid.write_text(JAN_GRID)
-    code1, out1, _ = run(capsys, "sweep", str(grid))
-    monkeypatch.setenv("WRIGHT_RADII_THREADS", "2")
-    code2, out2, _ = run(capsys, "sweep", str(grid))
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 SURFACE_GRID = """rho = 0.5, 1, 2
 beta = 0.5, 1, 1.5, 2
 kind = f, g, h
@@ -236,7 +226,7 @@ def test_sweep_check_reproduces_reference_bytes(tmp_path):
     root = Path(__file__).resolve().parents[1]
     grid = tmp_path / "grid.txt"
     grid.write_text(SURFACE_GRID)
-    env = {k: v for k, v in os.environ.items() if k != "WRIGHT_RADII_THREADS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(

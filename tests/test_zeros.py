@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 
@@ -24,7 +25,7 @@ from wright_radii import (
 )
 from wright_radii import zeros
 from wright_radii.kernel import term_exponent_max
-from wright_radii.zeros import _ComboSeries, _scan_zeros
+from wright_radii.zeros import _ComboSeries, _mp_wright_complex, _scan_zeros
 
 # j_{0,k}/2: zeros of g(r) = r J0(2r) for rho = beta = 1.
 J0_HALF_ZEROS = (1.2024127788478864, 2.7600390551431553, 4.3268639564555061)
@@ -184,6 +185,33 @@ def test_count_in_disk_validation(bessel_params):
                             quadrature_points=8)
     with pytest.raises(ParameterError, match="too deep"):
         count_zeros_in_disk(bessel_params, "minus_z_squared", 400.0)
+    with pytest.raises(ParameterError, match="finite"):
+        count_zeros_in_disk(bessel_params, "minus_z_squared", math.inf)
+
+
+def test_rescue_matches_exact_argument_sum():
+    # Near the negative axis at |u| = 40 the double-precision circle value
+    # of W(0.3, 1.1; u) ~ 4e-11 drowns under terms of size e^E_max ~ 6e10.
+    # The rescue must match a sum whose Gamma arguments 3n/10 + 1.1 are
+    # formed in mpmath, within the sign floor 10^-(dps-8) e^E_max.
+    p = WrightParams(0.3, 1.1)
+    u = 40.0 * cmath.exp(1j * (math.pi - 0.01))
+    e_max = term_exponent_max(p, 40.0)
+    with mp.workdps(120):
+        rho, beta, mu = mp.mpf(3) / 10, mp.mpf(p.beta), mp.mpc(u)
+        ref = complex(mp.fsum(mu ** n / (mp.factorial(n) * mp.gamma(rho * n + beta))
+                              for n in range(300)))
+    dps = _ComboSeries(p, 1.0, 0.0)._dps_budget(40.0, e_max)
+    floor = 10.0 ** (-(dps - 8)) * math.exp(e_max)
+    assert abs(_mp_wright_complex(p, u, e_max) - ref) <= floor < 1e-3 * abs(ref)
+
+
+def test_count_in_disk_through_the_rescue():
+    # Between zeros 6 and 7 of the even base for (0.3, 1.1) the contour
+    # passes nodes that only the certified mpmath rescue can evaluate.
+    p = WrightParams(0.3, 1.1)
+    lam = positive_zeros(p, "minus_z_squared", 7).zeros
+    assert count_zeros_in_disk(p, "minus_z_squared", 0.5 * (lam[5] + lam[6])) == 12
 
 
 # ----------------------------------------------------------------------------
@@ -321,3 +349,7 @@ def test_uncertified_sign_raises(monkeypatch):
     monkeypatch.setattr(_ComboSeries, "_eval_mp", lambda self, x, dps: mp.mpf(0))
     with pytest.raises(ConvergenceError):
         ev.certified(400.0)
+    # The winding count's rescue goes through the same attempts.
+    with pytest.raises(ConvergenceError):
+        _mp_wright_complex(WrightParams(0.5, 1.0), -400.0 + 1j,
+                           term_exponent_max(WrightParams(0.5, 1.0), 400.0))
