@@ -7,7 +7,8 @@ Exports the parent with bench_pairs.export into .bench_build/, then computes
 the same outputs on both sides, each in a fresh interpreter (so every cache
 starts cold):
 
-  - the 288 surface and 216 Janowski B > 0 cross_validate results;
+  - the 288 surface and 216 Janowski B > 0 cross_validate results, and the
+    paper_equation result of each (or the name of the error it raises);
   - the 36 half-plane radii;
   - the point, real-axis and circle functionals and the region modulus on a
     grid;
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import fnmatch
 import json
 import math
@@ -109,6 +111,10 @@ def emit() -> dict:
             out.setdefault(f"{prefix}.finding", []).append(
                 None if f is None else [f.certifier_radius, f.real_axis_radius,
                                         f.delta, f.argmax_angle, f.message])
+            paper = _attempt(W.solve_registry_equation, q)
+            out.setdefault(f"{prefix}.paper_equation", []).append(
+                paper if isinstance(paper, str) else
+                [getattr(paper, f.name) for f in dataclasses.fields(paper)])
             for theta in (0.0, 1.0):
                 z = 0.5 * chk.certifier.radius * cmath.exp(1j * theta)
                 out.setdefault(f"{prefix}.region_functional", []).append(

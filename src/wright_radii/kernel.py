@@ -30,6 +30,8 @@ from .errors import ConvergenceError, ParameterError
 _Q0 = 0.5
 _LN_Q0 = math.log(_Q0)
 _TERM_CAP = 10_000
+# Certified tail bound of the shared-magnitude circle series.
+_CIRCLE_TOL = 1e-14
 
 
 # ----------------------------------------------------------------------------
@@ -182,7 +184,7 @@ def wright_derivative(p: WrightParams, z: complex, order: int,
 
 @functools.lru_cache(maxsize=256)
 def _magnitude_rows(rho: float, beta: float, modulus: float,
-                    shifts: tuple[int, ...], tol: float) -> np.ndarray:
+                    shifts: tuple[int, ...]) -> np.ndarray:
     """Read-only (n_terms, len(shifts)) term magnitudes at modulus > 0.
 
     The term count is fixed by the certified geometric-tail criterion of
@@ -212,13 +214,13 @@ def _magnitude_rows(rho: float, beta: float, modulus: float,
             if decays >= 3:
                 q = math.exp(dlog)
                 tail = max(math.exp(log_mag) * (q / (1.0 - q)), 5e-324)
-                if tail <= tol:
+                if tail <= _CIRCLE_TOL:
                     break
         last_log = log_mag
     else:
         raise ConvergenceError(
             f"circle series for (rho={rho}, beta={beta}, |u|={modulus:.3g}) "
-            f"did not certify tail <= {tol:g} within {_TERM_CAP} terms"
+            f"did not certify tail <= {_CIRCLE_TOL:g} within {_TERM_CAP} terms"
         )
     mags = np.asarray(mag_rows, dtype=float)
     mags.setflags(write=False)
@@ -262,7 +264,7 @@ def _phase_powers(phases: np.ndarray, n_terms: int) -> np.ndarray:
 
 
 def circle_eval(p: WrightParams, modulus: float, phases: np.ndarray,
-                shifts: tuple[int, ...] = (0,), tol: float = 1e-14) -> np.ndarray:
+                shifts: tuple[int, ...]) -> np.ndarray:
     """W(rho, beta + s*rho; u) for u = modulus*phases, for each s in shifts.
 
     phases must be unit-modulus complex.  Returns an array of shape
@@ -280,7 +282,7 @@ def circle_eval(p: WrightParams, modulus: float, phases: np.ndarray,
 
     # Magnitude sequences are independent of the phases: the cached rows fix
     # the term count, then one matrix product against the phase powers.
-    mags = _magnitude_rows(rho, beta, modulus, tuple(shifts), tol)
+    mags = _magnitude_rows(rho, beta, modulus, tuple(shifts))
     return mags.T @ _phase_powers(phases, len(mags))
 
 

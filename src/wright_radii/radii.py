@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -316,22 +316,36 @@ def _seeded_bracket(excess: Callable[[float], float], seed: float, hi: float,
     return a, fa, b, fb
 
 
-def _certified_crossing(excess: Callable[[float], float], a: float, b: float,
-                        fa: float, fb: float, hi: float,
-                        tol: float) -> tuple[float, float]:
-    """Bracket (lo, hi) of the crossing of a monotone predicate on (0, hi).
+def _certify(query: RadiusQuery, excess: Callable[[float], float],
+             sweep: Callable[[float], tuple[float, float]], tol: float,
+             seed: float | None = None
+             ) -> tuple[tuple[float, float], float, tuple[float, float], bool]:
+    """(bracket, radius, sweep(radius), hit_domain_bound) of a monotone predicate.
 
     excess(r) < 0 means the condition holds at r; it holds as r -> 0, where
-    every excess here equals -1 (the functionals start at 1), and fails at
-    hi.  (a, b) inside [0, hi] is a checked start with excess fa < 0 <= fb,
-    (0, hi) when nothing more is known.  The result is exactly that of
-    bisecting from (0, hi) to width tol, found in fewer evaluations: an
-    Anderson-Bjorck solve first narrows (a, b) to a quarter of tol, then the
-    bisection is replayed, deciding its midpoints at or below a (holds) and
-    at or above b (fails) by monotonicity and evaluating only those inside
-    (a, b).  The bisection stops early once a midpoint rounds to an
-    endpoint.  A narrower start only saves evaluations.
+    every excess here equals -1 (the functionals start at 1).  The search
+    runs on (0, hi), hi the domain bound, pulled back by 10 tol for star
+    kinds; if the condition holds at hi, the bound is the radius.  Else the
+    bracket is exactly that of bisecting from (0, hi) to width tol, found in
+    fewer evaluations: an Anderson-Bjorck solve narrows the start, (0, hi) or
+    _seeded_bracket's around seed, to a quarter of tol; the bisection is
+    then replayed, deciding midpoints at or below the solve's lower end
+    (holds) and at or above its upper end (fails) by monotonicity and
+    evaluating only those inside.  It stops early once a midpoint rounds to
+    an endpoint.
     """
+    _check_tol(tol)
+    bound = domain_bound(query, tol)
+    hi = bound - 10.0 * tol if query.is_star else bound
+    if seed is None:
+        a, fa, b, fb = 0.0, -1.0, hi, None
+    else:
+        a, fa, b, fb = _seeded_bracket(excess, seed, hi, tol)
+    if fb is None:
+        # hi decides the domain bound; a failing end below hi rules it out
+        fb = excess(hi)
+        if fb < 0.0:
+            return (hi, bound), bound, sweep(hi), True
     # below a few ulps of hi the solve could no longer shrink its bracket
     a, b = _refine_bracket(excess, a, b, fa, fb,
                            max(0.25 * tol, 4.0 * math.ulp(hi)))
@@ -349,7 +363,8 @@ def _certified_crossing(excess: Callable[[float], float], a: float, b: float,
             lo = mid
         else:
             hi = mid
-    return lo, hi
+    radius = 0.5 * (lo + hi)
+    return (lo, hi), radius, sweep(max(radius, tol)), False
 
 
 def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
@@ -357,15 +372,12 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
     """Largest r with sup_{|z|=r} |expression| < 1, bracketed to width tol.
 
     Sound because the sup is 0 at r -> 0, continuous, and nondecreasing in r;
-    the bracket is the bisection's, found by _certified_crossing.  If the
-    condition still holds at the domain bound the bound itself is reported
-    with hit_domain_bound set.  _seed is a guess of the radius that only
-    narrows the start bracket after sweeps check it (see _seeded_bracket);
-    every output bit is the unseeded one.
+    the bracket is the bisection's, found by _certify.  If the condition
+    still holds at the domain bound the bound itself is reported with
+    hit_domain_bound set.  _seed is a guess of the radius that only narrows
+    the start bracket after sweeps check it (see _seeded_bracket); every
+    output bit is the unseeded one.
     """
-    _check_tol(tol)
-    bound = domain_bound(query, tol)
-    hi = bound - 10.0 * tol if query.is_star else bound
     pole_seen = False
 
     def excess(r: float) -> float:
@@ -380,25 +392,12 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
             return 1e300
         return s - 1.0
 
-    if _seed is None:
-        a, fa, b, fb = 0.0, -1.0, hi, None
-    else:
-        a, fa, b, fb = _seeded_bracket(excess, _seed, hi, tol)
-    if fb is None:
-        # hi decides the domain bound; a failing end below hi rules it out
-        fb = excess(hi)
-        if fb < 0.0:
-            sup, ang = boundary_sup(query, hi)
-            return RadiusResult(radius=bound, bracket=(hi, bound),
-                                method="certifier", sup_at_radius=sup,
-                                argmax_angle=ang, clamped=min(bound, 1.0),
-                                hit_domain_bound=True, pole_truncated=pole_seen)
-    lo, hi = _certified_crossing(excess, a, b, fa, fb, hi, tol)
-    radius = 0.5 * (lo + hi)
-    sup, ang = boundary_sup(query, max(radius, tol))
-    return RadiusResult(radius=radius, bracket=(lo, hi), method="certifier",
+    bracket, radius, (sup, ang), at_bound = _certify(
+        query, excess, lambda r: boundary_sup(query, r), tol, _seed)
+    return RadiusResult(radius=radius, bracket=bracket, method="certifier",
                         sup_at_radius=sup, argmax_angle=ang,
-                        clamped=min(radius, 1.0), pole_truncated=pole_seen)
+                        clamped=min(radius, 1.0), hit_domain_bound=at_bound,
+                        pole_truncated=pole_seen)
 
 
 # ----------------------------------------------------------------------------
@@ -427,17 +426,15 @@ def _real_axis_grid(kind: NormalizedKind, params: WrightParams, is_star: bool,
     return grid, tuple(real(kind, params, float(g)) for g in grid)
 
 
-def radius_real_axis(query: RadiusQuery, c: float | None = None,
-                     tol: float = 1e-9, method_label: str = "real_axis") -> RadiusResult:
-    """Unique r in (0, domain bound) with functional(r) = c.
+def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
+    """Unique r in (0, domain bound) with functional(r) = c = default_constant.
 
     Precondition checked on a grid: the real-axis functional is strictly
     decreasing from 1.  Reports the domain bound when the functional stays
     above c on the whole interval.
     """
     _check_tol(tol)
-    if c is None:
-        c = default_constant(query)
+    c = default_constant(query)
     bound = domain_bound(query, tol)
     hi = bound * (1.0 - 1e-9) if query.is_star else bound
 
@@ -450,7 +447,7 @@ def radius_real_axis(query: RadiusQuery, c: float | None = None,
 
     if vals[-1] > c:
         return RadiusResult(radius=bound, bracket=(float(grid[-1]), bound),
-                            method=method_label,
+                            method="real_axis",
                             sup_at_radius=region_functional(query, complex(grid[-1])),
                             argmax_angle=0.0, clamped=min(bound, 1.0),
                             hit_domain_bound=True)
@@ -479,7 +476,7 @@ def radius_real_axis(query: RadiusQuery, c: float | None = None,
         else:
             b, fb = mid, fm
     radius = 0.5 * (a + b)
-    return RadiusResult(radius=radius, bracket=(a, b), method=method_label,
+    return RadiusResult(radius=radius, bracket=(a, b), method="real_axis",
                         sup_at_radius=region_functional(query, complex(radius)),
                         argmax_angle=0.0, clamped=min(radius, 1.0))
 
@@ -517,7 +514,7 @@ def paper_equation_registry(query: RadiusQuery) -> EquationDescriptor:
         raise NotTranscribedError(
             f"no equation on file for {rk} with B = {jp.B} > 0: real-axis "
             f"sharpness holds only for B <= 0")
-    c = (1.0 - jp.A) / (1.0 - jp.B)
+    c = default_constant(query)
     functional = "z f'(z)/f(z)" if query.is_star else "1 + z f''(z)/f'(z)"
     bound = domain_bound(query)
 
@@ -536,10 +533,9 @@ def paper_equation_registry(query: RadiusQuery) -> EquationDescriptor:
 
 
 def solve_registry_equation(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
-    """Solve the on-file equation with the shared bracketing machinery."""
-    desc = paper_equation_registry(query)
-    return radius_real_axis(query, c=desc.constant, tol=tol,
-                            method_label="paper_equation")
+    """Solve the on-file equation, which is always radius_real_axis's."""
+    paper_equation_registry(query)
+    return replace(radius_real_axis(query, tol), method="paper_equation")
 
 
 # ----------------------------------------------------------------------------
@@ -559,7 +555,7 @@ def cross_validate(query: RadiusQuery, tol: float = 1e-9) -> CrossCheckResult:
     the certifier's bracket; for B > 0 it overestimates and for the
     lemniscate it lies far below, and a seed there costs more sweeps.
     """
-    real = radius_real_axis(query, tol=tol)
+    real = radius_real_axis(query, tol)
     jp = query.janowski
     sharp = jp is not None and jp.B <= 0.0 and not real.hit_domain_bound
     cert = radius_by_certification(query, tol,
@@ -598,13 +594,10 @@ def halfplane_starlike_radius(kind: NormalizedKind, p: WrightParams,
 
     |(w-1)/(1+w)| < 1 is equivalent to Re w > 0, so this is an independent
     certifier for jan_star with (A, B) = (1, -1): it never forms the Janowski
-    modulus and brackets the crossing of min Re w instead of a sup.
+    modulus; _certify brackets the crossing of min Re w instead of a sup.
     """
-    _check_tol(tol)
     query = RadiusQuery(kind=kind, params=p, radius_kind="jan_star",
                         janowski=JanowskiParams(1.0, -1.0))
-    bound = domain_bound(query, tol)
-    hi = bound - 10.0 * tol
 
     def max_minus_re(r: float, stop_at: float = math.inf) -> tuple[float, float]:
         """-min Re w on |z| = r and its angle: the excess of Re w > 0."""
@@ -613,18 +606,11 @@ def halfplane_starlike_radius(kind: NormalizedKind, p: WrightParams,
 
         return _sup_scan(values_at, 1e-12, stop_at)
 
-    m_hi, ang = max_minus_re(hi, 0.0)
-    if m_hi < 0.0:                  # a holding scan never stops early
-        return RadiusResult(radius=bound, bracket=(hi, bound), method="certifier",
-                            sup_at_radius=1.0 + m_hi, argmax_angle=ang,
-                            clamped=min(bound, 1.0), hit_domain_bound=True)
-    lo, hi = _certified_crossing(lambda r: max_minus_re(r, 0.0)[0],
-                                  0.0, hi, -1.0, m_hi, hi, tol)
-    radius = 0.5 * (lo + hi)
-    m, ang = max_minus_re(max(radius, tol))
-    return RadiusResult(radius=radius, bracket=(lo, hi), method="certifier",
+    bracket, radius, (m, ang), at_bound = _certify(
+        query, lambda r: max_minus_re(r, 0.0)[0], max_minus_re, tol)
+    return RadiusResult(radius=radius, bracket=bracket, method="certifier",
                         sup_at_radius=1.0 + m, argmax_angle=ang,
-                        clamped=min(radius, 1.0))
+                        clamped=min(radius, 1.0), hit_domain_bound=at_bound)
 
 
 # ----------------------------------------------------------------------------

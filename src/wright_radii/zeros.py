@@ -525,13 +525,16 @@ def base_residual(p: WrightParams, form: str, r: float) -> float:
 # argument-principle counting
 # ----------------------------------------------------------------------------
 
+# Trapezoidal nodes on the first pass; doubled at most four times.
+_QUADRATURE_POINTS = 512
+
+
 def _mp_wright_complex(p: WrightParams, u: complex, e_max: float) -> complex:
     """W(rho, beta; u) at complex u, certified; e_max = term_exponent_max(p, |u|)."""
     return complex(_ComboSeries(p, 1.0, 0.0)._certified_mp(-complex(u), e_max))
 
 
-def count_zeros_in_disk(p: WrightParams, form: str, R: float,
-                        quadrature_points: int = 512) -> int:
+def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
     """Zeros of the base function inside |z| < R by the argument principle.
 
     Trapezoidal winding integral (1/2pi) int_0^{2pi} Re[z base'(z)/base(z)] dtheta
@@ -545,8 +548,6 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float,
         raise ParameterError(f"form must be one of {_FORMS}, got {form!r}")
     if not (R > 0 and math.isfinite(R)):
         raise ParameterError(f"R must be finite and > 0, got {R}")
-    if quadrature_points < 16:
-        raise ParameterError("quadrature_points must be >= 16")
 
     modulus = R * R if form == "minus_z_squared" else R
     e_max = term_exponent_max(p, modulus)
@@ -561,8 +562,8 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float,
     squared = form == "minus_z_squared"
 
     prev_round: int | None = None
-    m = quadrature_points
-    while m <= quadrature_points * 16:
+    m = _QUADRATURE_POINTS
+    while m <= _QUADRATURE_POINTS * 16:
         theta = 2.0 * math.pi * np.arange(m) / m
         z = R * np.exp(1j * theta)
         u_phases = -np.exp((2j if squared else 1j) * theta)

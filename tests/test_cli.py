@@ -176,6 +176,34 @@ def test_radius_real_axis_method(capsys):
     assert 0.0 < float(row["radius"]) < 1.5
 
 
+def test_radius_paper_method_is_the_real_axis_row(capsys):
+    argv = ("radius", "--kind", "g", "--rho", "1", "--beta", "1",
+            "--what", "jan-star", "-A", "1", "-B", "-1", "--method")
+    code, out, _ = run(capsys, *argv, "paper")
+    assert code == 0
+    paper = rows_of(out)[0]
+    code, out, _ = run(capsys, *argv, "real-axis")
+    assert code == 0
+    real = rows_of(out)[0]
+    assert paper.pop("method") == "paper_equation"
+    assert real.pop("method") == "real_axis"
+    assert paper == real
+
+
+def test_radius_paper_method_without_equation_exits_1(capsys):
+    code, _, err = run(capsys, "radius", "--what", "lem-star",
+                       "--method", "paper")
+    assert code == 1
+    assert "no equation on file" in err
+
+
+def test_radius_unknown_method_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["radius", "--what", "lem-star", "--method", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------------

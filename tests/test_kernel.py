@@ -272,11 +272,11 @@ def test_fixed_phase_table_matches_uncached_loop(monkeypatch):
 
 
 def test_magnitude_rows_are_read_only_and_bounded():
-    rows = _magnitude_rows(1.0, 1.0, 0.5, (0, 1), 1e-14)
+    rows = _magnitude_rows(1.0, 1.0, 0.5, (0, 1))
     assert not rows.flags.writeable
     with pytest.raises(ValueError):
         rows[0, 0] = 2.0
-    assert _magnitude_rows(1.0, 1.0, 0.5, (0, 1), 1e-14) is rows
+    assert _magnitude_rows(1.0, 1.0, 0.5, (0, 1)) is rows
     assert 0 < _magnitude_rows.cache_info().maxsize <= 1024
 
 

@@ -354,6 +354,22 @@ def test_radius_routes_reject_bad_tol(tol):
         halfplane_starlike_radius(NormalizedKind.G, P11, tol)
 
 
+@pytest.mark.parametrize("what, pull_back", (("jan_star", 10.0), ("jan_convex", 0.0)))
+def test_certify_reports_the_domain_bound(what, pull_back):
+    # No grid query holds up to its domain bound, so drive the branch with
+    # an excess that always holds and a stub sweep.
+    q = _q(NormalizedKind.G, P11, what, 1.0, -1.0)
+    tol = 1e-9
+    bound = domain_bound(q, tol)
+    hi = bound - pull_back * tol
+
+    def sweep(r):
+        return 0.25 * r, 1.5
+
+    got = radii._certify(q, lambda r: -1.0, sweep, tol)
+    assert got == ((hi, bound), bound, sweep(hi), True)
+
+
 def test_one_bracket_solver_for_zeros_and_radii():
     assert radii._refine_bracket is zeros._refine_bracket
 

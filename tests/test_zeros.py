@@ -180,9 +180,6 @@ def test_count_in_disk_linear_form(bessel_params):
 def test_count_in_disk_validation(bessel_params):
     with pytest.raises(ParameterError):
         count_zeros_in_disk(bessel_params, "minus_z_squared", 0.0)
-    with pytest.raises(ParameterError):
-        count_zeros_in_disk(bessel_params, "minus_z_squared", 1.0,
-                            quadrature_points=8)
     with pytest.raises(ParameterError, match="too deep"):
         count_zeros_in_disk(bessel_params, "minus_z_squared", 400.0)
     with pytest.raises(ParameterError, match="finite"):
