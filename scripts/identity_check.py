@@ -13,7 +13,9 @@ starts cold):
   - the point, real-axis and circle functionals and the region modulus on a
     grid;
   - the 12 cold 80-zero tables, 5-zero derivative tables and winding counts,
-    plus one winding count for (0.3, 1.1) that needs the mpmath rescue;
+    plus one winding count for (0.3, 1.1) that needs the mpmath rescue, and
+    the number of certified evaluations (_ComboSeries.certified calls) that
+    building those tables takes;
   - the stdout bytes of `wright-radii sweep --check` on the surface grid.
 
 Prints, per output field, the items compared, the mismatches and the
@@ -85,6 +87,7 @@ def emit() -> dict:
     import wright_radii as W
     from wright_radii.family import convex_on_circle, starlike_on_circle
     from wright_radii.radii import _PHASES0
+    from wright_radii.zeros import _ComboSeries
 
     out: dict[str, list] = {}
     params = [W.WrightParams(rho, beta) for rho, beta in GRID]
@@ -147,6 +150,16 @@ def emit() -> dict:
                         out.setdefault(f"circle.{key}", []).append(
                             [x for v in vals for x in _c(v)])
 
+    # count the scan's work as well as its outputs
+    evals = 0
+    certified = _ComboSeries.certified
+
+    def counted(self, x):
+        nonlocal evals
+        evals += 1
+        return certified(self, x)
+
+    _ComboSeries.certified = counted
     for p in params:
         table = W.positive_zeros(p, "minus_z_squared", 80).zeros
         out.setdefault("zeros.table", []).append(list(table))
@@ -163,6 +176,8 @@ def emit() -> dict:
     lam = W.positive_zeros(p, "minus_z_squared", 5).zeros
     out["zeros.winding.rescued"] = [
         W.count_zeros_in_disk(p, "minus_z_squared", 0.5 * (lam[3] + lam[4]))]
+    _ComboSeries.certified = certified
+    out["zeros.evals"] = [evals]
 
     with tempfile.TemporaryDirectory() as tmp:
         grid = Path(tmp) / "grid.txt"

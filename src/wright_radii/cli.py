@@ -135,8 +135,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    if args.count < 1:
-        raise ParameterError(f"--count must be >= 1, got {args.count}")
     if args.form not in _FORM:
         raise ParameterError(f"--form must be one of {sorted(_FORM)}, got {args.form!r}")
     p = WrightParams(args.rho, args.beta)

@@ -240,13 +240,11 @@ def convex_on_circle(kind: NormalizedKind, p: WrightParams, r: float,
     return _on_circle(_convex, kind, p, r, phases, 3)
 
 
-def starlike_real(kind: NormalizedKind, p: WrightParams, r: float,
-                  tol: float = 1e-12) -> float:
+def starlike_real(kind: NormalizedKind, p: WrightParams, r: float) -> float:
     """w(r) for real r; the value is real by conjugate symmetry."""
-    return float(_at_point(_starlike, kind, p, r, tol, 2).value.real)
+    return float(_at_point(_starlike, kind, p, r, 1e-12, 2).value.real)
 
 
-def convex_real(kind: NormalizedKind, p: WrightParams, r: float,
-                tol: float = 1e-12) -> float:
+def convex_real(kind: NormalizedKind, p: WrightParams, r: float) -> float:
     """C(r) for real r."""
-    return float(_at_point(_convex, kind, p, r, tol, 3).value.real)
+    return float(_at_point(_convex, kind, p, r, 1e-12, 3).value.real)

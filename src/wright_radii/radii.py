@@ -150,10 +150,10 @@ class EquationDescriptor:
 # functional plumbing
 # ----------------------------------------------------------------------------
 
-def _functional_scalar(query: RadiusQuery, z: complex, tol: float):
+def _functional_scalar(query: RadiusQuery, z: complex):
     if query.is_star:
-        return starlike_functional(query.kind, query.params, z, tol)
-    return convex_functional(query.kind, query.params, z, tol)
+        return starlike_functional(query.kind, query.params, z)
+    return convex_functional(query.kind, query.params, z)
 
 
 def _functional_circle(query: RadiusQuery, r: float, phases: np.ndarray) -> np.ndarray:
@@ -182,11 +182,11 @@ def _region(query: RadiusQuery, v, floor: float):
     return abs((v - 1.0) / den)
 
 
-def region_functional(query: RadiusQuery, z: complex, tol: float = 1e-12) -> float:
+def region_functional(query: RadiusQuery, z: complex) -> float:
     """The modulus on the left of the region condition at one point.
 
     A Janowski denominator within 10x its propagated error bound raises."""
-    fv = _functional_scalar(query, z, tol)
+    fv = _functional_scalar(query, z)
     jp = query.janowski
     floor = 10.0 * abs(jp.B) * fv.abs_error_bound + 1e-300 if jp else 0.0
     return float(_region(query, fv.value, floor))
@@ -617,23 +617,23 @@ def halfplane_starlike_radius(kind: NormalizedKind, p: WrightParams,
 # rescaling semantics
 # ----------------------------------------------------------------------------
 
-def rescaled_boundary_sup(query: RadiusQuery, scale: float, r: float = 1.0,
+def rescaled_boundary_sup(query: RadiusQuery, scale: float,
                           tol_theta: float = 1e-10) -> float:
-    """Boundary sup of the rescaled function f_s(z) = f(s z)/s at radius r.
+    """Boundary sup of the rescaled function f_s(z) = f(s z)/s on |z| = 1.
 
     Both functionals are invariant under the rescaling substitution:
     z f_s'(z)/f_s(z) = w_f(s z) and 1 + z f_s''(z)/f_s'(z) = C_f(s z).  This
     path evaluates the functional point by point through the scalar family
     route (same angle schedule as boundary_sup, different evaluation route),
-    so agreement with boundary_sup(query, s*r) exercises the full plumbing
+    so agreement with boundary_sup(query, s) exercises the full plumbing
     rather than restating it.
     """
-    if not (scale > 0 and r > 0):
-        raise ParameterError("scale and r must be > 0")
+    if not scale > 0:
+        raise ParameterError("scale must be > 0")
 
     def values_at(theta: np.ndarray) -> np.ndarray:
         return np.array([region_functional(
-            query, scale * r * complex(math.cos(t), math.sin(t))) for t in theta])
+            query, scale * complex(math.cos(t), math.sin(t))) for t in theta])
 
     sup, _ = _sup_scan(values_at, tol_theta)
     return sup

@@ -25,9 +25,9 @@ fixed point; irrational rho is summed term by term.  A sign that three
 escalations cannot certify raises ConvergenceError; the winding count's
 rescue runs the same escalations at complex argument.
 
-Zero tables are cached per parameter set with the state of the scan that
-made them, and extended on demand by resuming that scan, so a table is the
-same whichever shorter tables were asked for first.
+Zero tables are cached per parameter set as the scan that made them, and
+extended on demand by resuming that scan, so a table is the same whichever
+shorter tables were asked for first.
 """
 from __future__ import annotations
 
@@ -233,10 +233,6 @@ class _ComboSeries:
 # scanning and refinement
 # ----------------------------------------------------------------------------
 
-def _sign(v) -> bool:
-    return v < 0
-
-
 def _ab_scale(fm, f_replaced) -> float:
     # Anderson-Bjorck weight for the stagnant endpoint; falls back to the
     # Illinois halving when the ratio is degenerate or overflows float range.
@@ -281,7 +277,7 @@ def _refine_bracket(f, a: float, b: float, fa, fb, xtol: float) -> tuple[float, 
             xm = 0.5 * (a + b)
             use_mid = False
         fm = f(xm)
-        if _sign(fm) == _sign(fa):
+        if (fm < 0) == (fa < 0):
             scale = _ab_scale(fm, fa)
             a, fa = xm, fm
             if side == 1:
@@ -325,153 +321,137 @@ def _extrapolate(zeros: list[float], power: float) -> float:
     return max(u, 0.0) ** (1.0 / power)
 
 
-@dataclass
-class _ScanState:
-    """Where a zero scan stopped: its zeros and its whole loop state.
+class _Scan:
+    """A resumable sign-change scan for the positive zeros x of s(x).
 
-    Resuming from it continues the scan exactly as if it had never stopped,
-    so a table does not depend on the shorter tables asked for before it.
+    Once three zeros are known, the next one is bracketed around a
+    polynomial extrapolation of the last five (fewer at start-up), in x or
+    in x^(1/(1+rho)), where the zeros are asymptotically evenly spaced;
+    whichever variable predicted the last zero better is used.  The bracket
+    is 0.06 of the last gap on each side for the first prediction, then a
+    safety multiple of the last prediction's error, so the refinement
+    starts next to the zero.  The plain stepping scan covers start-up and
+    recovers any missed prediction.
+
+    The scan keeps its whole loop state between requests, so a longer
+    request continues exactly as if the scan had never stopped: a table
+    does not depend on the shorter tables asked for before it.
     """
 
-    zeros: list[float]
-    x: float
-    fx: object                        # certified value at x: float or mpf
-    step: float
-    errors: dict[float, float]        # last prediction error per variable
-    preds: dict[float, float]
-    half: float | None                # prediction bracket half-width
-    steps: int
+    def __init__(self, ev: _ComboSeries, tol: float, form: str):
+        self.ev, self.tol, self.form = ev, tol, form
+        self.known: list[float] = []
+        # fx is the certified value at x: float or mpf
+        self.x, self.fx, self.step = 1e-12, ev.certified(1e-12), 0.05
+        # last prediction error per extrapolation variable; x first
+        self.errors = {1.0: 0.0, 1.0 / (1.0 + ev.p.rho): math.inf}
+        self.preds: dict[float, float] = {}
+        self.half: float | None = None    # prediction bracket half-width
+        self.steps = 0
 
+    def zeros(self, count: int) -> list[float]:
+        """The first `count` zeros, scanning on from where the scan stopped.
 
-def _start_scan(ev: _ComboSeries) -> _ScanState:
-    # last prediction error per extrapolation variable; x first
-    return _ScanState(zeros=[], x=1e-12, fx=ev.certified(1e-12), step=0.05,
-                      errors={1.0: 0.0, 1.0 / (1.0 + ev.p.rho): math.inf},
-                      preds={}, half=None, steps=0)
+        The loop runs on copies of the state and commits them only when it
+        returns, so a request that raises leaves the scan as it was.
+        """
+        if len(self.known) >= count:
+            return self.known[:count]
+        ev = self.ev
+        zeros = list(self.known)
+        x, fx, step, half, steps = self.x, self.fx, self.step, self.half, self.steps
+        errors, preds = dict(self.errors), dict(self.preds)
+        cap = _SCAN_CAP_PER_ZERO * count
 
+        def found(lo: float, hi: float, flo, fhi) -> None:
+            nonlocal half
+            xtol = _xtol_for(hi, self.tol, self.form)
+            a, b = _refine_bracket(ev.certified, lo, hi, flo, fhi, xtol)
+            zeros.append(0.5 * (a + b))
+            if preds:
+                errors.update((k, abs(zeros[-1] - v)) for k, v in preds.items())
+                half = max(_BRACKET_SAFETY * min(errors.values()),
+                           _BRACKET_MIN_XTOL * xtol)
 
-def _scan_zeros(ev: _ComboSeries, count: int, tol: float, form: str,
-                state: _ScanState | None = None) -> list[float]:
-    """First `count` positive x with s(x) = 0, by sign-change scan.
-
-    Resumes from `state`, where an earlier scan of the same series at the
-    same tol stopped, and leaves it where this one stops; without it the
-    scan starts cold.  Once three zeros are known, the next one is bracketed
-    around a polynomial extrapolation of the last five (fewer at start-up),
-    in x or in x^(1/(1+rho)), where the zeros are asymptotically evenly
-    spaced; whichever variable predicted the last zero better is used.  The
-    bracket is 0.06 of the last gap on each side for the first prediction,
-    then a safety multiple of the last prediction's error, so the
-    refinement starts next to the zero.  The plain stepping scan covers
-    start-up and recovers any missed prediction.
-    """
-    if state is None:
-        state = _start_scan(ev)
-    zeros = list(state.zeros)
-    x, fx, step, half, steps = state.x, state.fx, state.step, state.half, state.steps
-    errors, preds = dict(state.errors), dict(state.preds)
-    cap = _SCAN_CAP_PER_ZERO * count
-
-    def found(lo: float, hi: float, flo, fhi) -> None:
-        nonlocal half
-        xtol = _xtol_for(hi, tol, form)
-        a, b = _refine_bracket(ev.certified, lo, hi, flo, fhi, xtol)
-        zeros.append(0.5 * (a + b))
-        if preds:
-            errors.update((k, abs(zeros[-1] - v)) for k, v in preds.items())
-            half = max(_BRACKET_SAFETY * min(errors.values()),
-                       _BRACKET_MIN_XTOL * xtol)
-
-    while len(zeros) < count:
-        if steps >= cap:
-            raise ScanExhaustedError(
-                f"found only {len(zeros)} of {count} zeros for rho={ev.p.rho}, "
-                f"beta={ev.p.beta} within {cap} scan steps; parameters possibly "
-                f"outside the real-zero regime")
-        if len(zeros) >= 3:
-            preds = {k: _extrapolate(zeros, k) for k in errors}
-            pred = preds[min(errors, key=errors.get)]
-            gap = zeros[-1] - zeros[-2]
-            h = 0.06 * gap if half is None else min(half, 0.06 * gap)
-            lo = pred - h
-            if lo > x:
-                flo = ev.certified(lo)
-                steps += 1
-                if _sign(flo) == _sign(fx):
-                    hi = pred + h
-                    fhi = ev.certified(hi)
+        while len(zeros) < count:
+            if steps >= cap:
+                raise ScanExhaustedError(
+                    f"found only {len(zeros)} of {count} zeros for rho={ev.p.rho}, "
+                    f"beta={ev.p.beta} within {cap} scan steps; parameters possibly "
+                    f"outside the real-zero regime")
+            if len(zeros) >= 3:
+                preds = {k: _extrapolate(zeros, k) for k in errors}
+                pred = preds[min(errors, key=errors.get)]
+                gap = zeros[-1] - zeros[-2]
+                h = 0.06 * gap if half is None else min(half, 0.06 * gap)
+                lo = pred - h
+                if lo > x:
+                    flo = ev.certified(lo)
                     steps += 1
-                    if _sign(fhi) != _sign(flo):
-                        found(lo, hi, flo, fhi)
-                        x, fx = hi, fhi
+                    if (flo < 0) == (fx < 0):
+                        hi = pred + h
+                        fhi = ev.certified(hi)
+                        steps += 1
+                        if (fhi < 0) != (flo < 0):
+                            found(lo, hi, flo, fhi)
+                            x, fx = hi, fhi
+                            step = 0.12 * gap
+                            continue
+                        x, fx = hi, fhi        # prediction short: resume stepping
+                        step = 0.12 * gap
+                    else:
+                        found(x, lo, fx, flo)  # prediction long: zero before lo
+                        x, fx = lo, flo
                         step = 0.12 * gap
                         continue
-                    x, fx = hi, fhi        # prediction short: resume stepping
-                    step = 0.12 * gap
-                else:
-                    found(x, lo, fx, flo)  # prediction long: zero before lo
-                    x, fx = lo, flo
-                    step = 0.12 * gap
-                    continue
-        x2 = x + step
-        fx2 = ev.certified(x2)
-        steps += 1
-        if _sign(fx) != _sign(fx2):
-            found(x, x2, fx, fx2)
+            x2 = x + step
+            fx2 = ev.certified(x2)
+            steps += 1
+            if (fx < 0) != (fx2 < 0):
+                found(x, x2, fx, fx2)
+                if len(zeros) >= 2:
+                    step = 0.25 * (zeros[-1] - zeros[-2])
+            x, fx = x2, fx2
+            step *= 1.05
             if len(zeros) >= 2:
-                step = 0.25 * (zeros[-1] - zeros[-2])
-        x, fx = x2, fx2
-        step *= 1.05
-        if len(zeros) >= 2:
-            step = min(step, 0.6 * (zeros[-1] - zeros[-2]))
-        else:
-            # until gap statistics exist, keep the step within 5% of scale;
-            # zero gaps of these series grow at least that fast
-            step = min(step, 0.05 * (1.0 + x))
-    state.zeros, state.x, state.fx, state.step = zeros, x, fx, step
-    state.errors, state.preds, state.half, state.steps = errors, preds, half, steps
-    return zeros
+                step = min(step, 0.6 * (zeros[-1] - zeros[-2]))
+            else:
+                # until gap statistics exist, keep the step within 5% of scale;
+                # zero gaps of these series grow at least that fast
+                step = min(step, 0.05 * (1.0 + x))
+        self.known, self.x, self.fx, self.step = zeros, x, fx, step
+        self.errors, self.preds, self.half, self.steps = errors, preds, half, steps
+        return zeros[:count]
 
 
 # ----------------------------------------------------------------------------
 # cached table construction
 # ----------------------------------------------------------------------------
 
-_x_zero_cache: dict[tuple[float, float, float, float, str],
-                    tuple[float, _ScanState]] = {}
-
-
-def _axis_zeros(p: WrightParams, a: float, b: float, count: int,
-                tol: float, form: str) -> list[float]:
-    """Cached x-space zeros of s(x), extended on demand.
-
-    A cached table at this tol or tighter is reused: sliced, or extended by
-    resuming its scan at its own tol from the stored scan state, so the
-    result equals a cold scan.  A looser one is rescanned at tol and
-    replaced.  Keyed per form because the refinement width that realizes a
-    form-space tolerance differs between the two forms (2 sqrt(x) tol vs
-    tol).
-    """
-    key = (p.rho, p.beta, float(a), float(b), form)
-    cached_tol, state = _x_zero_cache.get(key, (tol, None))
-    if cached_tol > tol:
-        cached_tol, state = tol, None
-    if state is None or len(state.zeros) < count:
-        ev = _ComboSeries(p, a, b)
-        state = state or _start_scan(ev)
-        _scan_zeros(ev, count, cached_tol, form, state)
-        _x_zero_cache[key] = (cached_tol, state)
-    return state.zeros[:count]
+# One scan per series and form.  Keyed per form because the refinement width
+# that realizes a form-space tolerance differs between the two forms
+# (2 sqrt(x) tol vs tol).
+_x_zero_cache: dict[tuple[float, float, float, float, str], _Scan] = {}
 
 
 def _table(p: WrightParams, form: str, a: float, b: float, count: int,
            tol: float) -> ZeroTable:
-    """The first `count` zeros in r of s(x), with x = r^2 or x = r by form."""
+    """The first `count` zeros in r of s(x), with x = r^2 or x = r by form.
+
+    A cached scan at this tol or tighter is resumed, so the result equals a
+    cold scan at the scan's tol; a looser one is replaced by a new scan at
+    tol.  A scan is cached only once its request has returned.
+    """
     if not (isinstance(count, int) and count >= 1):
         raise ParameterError(f"count must be a positive integer, got {count!r}")
     _check_tol(tol)
-    xs = _axis_zeros(p, a, b, count, tol, form)
-    rs = [math.sqrt(x) for x in xs] if form == "minus_z_squared" else list(xs)
+    key = (p.rho, p.beta, float(a), float(b), form)
+    scan = _x_zero_cache.get(key)
+    if scan is None or scan.tol > tol:
+        scan = _Scan(_ComboSeries(p, a, b), tol, form)
+    xs = scan.zeros(count)
+    _x_zero_cache[key] = scan
+    rs = [math.sqrt(x) for x in xs] if form == "minus_z_squared" else xs
     return ZeroTable(p, form, tuple(rs), tol)
 
 

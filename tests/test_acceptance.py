@@ -271,7 +271,7 @@ def test_rescaled_boundary_semantics(headline):
     for q in samples:
         r = results[q].certifier.radius
         direct, _ = boundary_sup(q, r, tol_theta=1e-12)
-        scaled = rescaled_boundary_sup(q, scale=r, r=1.0, tol_theta=1e-12)
+        scaled = rescaled_boundary_sup(q, scale=r, tol_theta=1e-12)
         worst = max(worst, abs(direct - scaled))
         assert abs(direct - scaled) <= 1e-10, (q, direct, scaled)
     print(f"\nrescaled boundary: worst gap {worst:.2e} on 6 queries")

@@ -415,6 +415,26 @@ def test_pole_guard_raises_near_janowski_pole():
         region_functional(q, 0.5 * (lo + hi))
 
 
+def test_certifier_brackets_a_pole_on_the_circle(monkeypatch):
+    # A sweep that meets a pole counts as a failure: the certifier brackets
+    # the first radius where one appears and reports it as truncated.
+    q = _q(NormalizedKind.G, P11, "jan_star", 0.5, -0.5)
+    tol = 1e-9
+    assert radius_by_certification(q, tol).pole_truncated is False
+    sup = radii.boundary_sup
+
+    def pole_beyond(query, r, **kwargs):
+        if r > 0.3:
+            raise PoleProximityError("stub pole beyond r = 0.3")
+        return sup(query, r, **kwargs)
+
+    monkeypatch.setattr(radii, "boundary_sup", pole_beyond)
+    res = radius_by_certification(q, tol)
+    lo, hi = res.bracket
+    assert res.pole_truncated is True
+    assert lo <= 0.3 < hi and hi - lo <= tol
+
+
 # ----------------------------------------------------------------------------
 # dual routes and findings
 # ----------------------------------------------------------------------------
@@ -470,7 +490,7 @@ def test_rescaled_boundary_sup_identity():
         q = _q(NormalizedKind.G, P11, what, A, B)
         r = 0.35
         direct, _ = boundary_sup(q, r, tol_theta=1e-12)
-        scaled = rescaled_boundary_sup(q, scale=r, r=1.0, tol_theta=1e-12)
+        scaled = rescaled_boundary_sup(q, scale=r, tol_theta=1e-12)
         assert scaled == pytest.approx(direct, abs=1e-11)
 
 

@@ -6,6 +6,8 @@ import math
 
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from mpmath import mp
@@ -25,7 +27,7 @@ from wright_radii import (
 )
 from wright_radii import zeros
 from wright_radii.kernel import term_exponent_max
-from wright_radii.zeros import _ComboSeries, _mp_wright_complex, _scan_zeros
+from wright_radii.zeros import _ComboSeries, _mp_wright_complex, _Scan
 
 # j_{0,k}/2: zeros of g(r) = r J0(2r) for rho = beta = 1.
 J0_HALF_ZEROS = (1.2024127788478864, 2.7600390551431553, 4.3268639564555061)
@@ -134,8 +136,8 @@ FROZEN_SCANS = {
 
 @pytest.mark.parametrize("rho, beta", sorted(FROZEN_SCANS))
 def test_deep_zero_scans_are_bit_identical(rho, beta):
-    xs = _scan_zeros(_ComboSeries(WrightParams(rho, beta), 1.0, 0.0), 80, 1e-12,
-                     "minus_z_squared")
+    xs = _Scan(_ComboSeries(WrightParams(rho, beta), 1.0, 0.0), 1e-12,
+               "minus_z_squared").zeros(80)
     values, digest = FROZEN_SCANS[rho, beta]
     assert tuple(xs[i] for i in (0, 9, 39, 79)) == values
     assert hashlib.sha256(repr(xs).encode()).hexdigest()[:16] == digest
@@ -209,6 +211,19 @@ def test_count_in_disk_through_the_rescue():
     p = WrightParams(0.3, 1.1)
     lam = positive_zeros(p, "minus_z_squared", 7).zeros
     assert count_zeros_in_disk(p, "minus_z_squared", 0.5 * (lam[5] + lam[6])) == 12
+
+
+@settings(max_examples=12, deadline=None)
+@given(rho=st.floats(0.5, 2.0), beta=st.floats(0.5, 2.0))
+def test_zero_tables_are_complete(rho, beta):
+    # No zero is skipped: halfway between table zeros k and k + 1 the disk
+    # holds 2k zeros of the even base (at +-lambda_n) and k of the minus_z one.
+    p = WrightParams(rho, beta)
+    for form, per_zero in (("minus_z_squared", 2), ("minus_z", 1)):
+        lam = positive_zeros(p, form, 5).zeros
+        for k in range(1, 5):
+            R = 0.5 * (lam[k - 1] + lam[k])
+            assert count_zeros_in_disk(p, form, R) == per_zero * k, (form, k)
 
 
 # ----------------------------------------------------------------------------
@@ -315,7 +330,7 @@ def test_table_extension_resumes_and_keeps_tighter_tol(monkeypatch):
     longer = positive_zeros(p, "minus_z_squared", 6)
     assert longer.zeros[:3] == first.zeros
     assert min(seen) > first.zeros[-1] ** 2
-    fresh = _scan_zeros(_ComboSeries(p, 1.0, 0.0), 6, 1e-12, "minus_z_squared")
+    fresh = _Scan(_ComboSeries(p, 1.0, 0.0), 1e-12, "minus_z_squared").zeros(6)
     for got, x in zip(longer.zeros, fresh):
         assert got == pytest.approx(math.sqrt(x), abs=1e-12)
     seen.clear()
@@ -335,7 +350,31 @@ def test_table_does_not_depend_on_earlier_requests(monkeypatch):
     for n in (1, 2, 3, 4):
         positive_zeros(p, "minus_z_squared", n)
     warm = positive_zeros(p, "minus_z_squared", 80)
-    cold = _scan_zeros(_ComboSeries(p, 1.0, 0.0), 80, 1e-12, "minus_z_squared")
+    cold = _Scan(_ComboSeries(p, 1.0, 0.0), 1e-12, "minus_z_squared").zeros(80)
+    assert warm.zeros == tuple(math.sqrt(x) for x in cold)
+
+
+def test_failed_extension_leaves_the_scan_resumable(monkeypatch):
+    # A request that raises mid-scan commits none of its progress, so the
+    # next request resumes the scan where the last one that returned stopped.
+    p = WrightParams(1.0, 1.0)
+    monkeypatch.setattr(zeros, "_x_zero_cache", {})
+    positive_zeros(p, "minus_z_squared", 3)
+    certified = _ComboSeries.certified
+    calls = []
+
+    def fail_once(self, x):
+        calls.append(x)
+        if len(calls) == 12:
+            raise ConvergenceError("injected failure")
+        return certified(self, x)
+
+    monkeypatch.setattr(_ComboSeries, "certified", fail_once)
+    with pytest.raises(ConvergenceError):
+        positive_zeros(p, "minus_z_squared", 10)
+    monkeypatch.setattr(_ComboSeries, "certified", certified)
+    warm = positive_zeros(p, "minus_z_squared", 10)
+    cold = _Scan(_ComboSeries(p, 1.0, 0.0), 1e-12, "minus_z_squared").zeros(10)
     assert warm.zeros == tuple(math.sqrt(x) for x in cold)
 
 
