@@ -16,7 +16,8 @@ class ParameterError(WrightRadiiError, ValueError):
 
 
 class ConvergenceError(WrightRadiiError):
-    """Series did not reach the certified-tail regime within the term cap.
+    """A series did not reach its certified tail within the term cap, or a
+    real-axis root is not resolved to tol.
 
     Signals tol too small for the requested point or |z| far outside the
     supported range.

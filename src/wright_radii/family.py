@@ -166,13 +166,13 @@ def _shifted(p: WrightParams) -> tuple[WrightParams, ...]:
 
 
 def _at_point(functional, kind: NormalizedKind, p: WrightParams, z: complex,
-              tol: float, n: int) -> _Bounded:
+              n: int) -> _Bounded:
     """functional at z from its first n Wright values, with bounds."""
     z = complex(z)
     u = -z if kind is NormalizedKind.H else -(z * z)
     W = []
     for q in _shifted(p)[:n]:
-        ev = wright_eval(q, u, tol)
+        ev = wright_eval(q, u, 1e-12)
         W.append(_Bounded(ev.value, ev.abs_error_bound))
     return functional(kind, p.beta, z, W)
 
@@ -214,17 +214,17 @@ def _on_circle(functional, kind: NormalizedKind, p: WrightParams, r: float,
 # entry points
 # ----------------------------------------------------------------------------
 
-def starlike_functional(kind: NormalizedKind, p: WrightParams, z: complex,
-                        tol: float = 1e-12) -> FunctionalValue:
+def starlike_functional(kind: NormalizedKind, p: WrightParams,
+                        z: complex) -> FunctionalValue:
     """w(z) = z f'(z)/f(z) for the requested kind, with its error bound."""
-    v = _at_point(_starlike, kind, p, z, tol, 2)
+    v = _at_point(_starlike, kind, p, z, 2)
     return FunctionalValue(v.value, v.bound)
 
 
-def convex_functional(kind: NormalizedKind, p: WrightParams, z: complex,
-                      tol: float = 1e-12) -> FunctionalValue:
+def convex_functional(kind: NormalizedKind, p: WrightParams,
+                      z: complex) -> FunctionalValue:
     """C(z) = 1 + z f''(z)/f'(z) for the requested kind, with its error bound."""
-    v = _at_point(_convex, kind, p, z, tol, 3)
+    v = _at_point(_convex, kind, p, z, 3)
     return FunctionalValue(v.value, v.bound)
 
 
@@ -242,9 +242,9 @@ def convex_on_circle(kind: NormalizedKind, p: WrightParams, r: float,
 
 def starlike_real(kind: NormalizedKind, p: WrightParams, r: float) -> float:
     """w(r) for real r; the value is real by conjugate symmetry."""
-    return float(_at_point(_starlike, kind, p, r, 1e-12, 2).value.real)
+    return float(_at_point(_starlike, kind, p, r, 2).value.real)
 
 
 def convex_real(kind: NormalizedKind, p: WrightParams, r: float) -> float:
     """C(r) for real r."""
-    return float(_at_point(_convex, kind, p, r, 1e-12, 3).value.real)
+    return float(_at_point(_convex, kind, p, r, 3).value.real)

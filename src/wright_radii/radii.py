@@ -37,8 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (MonotonicityError, NotTranscribedError, ParameterError,
-                     PoleProximityError)
+from .errors import (ConvergenceError, MonotonicityError, NotTranscribedError,
+                     ParameterError, PoleProximityError)
 from .family import (NormalizedKind, _fixed_grid, convex_functional,
                      convex_on_circle, convex_real, starlike_functional,
                      starlike_on_circle, starlike_real)
@@ -364,7 +364,10 @@ def _certify(query: RadiusQuery, excess: Callable[[float], float],
         else:
             hi = mid
     radius = 0.5 * (lo + hi)
-    return (lo, hi), radius, sweep(max(radius, tol)), False
+    try:
+        return (lo, hi), radius, sweep(max(radius, tol)), False
+    except PoleProximityError:     # inside the bracket; lo held, so saw none
+        return (lo, hi), radius, sweep(max(lo, tol)), False
 
 
 def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
@@ -380,20 +383,25 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
     """
     pole_seen = False
 
-    def excess(r: float) -> float:
-        # A failing sweep stops once its running max reaches 1, so its excess
-        # is a lower bound; only the sign steers the bracket.  A pole on the
-        # sampled circle counts as a failure.
+    def sweep(r: float, stop_at: float = math.inf) -> tuple[float, float]:
+        # A pole on the sampled circle is recorded wherever it is met.
         nonlocal pole_seen
         try:
-            s, _ = boundary_sup(query, r, _stop_at=1.0)
+            return boundary_sup(query, r, _stop_at=stop_at)
         except PoleProximityError:
             pole_seen = True
+            raise
+
+    def excess(r: float) -> float:
+        # A failing sweep stops once its running max reaches 1, so only the
+        # sign of its excess steers the bracket; a pole counts as a failure.
+        try:
+            return sweep(r, 1.0)[0] - 1.0
+        except PoleProximityError:
             return 1e300
-        return s - 1.0
 
     bracket, radius, (sup, ang), at_bound = _certify(
-        query, excess, lambda r: boundary_sup(query, r), tol, _seed)
+        query, excess, sweep, tol, _seed)
     return RadiusResult(radius=radius, bracket=bracket, method="certifier",
                         sup_at_radius=sup, argmax_angle=ang,
                         clamped=min(radius, 1.0), hit_domain_bound=at_bound,
@@ -414,24 +422,26 @@ def default_constant(query: RadiusQuery) -> float:
 
 @functools.lru_cache(maxsize=128)
 def _real_axis_grid(kind: NormalizedKind, params: WrightParams, is_star: bool,
-                    hi: float) -> tuple[np.ndarray, tuple[float, ...]]:
-    """The 50-point grid on (0, hi] and the real-axis functional on it.
+                    hi: float) -> tuple[np.ndarray, list[float]]:
+    """The 50-point grid on (0, hi] and the real-axis functional on a prefix.
 
     The functional depends on (kind, params, star/convex) alone, so the
-    lemniscate and Janowski queries of one group share these values.
+    lemniscate and Janowski queries of one group share the prefix, each
+    extending it only as far as its own constant needs.
     """
     grid = np.linspace(hi / 50.0, hi, 50)
     grid.setflags(write=False)
-    real = starlike_real if is_star else convex_real
-    return grid, tuple(real(kind, params, float(g)) for g in grid)
+    return grid, []
 
 
 def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
-    """Unique r in (0, domain bound) with functional(r) = c = default_constant.
+    """Smallest r in (0, domain bound) with functional(r) = c = default_constant.
 
-    Precondition checked on a grid: the real-axis functional is strictly
-    decreasing from 1.  Reports the domain bound when the functional stays
-    above c on the whole interval.
+    One pass over the grid, up to its first point at or below c, checks that
+    the functional strictly decreases from 1 there, all the smallest root
+    needs; with no such point the domain bound is reported.  Raises
+    ConvergenceError if the regula falsi stalls wider than tol or the
+    functional's error bound at the root exceeds tol times the cell's slope.
     """
     _check_tol(tol)
     c = default_constant(query)
@@ -439,28 +449,26 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
     hi = bound * (1.0 - 1e-9) if query.is_star else bound
 
     grid, vals = _real_axis_grid(query.kind, query.params, query.is_star, hi)
-    for v1, v2 in zip(vals, vals[1:]):
-        if v2 >= v1 + 1e-12:
+    for i, g in enumerate(grid):
+        if i == len(vals):
+            vals.append(_functional_real(query, float(g)))
+        if i > 0 and vals[i] >= vals[i - 1] + 1e-12:
             raise MonotonicityError(
                 f"real-axis functional is not strictly decreasing on (0, "
-                f"{hi:.6g}) for {query.radius_kind} of kind {query.kind.value}")
-
-    if vals[-1] > c:
+                f"{g:.6g}) for {query.radius_kind} of kind {query.kind.value}")
+        if vals[i] <= c:
+            break
+    else:
         return RadiusResult(radius=bound, bracket=(float(grid[-1]), bound),
                             method="real_axis",
                             sup_at_radius=region_functional(query, complex(grid[-1])),
                             argmax_angle=0.0, clamped=min(bound, 1.0),
                             hit_domain_bound=True)
 
-    lo_idx = 0
-    for i, v in enumerate(vals):
-        if v <= c:
-            lo_idx = i
-            break
-    a = float(grid[lo_idx - 1]) if lo_idx > 0 else min(tol, hi / 1e6)
-    b = float(grid[lo_idx])
-    fa = _functional_real(query, a) - c
-    fb = vals[lo_idx] - c
+    # the functionals equal 1 at r = 0
+    a, fa = (float(grid[i - 1]), vals[i - 1] - c) if i > 0 else (0.0, 1.0 - c)
+    b, fb = float(grid[i]), vals[i] - c
+    slope = (fa - fb) / (b - a)
     for _ in range(200):
         if b - a <= tol:
             break
@@ -476,6 +484,11 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
         else:
             b, fb = mid, fm
     radius = 0.5 * (a + b)
+    err = _functional_scalar(query, complex(radius)).abs_error_bound
+    if b - a > tol or err > tol * slope:
+        raise ConvergenceError(
+            f"real-axis root r = {radius:.9g} not resolved to tol {tol:.3e}: "
+            f"bracket width {b - a:.3e}, error bound {err:.3e}")
     return RadiusResult(radius=radius, bracket=(a, b), method="real_axis",
                         sup_at_radius=region_functional(query, complex(radius)),
                         argmax_angle=0.0, clamped=min(radius, 1.0))

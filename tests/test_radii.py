@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from wright_radii import (
+    ConvergenceError,
     Finding,
     JanowskiParams,
+    MonotonicityError,
+    NearZeroDenominatorError,
     NormalizedKind,
     NotTranscribedError,
     ParameterError,
@@ -31,6 +34,7 @@ from wright_radii import (
     rescaled_boundary_sup,
     solve_registry_equation,
     starlike_real,
+    WrightRadiiError,
 )
 from wright_radii import radii, zeros
 from wright_radii.radii import (LEM_CONSTANT, RADIUS_KINDS, _real_axis_grid,
@@ -177,14 +181,112 @@ def test_early_exit_skips_refinement(monkeypatch):
     assert len(levels) == 1 < full
 
 
-def test_real_axis_grid_shared_within_group():
+def test_real_axis_grid_shared_within_group(monkeypatch):
     _real_axis_grid.cache_clear()
+    stored = []
+
+    def spy(*args):
+        grid, vals = _real_axis_grid(*args)
+        stored.append(vals)
+        return grid, vals
+
+    monkeypatch.setattr(radii, "_real_axis_grid", spy)
     for what, A, B in (("lem_star", None, None), ("jan_star", 1.0, -1.0),
                        ("jan_star", 1.0, 0.0), ("jan_star", 0.5, -0.5)):
         radius_real_axis(_q(NormalizedKind.H, WrightParams(2.0, 1.5), what, A, B))
+        if what == "lem_star":
+            # the lemniscate query evaluates the grid only to its crossing
+            assert 0 < len(stored[0]) < 50
     info = _real_axis_grid.cache_info()
     assert (info.misses, info.hits) == (1, 3)
     assert 0 < info.maxsize <= 1024
+    assert all(vals is stored[0] for vals in stored)
+
+
+# Janowski (1, -1) queries by name: (kind, rho, beta, target, the error
+# radius_real_axis raises or None when it answers).  At beta >= 10 the point
+# route's absolute 1e-12 tail is large against W.  The grid pass stops at
+# the first crossing, short of the domain bound where W nears 0, and the
+# accuracy rule refuses roots the error bound cannot place within tol.
+REAL_AXIS_PROBE = (
+    ("g", 0.05, 1.0, "jan_star", None),
+    ("h", 0.25, 3.0, "jan_star", None),
+    ("f", 0.1, 3.0, "jan_star", None),
+    ("g", 1.0, 10.0, "jan_star", ConvergenceError),   # error bound 6.5e-7
+    ("h", 8.0, 30.0, "jan_star", ConvergenceError),   # 809 off without the rule
+    ("f", 1.0, 30.0, "jan_convex", MonotonicityError),
+    ("f", 0.5, 30.0, "jan_star", NearZeroDenominatorError),
+)
+
+
+@pytest.mark.parametrize("kind, rho, beta, what, error", REAL_AXIS_PROBE)
+def test_real_axis_probe(kind, rho, beta, what, error):
+    q = _q(NormalizedKind.from_string(kind), WrightParams(rho, beta), what,
+           1.0, -1.0)
+    if error is not None:
+        with pytest.raises(error):
+            radius_real_axis(q)
+        return
+    got = radius_real_axis(q)
+    assert not got.hit_domain_bound
+    assert got.radius == pytest.approx(radius_by_certification(q).radius, abs=1e-8)
+
+
+def test_real_axis_refuses_a_stalled_solve():
+    # For A - B = 1.5e-6 the crossing lies far inside the first grid cell,
+    # where the one-sided regula falsi stalls: the midpoint of its
+    # 0.023-wide bracket, 0.0124, is no answer for a radius of 7.07e-4.
+    q = _q(NormalizedKind.G, P11, "jan_star", -0.5 + 1.5e-6, -0.5)
+    assert radius_by_certification(q).radius == pytest.approx(7.071e-4, rel=1e-3)
+    with pytest.raises(ConvergenceError, match="bracket width"):
+        radius_real_axis(q)
+
+
+def test_real_axis_crossing_below_the_first_grid_point():
+    # h(z) = z W(1, 1; -z): w = 1 - r + O(r^2), so w = 1 - 1e-10 at
+    # r = 1e-10.  The first cell starts at r = 0, where w = 1, so it
+    # brackets a crossing below tol too.
+    q = _q(NormalizedKind.H, P11, "jan_star", 1e-10, 0.0)
+    tol = 1e-9
+    got = radius_real_axis(q, tol).radius
+    assert abs(got - 1e-10) <= tol
+    assert abs(got - radius_by_certification(q, tol).radius) <= 2.0 * tol
+
+
+@settings(max_examples=15, deadline=None)
+@given(rho=st.floats(0.5, 2.0), beta=st.floats(0.5, 2.0),
+       kind=st.sampled_from(list(NormalizedKind)),
+       what=st.sampled_from(("jan_star", "jan_convex")),
+       B=st.floats(-1.0, 0.0), t=st.floats(0.0, 1.0, exclude_min=True))
+def test_real_axis_answers_within_tol_or_raises(rho, beta, kind, what, B, t):
+    # For B <= 0 the real-axis crossing is the radius: where the certifier
+    # answers, the route answers within 2 tol of it or raises a typed error.
+    A = min(B + t * (1.0 - B), 1.0)
+    if not A > B:
+        return                                      # t below one ulp of B
+    q = _q(kind, WrightParams(rho, beta), what, A, B)
+    tol = 1e-9
+    try:
+        want = radius_by_certification(q, tol).radius
+    except PoleProximityError:
+        return              # A - B under the region map's floor of 1e-13
+    try:
+        got = radius_real_axis(q, tol).radius
+    except WrightRadiiError:
+        return
+    assert abs(got - want) <= 2.0 * tol
+
+
+@settings(max_examples=10, deadline=None)
+@given(rho=st.floats(0.5, 2.0), beta=st.floats(0.5, 2.0),
+       kind=st.sampled_from(list(NormalizedKind)), star=st.booleans())
+def test_lemniscate_radius_below_janowski_1_0(rho, beta, kind, star):
+    # The lemniscate's right loop lies in the disk |w - 1| < 1.
+    p = WrightParams(rho, beta)
+    lem, jan = ("lem_star", "jan_star") if star else ("lem_convex", "jan_convex")
+    tol = 1e-9
+    assert (radius_by_certification(_q(kind, p, lem), tol).radius
+            <= radius_by_certification(_q(kind, p, jan, 1.0, 0.0), tol).radius + tol)
 
 
 # ----------------------------------------------------------------------------
@@ -433,6 +535,42 @@ def test_certifier_brackets_a_pole_on_the_circle(monkeypatch):
     lo, hi = res.bracket
     assert res.pole_truncated is True
     assert lo <= 0.3 < hi and hi - lo <= tol
+
+
+def test_certifier_final_sweep_survives_a_pole_in_the_bracket(monkeypatch):
+    # Wherever the stub pole falls in the final bracket, the certifier
+    # reports the sweep at the bracket's lower end, which held, instead of
+    # raising from the sweep at the radius.
+    q = _q(NormalizedKind.G, P11, "jan_star", 0.5, -0.5)
+    tol = 1e-9
+    sup = radii.boundary_sup
+    for t in np.linspace(0.2, 0.5, 40):
+        def pole_beyond(query, r, **kwargs):
+            if r > t:
+                raise PoleProximityError(f"stub pole beyond r = {t}")
+            return sup(query, r, **kwargs)
+
+        monkeypatch.setattr(radii, "boundary_sup", pole_beyond)
+        res = radius_by_certification(q, tol)
+        lo, hi = res.bracket
+        assert res.pole_truncated is True
+        assert lo <= t < hi and hi - lo <= tol, t
+        assert res.sup_at_radius < 1.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "at beta >= 10 the certifier misses its own tol: unseeded, its sweep "
+    "10 tol below the pole reads the condition as holding and it reports "
+    "the domain bound 6.677; seeded near the crossing it gives "
+    "5.501669021851194, 2.2e-8 off"))
+@pytest.mark.parametrize("seed", (None, 5.5016))
+def test_certifier_meets_tol_at_beta_10(seed):
+    # F(1, 10): 1 + x J9'(x)/J9(x) = 0 at x = 2r, the Bessel form of
+    # w(r) = 0; the root is mpmath's at 80 digits.
+    root = 5.501669044144797
+    q = _q(NormalizedKind.F, WrightParams(1.0, 10.0), "jan_star", 1.0, -1.0)
+    assert radius_by_certification(q, 1e-9, _seed=seed).radius == pytest.approx(
+        root, abs=1e-9)
 
 
 # ----------------------------------------------------------------------------
