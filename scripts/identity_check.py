@@ -16,6 +16,10 @@ starts cold):
     plus one winding count for (0.3, 1.1) that needs the mpmath rescue, and
     the number of certified evaluations (_ComboSeries.certified calls) that
     building those tables takes;
+  - radius_real_axis on the 336-query Janowski (1, -1) probe (rho in
+    PROBE_RHO, beta in PROBE_BETA, every kind, star and convex): the radius
+    or the name of the error it raises, so a change to the route's accuracy
+    rule shows up as a diff;
   - the stdout bytes of `wright-radii sweep --check` on the surface grid.
 
 Prints, per output field, the items compared, the mismatches and the
@@ -47,6 +51,8 @@ B_POSITIVE_PAIRS = ((0.5, 0.25), (1.0, 0.5), (0.9, 0.8))
 POINT_RADII = (0.1, 0.3, 0.5)
 POINT_ANGLES = (0.0, 0.7, 1.6, 2.5, math.pi)
 CIRCLE_RADII = (0.2, 0.45, 0.7)
+PROBE_RHO = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+PROBE_BETA = (0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 SWEEP_GRID = """rho = 0.5, 1, 2
 beta = 0.5, 1, 1.5, 2
 kind = f, g, h
@@ -178,6 +184,15 @@ def emit() -> dict:
         W.count_zeros_in_disk(p, "minus_z_squared", 0.5 * (lam[3] + lam[4]))]
     _ComboSeries.certified = certified
     out["zeros.evals"] = [evals]
+
+    for kind in KINDS:
+        for rho in PROBE_RHO:
+            for beta in PROBE_BETA:
+                for what in ("jan_star", "jan_convex"):
+                    res = _attempt(W.radius_real_axis, query(
+                        kind, W.WrightParams(rho, beta), what, (1.0, -1.0)))
+                    out.setdefault("real_axis_probe", []).append(
+                        res if isinstance(res, str) else res.radius)
 
     with tempfile.TemporaryDirectory() as tmp:
         grid = Path(tmp) / "grid.txt"

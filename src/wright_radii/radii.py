@@ -282,92 +282,88 @@ def domain_bound(query: RadiusQuery, tol: float = 1e-9) -> float:
 # method 1: boundary certification
 # ----------------------------------------------------------------------------
 
-def _seeded_bracket(excess: Callable[[float], float], seed: float, hi: float,
-                    tol: float) -> tuple[float, float, float, float | None]:
-    """(a, fa, b, fb) around a guessed crossing, each end checked by a sweep.
+def _certify(query: RadiusQuery,
+             sweep: Callable[..., tuple[float, float]], level: float,
+             tol: float, seed: float | None = None) -> RadiusResult:
+    """The radius of the condition sweep(r)[0] < level, bracketed to width tol.
 
-    The ends start at seed -/+ 2 tol (at least 4 ulps of hi, so that they
-    differ from the seed) and widen 8x outward from the seed until
-    excess(a) < 0 <= excess(b); a checked point on the wrong side becomes the
-    other end.  The lower end stops at 0, where excess is -1.  fb is None
-    when the upper search reached hi without sweeping it: only the caller
-    knows whether that sweep decides the domain bound.
-    """
-    seed = min(max(seed, 0.0), hi)
-    start = max(2.0 * tol, 4.0 * math.ulp(hi))
-    a, fa, b, fb = 0.0, -1.0, hi, None
-    w = start
-    while seed - w > a:
-        fx = excess(seed - w)
-        if fx < 0.0:
-            a, fa = seed - w, fx
-            break
-        b, fb = seed - w, fx
-        w *= 8.0
-    if fb is None:
-        w = start
-        while seed + w < b:
-            fx = excess(seed + w)
-            if fx >= 0.0:
-                b, fb = seed + w, fx
-                break
-            a, fa = seed + w, fx
-            w *= 8.0
-    return a, fa, b, fb
-
-
-def _certify(query: RadiusQuery, excess: Callable[[float], float],
-             sweep: Callable[[float], tuple[float, float]], tol: float,
-             seed: float | None = None
-             ) -> tuple[tuple[float, float], float, tuple[float, float], bool]:
-    """(bracket, radius, sweep(radius), hit_domain_bound) of a monotone predicate.
-
-    excess(r) < 0 means the condition holds at r; it holds as r -> 0, where
-    every excess here equals -1 (the functionals start at 1).  The search
-    runs on (0, hi), hi the domain bound, pulled back by 10 tol for star
-    kinds; if the condition holds at hi, the bound is the radius.  Else the
-    bracket is exactly that of bisecting from (0, hi) to width tol, found in
-    fewer evaluations: an Anderson-Bjorck solve narrows the start, (0, hi) or
-    _seeded_bracket's around seed, to a quarter of tol; the bisection is
-    then replayed, deciding midpoints at or below the solve's lower end
-    (holds) and at or above its upper end (fails) by monotonicity and
-    evaluating only those inside.  It stops early once a midpoint rounds to
-    an endpoint.
+    sweep(r, stop_at) is a boundary sweep: the sup over |z| = r of a modulus
+    nondecreasing in r, with its angle; it may stop once its running max
+    reaches stop_at.  The condition holds as r -> 0, where every excess
+    sweep(r)[0] - level here equals -1 (the functionals start at 1).  A
+    sweep that meets a Janowski pole counts as a failure and sets
+    pole_truncated.  The search runs on (0, hi), hi the domain bound, pulled
+    back by 10 tol for star kinds; if the condition holds at hi, the bound is
+    the radius.  Else the bracket is exactly that of bisecting from (0, hi)
+    to width tol, found in fewer sweeps: two probes at seed -/+ 2 tol (at
+    least 4 ulps of hi, so that they differ from the seed) narrow (0, hi) by
+    their signs, a probe outside the current bracket skipped; an
+    Anderson-Bjorck solve narrows that start to a quarter of tol; the
+    bisection is then replayed, deciding midpoints at or below the solve's
+    lower end (holds) and at or above its upper end (fails) by monotonicity
+    and evaluating only those inside.  It stops early once a midpoint rounds
+    to an endpoint.  sup_at_radius is the sweep at the radius, or at the
+    bracket's lower end when a pole lies between them.
     """
     _check_tol(tol)
     bound = domain_bound(query, tol)
     hi = bound - 10.0 * tol if query.is_star else bound
-    if seed is None:
-        a, fa, b, fb = 0.0, -1.0, hi, None
-    else:
-        a, fa, b, fb = _seeded_bracket(excess, seed, hi, tol)
+    pole_seen = False
+
+    def excess(r: float) -> float:
+        # A failing sweep stops once its running max reaches level, so only
+        # the sign of its excess steers the bracket.
+        nonlocal pole_seen
+        try:
+            return sweep(r, level)[0] - level
+        except PoleProximityError:
+            pole_seen = True
+            return 1e300
+
+    a, fa, b, fb = 0.0, -1.0, hi, None
+    if seed is not None:
+        d = max(2.0 * tol, 4.0 * math.ulp(hi))
+        for x in (seed - d, seed + d):
+            if a < x < b:
+                fx = excess(x)
+                if fx < 0.0:
+                    a, fa = x, fx
+                else:
+                    b, fb = x, fx
     if fb is None:
         # hi decides the domain bound; a failing end below hi rules it out
         fb = excess(hi)
-        if fb < 0.0:
-            return (hi, bound), bound, sweep(hi), True
-    # below a few ulps of hi the solve could no longer shrink its bracket
-    a, b = _refine_bracket(excess, a, b, fa, fb,
-                           max(0.25 * tol, 4.0 * math.ulp(hi)))
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if a < mid < b:
-            if excess(mid) < 0.0:
-                a = mid
+    at_bound = fb < 0.0
+    if at_bound:
+        bracket, radius, swept_at = (hi, bound), bound, sweep(hi)
+    else:
+        # below a few ulps of hi the solve could no longer shrink its bracket
+        a, b = _refine_bracket(excess, a, b, fa, fb,
+                               max(0.25 * tol, 4.0 * math.ulp(hi)))
+        lo = 0.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if a < mid < b:
+                if excess(mid) < 0.0:
+                    a = mid
+                else:
+                    b = mid
+            if mid <= a:
+                lo = mid
             else:
-                b = mid
-        if mid <= a:
-            lo = mid
-        else:
-            hi = mid
-    radius = 0.5 * (lo + hi)
-    try:
-        return (lo, hi), radius, sweep(max(radius, tol)), False
-    except PoleProximityError:     # inside the bracket; lo held, so saw none
-        return (lo, hi), radius, sweep(max(lo, tol)), False
+                hi = mid
+        bracket, radius = (lo, hi), 0.5 * (lo + hi)
+        try:
+            swept_at = sweep(max(radius, tol))
+        except PoleProximityError:     # inside the bracket; lo held, so saw none
+            pole_seen = True
+            swept_at = sweep(max(lo, tol))
+    return RadiusResult(radius=radius, bracket=bracket, method="certifier",
+                        sup_at_radius=swept_at[0], argmax_angle=swept_at[1],
+                        clamped=min(radius, 1.0), hit_domain_bound=at_bound,
+                        pole_truncated=pole_seen)
 
 
 def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
@@ -378,34 +374,12 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
     the bracket is the bisection's, found by _certify.  If the condition
     still holds at the domain bound the bound itself is reported with
     hit_domain_bound set.  _seed is a guess of the radius that only narrows
-    the start bracket after sweeps check it (see _seeded_bracket); every
-    output bit is the unseeded one.
+    the start bracket after sweeps check it (see _certify); every output bit
+    is the unseeded one.
     """
-    pole_seen = False
-
-    def sweep(r: float, stop_at: float = math.inf) -> tuple[float, float]:
-        # A pole on the sampled circle is recorded wherever it is met.
-        nonlocal pole_seen
-        try:
-            return boundary_sup(query, r, _stop_at=stop_at)
-        except PoleProximityError:
-            pole_seen = True
-            raise
-
-    def excess(r: float) -> float:
-        # A failing sweep stops once its running max reaches 1, so only the
-        # sign of its excess steers the bracket; a pole counts as a failure.
-        try:
-            return sweep(r, 1.0)[0] - 1.0
-        except PoleProximityError:
-            return 1e300
-
-    bracket, radius, (sup, ang), at_bound = _certify(
-        query, excess, sweep, tol, _seed)
-    return RadiusResult(radius=radius, bracket=bracket, method="certifier",
-                        sup_at_radius=sup, argmax_angle=ang,
-                        clamped=min(radius, 1.0), hit_domain_bound=at_bound,
-                        pole_truncated=pole_seen)
+    return _certify(
+        query, lambda r, stop_at=math.inf: boundary_sup(query, r, _stop_at=stop_at),
+        1.0, tol, _seed)
 
 
 # ----------------------------------------------------------------------------
@@ -440,8 +414,10 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
     One pass over the grid, up to its first point at or below c, checks that
     the functional strictly decreases from 1 there, all the smallest root
     needs; with no such point the domain bound is reported.  Raises
-    ConvergenceError if the regula falsi stalls wider than tol or the
-    functional's error bound at the root exceeds tol times the cell's slope.
+    ConvergenceError if the regula falsi stalls wider than tol, or if the
+    functional's error bound at the root plus its rounding, 2 eps max(|c|, 1),
+    exceeds tol times the smaller of the crossing cell's slope and the final
+    bracket's.
     """
     _check_tol(tol)
     c = default_constant(query)
@@ -484,7 +460,10 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
         else:
             b, fb = mid, fm
     radius = 0.5 * (a + b)
-    err = _functional_scalar(query, complex(radius)).abs_error_bound
+    # a secant over the whole cell can miss a flat stretch next to the root
+    slope = min(slope, (fa - fb) / (b - a))
+    err = (_functional_scalar(query, complex(radius)).abs_error_bound
+           + 2.0 * math.ulp(1.0) * max(abs(c), 1.0))
     if b - a > tol or err > tol * slope:
         raise ConvergenceError(
             f"real-axis root r = {radius:.9g} not resolved to tol {tol:.3e}: "
@@ -619,11 +598,8 @@ def halfplane_starlike_radius(kind: NormalizedKind, p: WrightParams,
 
         return _sup_scan(values_at, 1e-12, stop_at)
 
-    bracket, radius, (m, ang), at_bound = _certify(
-        query, lambda r: max_minus_re(r, 0.0)[0], max_minus_re, tol)
-    return RadiusResult(radius=radius, bracket=bracket, method="certifier",
-                        sup_at_radius=1.0 + m, argmax_angle=ang,
-                        clamped=min(radius, 1.0), hit_domain_bound=at_bound)
+    res = _certify(query, max_minus_re, 0.0, tol)
+    return replace(res, sup_at_radius=1.0 + res.sup_at_radius)
 
 
 # ----------------------------------------------------------------------------

@@ -201,14 +201,12 @@ class _ComboSeries:
         """Value of s(x) whose sign is trustworthy; float or mpf (see _certified_mp)."""
         if x < 0:
             raise ParameterError("negative x in zero scan")
-        e_max = term_exponent_max(self.p, x)
-        if e_max < 600.0:
-            res = combo_neg_axis(self.p, x, self.a, self.b)
-            if res is not None:
-                v, noise = res
-                if abs(v) > 30.0 * noise:
-                    return v
-        return self._certified_mp(x, e_max)
+        res = combo_neg_axis(self.p, x, self.a, self.b)
+        if res is not None:
+            v, noise = res
+            if abs(v) > 30.0 * noise:
+                return v
+        return self._certified_mp(x, term_exponent_max(self.p, x))
 
     def _certified_mp(self, x, e_max: float):
         """s(x), real or complex x, above the floor 10^-(dps-8) exp(e_max).

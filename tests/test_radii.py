@@ -253,6 +253,19 @@ def test_real_axis_crossing_below_the_first_grid_point():
     assert abs(got - radius_by_certification(q, tol).radius) <= 2.0 * tol
 
 
+@pytest.mark.parametrize("t", (3.5e-68, 1.9e-298))
+def test_real_axis_refuses_a_constant_that_rounds_to_one(t):
+    # c = (1 - A)/(1 - B) rounds to 1, so the route once solved w(r) = 1 in
+    # rounding and returned 5.4e-9, where w first rounds below 1, for a root
+    # near 1e-34.  Next to r = 0 w is flat, so the final bracket's slope
+    # shows what the first cell's secant hides: w's rounding, 2 eps, cannot
+    # place the root within tol.
+    q = _q(NormalizedKind.F, P11, "jan_star", t, 0.0)
+    assert default_constant(q) == 1.0
+    with pytest.raises(ConvergenceError, match="not resolved"):
+        radius_real_axis(q)
+
+
 @settings(max_examples=15, deadline=None)
 @given(rho=st.floats(0.5, 2.0), beta=st.floats(0.5, 2.0),
        kind=st.sampled_from(list(NormalizedKind)),
@@ -418,6 +431,33 @@ def test_seeded_cross_validate_sweep_count(monkeypatch):
     assert _certifier_sweeps(monkeypatch, q) <= 6
 
 
+def test_off_seeds_cost_at_most_six_sweeps(monkeypatch):
+    # Two probes check a seed and nothing widens them: a seed far off costs
+    # at most the probes, the hi sweep and a longer solve.  On the 108
+    # Janowski (1, -1), (1, 0) and (0.5, -0.5) surface queries with seeds
+    # off by 7 tol to 2 hi the most was 6, for a 0.5 c seed on this query.
+    q = _q(NormalizedKind.G, WrightParams(1.0, 1.5), "jan_star", 1.0, -1.0)
+    tol = 1e-9
+    c = radius_real_axis(q, tol).radius
+    hi = domain_bound(q, tol)
+    sweeps = []
+    sup = radii.boundary_sup
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[1])
+        return sup(*args, **kwargs)
+
+    monkeypatch.setattr(radii, "boundary_sup", counted)
+    want = radius_by_certification(q, tol)
+    unseeded = len(sweeps)
+    worst = 0
+    for seed in (c - 7 * tol, c + 1e4 * tol, 0.5 * c, 1.5 * c, 0.0, 2.0 * hi):
+        sweeps.clear()
+        assert radius_by_certification(q, tol, _seed=seed) == want, seed
+        worst = max(worst, len(sweeps) - unseeded)
+    assert worst <= 6
+
+
 @pytest.mark.parametrize("what, A, B, sweeps", (
     ("jan_star", 1.0, 0.5, 9), ("jan_convex", 0.5, 0.25, 13),
     ("lem_star", None, None, 15)))
@@ -459,17 +499,19 @@ def test_radius_routes_reject_bad_tol(tol):
 @pytest.mark.parametrize("what, pull_back", (("jan_star", 10.0), ("jan_convex", 0.0)))
 def test_certify_reports_the_domain_bound(what, pull_back):
     # No grid query holds up to its domain bound, so drive the branch with
-    # an excess that always holds and a stub sweep.
+    # a stub sweep that holds on (0, bound].
     q = _q(NormalizedKind.G, P11, what, 1.0, -1.0)
     tol = 1e-9
     bound = domain_bound(q, tol)
     hi = bound - pull_back * tol
 
-    def sweep(r):
+    def sweep(r, stop_at=math.inf):
         return 0.25 * r, 1.5
 
-    got = radii._certify(q, lambda r: -1.0, sweep, tol)
-    assert got == ((hi, bound), bound, sweep(hi), True)
+    got = radii._certify(q, sweep, 1.0, tol)
+    assert (got.bracket, got.radius) == ((hi, bound), bound)
+    assert (got.sup_at_radius, got.argmax_angle) == sweep(hi)
+    assert got.hit_domain_bound and not got.pole_truncated
 
 
 def test_one_bracket_solver_for_zeros_and_radii():

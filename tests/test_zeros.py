@@ -389,3 +389,20 @@ def test_uncertified_sign_raises(monkeypatch):
     with pytest.raises(ConvergenceError):
         _mp_wright_complex(WrightParams(0.5, 1.0), -400.0 + 1j,
                            term_exponent_max(WrightParams(0.5, 1.0), 400.0))
+
+
+def test_cancellation_depth_only_on_the_mpmath_path(monkeypatch):
+    # The ternary search costs about five double sums: a sign the double sum
+    # certifies needs none, one that goes to mpmath needs exactly one.
+    calls = []
+
+    def spy(p, x):
+        calls.append(x)
+        return term_exponent_max(p, x)
+
+    monkeypatch.setattr(zeros, "term_exponent_max", spy)
+    ev = _ComboSeries(WrightParams(0.5, 1.0), 1.0, 0.0)
+    assert isinstance(ev.certified(1.0), float)
+    assert calls == []
+    assert not isinstance(ev.certified(400.0), float)
+    assert calls == [400.0]
