@@ -61,7 +61,7 @@ class FunctionalValue:
 # ----------------------------------------------------------------------------
 
 class _Bounded:
-    """A complex value with a first-order propagated error bound.
+    """A complex or real value with a first-order propagated error bound.
 
     The operators keep CPython's operation order on the values, so a formula
     written with them yields exactly the plain formula's value.  A plain
@@ -122,8 +122,8 @@ def base_eval(p: WrightParams, z: complex, tol: float = 1e-12) -> EvalResult:
 # the two shape functionals, written once
 # ----------------------------------------------------------------------------
 # W[k] = W(rho, beta + k*rho; u) with u = -z^2 (kinds F, G) or u = -z (kind
-# H).  At a point, z is a complex and W holds _Bounded values; on a circle, z
-# is an array of points and W the rows of circle_eval.
+# H).  At a point, z is a complex or a float and W holds _Bounded values; on
+# a circle, z is an array of points and W the rows of circle_eval.
 
 def _starlike(kind: NormalizedKind, beta: float, z, W):
     """w = z f'/f.  G: 1 - 2 z^2 W1/W,  F: 1 - (2/beta) z^2 W1/W,
@@ -165,15 +165,17 @@ def _shifted(p: WrightParams) -> tuple[WrightParams, ...]:
     return p, p.shifted(1), p.shifted(2)
 
 
-def _at_point(functional, kind: NormalizedKind, p: WrightParams, z: complex,
-              n: int) -> _Bounded:
-    """functional at z from its first n Wright values, with bounds."""
-    z = complex(z)
+def _at_point(functional, kind: NormalizedKind, p: WrightParams,
+              z: complex | float, n: int) -> _Bounded:
+    """functional at z from its first n Wright values, with bounds; for a
+    float z in floats, which give the real parts of the complex route."""
+    real = isinstance(z, float)
     u = -z if kind is NormalizedKind.H else -(z * z)
     W = []
     for q in _shifted(p)[:n]:
         ev = wright_eval(q, u, 1e-12)
-        W.append(_Bounded(ev.value, ev.abs_error_bound))
+        W.append(_Bounded(ev.value.real if real else ev.value,
+                          ev.abs_error_bound))
     return functional(kind, p.beta, z, W)
 
 
@@ -217,14 +219,14 @@ def _on_circle(functional, kind: NormalizedKind, p: WrightParams, r: float,
 def starlike_functional(kind: NormalizedKind, p: WrightParams,
                         z: complex) -> FunctionalValue:
     """w(z) = z f'(z)/f(z) for the requested kind, with its error bound."""
-    v = _at_point(_starlike, kind, p, z, 2)
+    v = _at_point(_starlike, kind, p, complex(z), 2)
     return FunctionalValue(v.value, v.bound)
 
 
 def convex_functional(kind: NormalizedKind, p: WrightParams,
                       z: complex) -> FunctionalValue:
     """C(z) = 1 + z f''(z)/f'(z) for the requested kind, with its error bound."""
-    v = _at_point(_convex, kind, p, z, 3)
+    v = _at_point(_convex, kind, p, complex(z), 3)
     return FunctionalValue(v.value, v.bound)
 
 
@@ -242,9 +244,9 @@ def convex_on_circle(kind: NormalizedKind, p: WrightParams, r: float,
 
 def starlike_real(kind: NormalizedKind, p: WrightParams, r: float) -> float:
     """w(r) for real r; the value is real by conjugate symmetry."""
-    return float(_at_point(_starlike, kind, p, r, 2).value.real)
+    return _at_point(_starlike, kind, p, float(r), 2).value
 
 
 def convex_real(kind: NormalizedKind, p: WrightParams, r: float) -> float:
     """C(r) for real r."""
-    return float(_at_point(_convex, kind, p, r, 3).value.real)
+    return _at_point(_convex, kind, p, float(r), 3).value

@@ -12,14 +12,15 @@ remaining tail is dominated by a geometric series with the last observed
 ratio q, giving tail <= |t_last| * q / (1 - q).
 
 Terms are formed in log space, exp(n*log|z| - log n! - log Gamma(rho*n+beta)),
-with log n! accumulated incrementally, so no intermediate overflows occur even
-when individual factors would overflow a double.
+with both logs read from tables kept across calls, so no intermediate
+overflows occur even when individual factors would overflow a double.
 """
 from __future__ import annotations
 
 import cmath
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,34 @@ def log_gamma(x: float) -> float:
 
 
 # ----------------------------------------------------------------------------
+# log-coefficient tables
+# ----------------------------------------------------------------------------
+# The term loops form n*log|z| - lf[n] - lgamma(rho*n + beta + s*rho) from
+# one shared table of log n!, lf[n] = lf[n-1] + log(n), and one lgamma table
+# per (rho, beta, s), grown on demand; each entry is what a loop summing term
+# by term would form.  Lists only grow; the lock keeps each entry at its index.
+
+_LOG_FACT = [0.0]
+_GROWING = threading.Lock()
+
+
+@functools.lru_cache(maxsize=256)
+def _lgammas(rho: float, beta: float, s: int) -> list[float]:
+    """lgamma(rho*n + beta + s*rho) for n < len, grown by _grow."""
+    return []
+
+
+def _grow(lg: list[float], rho: float, beta: float, s: int, n: int) -> int:
+    """len(lg) once lg, the table of (rho, beta, s), and lf reach index n."""
+    with _GROWING:
+        while len(_LOG_FACT) <= n:
+            _LOG_FACT.append(_LOG_FACT[-1] + math.log(len(_LOG_FACT)))
+        while len(lg) <= n:
+            lg.append(math.lgamma(rho * len(lg) + beta + s * rho))
+        return len(lg)
+
+
+# ----------------------------------------------------------------------------
 # series evaluation
 # ----------------------------------------------------------------------------
 
@@ -119,22 +148,23 @@ def wright_eval(p: WrightParams, z: complex, tol: float = 1e-12) -> EvalResult:
         return EvalResult(complex(1.0 / math.exp(log_gamma(p.beta))), 0.0, 1)
 
     log_az = math.log(az)
+    # For real z every imaginary part would be a signed zero: sum in floats.
+    z, phase, total = ((z.real, 1.0, 0.0) if z.imag == 0
+                       else (z, complex(1.0), complex(0.0)))
     phase_unit = z / az                     # unit modulus: powers cannot overflow
-    phase = complex(1.0)
-    log_fact = 0.0
-    total = complex(0.0)
     last_log = None
     decays = 0
     rho, beta = p.rho, p.beta
+    lf, lg = _LOG_FACT, _lgammas(rho, beta, 0)
+    known = len(lg)
 
     # Decay detection runs on log magnitudes: exp'd terms underflow to an
     # exact 0.0 long before the series is mathematically done, and a ratio
     # of zeros would stall the certificate.
     for n in range(_TERM_CAP):
-        if n > 0:
-            log_fact += math.log(n)
-            phase *= phase_unit
-        log_mag = n * log_az - log_fact - math.lgamma(rho * n + beta)
+        if n == known:
+            known = _grow(lg, rho, beta, 0, n)
+        log_mag = n * log_az - lf[n] - lg[n]
         if log_mag > 709.0:
             raise ConvergenceError(
                 f"series terms for (rho={rho}, beta={beta}, |z|={az:.3g}) "
@@ -152,8 +182,9 @@ def wright_eval(p: WrightParams, z: complex, tol: float = 1e-12) -> EvalResult:
                 if tail == 0.0:
                     tail = 5e-324           # sub-subnormal tail, over-covered
                 if tail <= tol:
-                    return EvalResult(total, tail, n + 1)
+                    return EvalResult(complex(total), tail, n + 1)
         last_log = log_mag
+        phase *= phase_unit
     raise ConvergenceError(
         f"series for (rho={rho}, beta={beta}, |z|={az:.3g}) did not certify "
         f"tail <= {tol:g} within {_TERM_CAP} terms"
@@ -188,20 +219,21 @@ def _magnitude_rows(rho: float, beta: float, modulus: float,
     """Read-only (n_terms, len(shifts)) term magnitudes at modulus > 0.
 
     The term count is fixed by the certified geometric-tail criterion of
-    wright_eval applied to the worst shift.  Formed by math.exp/math.lgamma
-    term by term: np.exp differs from math.exp in the last ulp on some
-    inputs, which would change sweep output digits.
+    wright_eval applied to the worst shift.  Formed by math.exp term by term
+    from the log-coefficient tables: np.exp differs from math.exp in the last
+    ulp on some inputs, which would change sweep output digits.
     """
     log_u = math.log(modulus)
-    log_fact = 0.0
+    lf = _LOG_FACT
+    lgs = [_lgammas(rho, beta, s) for s in shifts]
+    known = min(map(len, lgs))
     mag_rows: list[list[float]] = []
     last_log = None
     decays = 0
     for n in range(_TERM_CAP):
-        if n > 0:
-            log_fact += math.log(n)
-        log_row = [n * log_u - log_fact - math.lgamma(rho * n + beta + s * rho)
-                   for s in shifts]
+        if n == known:
+            known = min(_grow(lg, rho, beta, s, n) for s, lg in zip(shifts, lgs))
+        log_row = [n * log_u - lf[n] - lg[n] for lg in lgs]
         log_mag = max(log_row)
         if log_mag > 709.0:
             raise ConvergenceError(
@@ -312,7 +344,8 @@ def combo_neg_axis(p: WrightParams, x: float, a: float = 1.0,
     if x == 0.0:
         return a / math.exp(log_gamma(beta)), 2.3e-16 * abs(a)
     log_x = math.log(x)
-    log_fact = 0.0
+    lf, lg = _LOG_FACT, _lgammas(rho, beta, 0)
+    known = len(lg)
     total = 0.0
     max_mag = 0.0
     max_log = 1.0
@@ -320,10 +353,11 @@ def combo_neg_axis(p: WrightParams, x: float, a: float = 1.0,
     decays = 0
     n = 0
     while n < 100_000:
-        if n > 0:
-            log_fact += math.log(n)
+        if n == known:
+            known = _grow(lg, rho, beta, 0, n)
+        log_fact = lf[n]
         coeff = a - b * n
-        log_mag = n * log_x - log_fact - math.lgamma(rho * n + beta)
+        log_mag = n * log_x - log_fact - lg[n]
         if log_mag > 690.0:
             return None                      # double overflow: caller escalates
         emag = math.exp(log_mag)

@@ -39,9 +39,9 @@ import numpy as np
 
 from .errors import (ConvergenceError, MonotonicityError, NotTranscribedError,
                      ParameterError, PoleProximityError)
-from .family import (NormalizedKind, _fixed_grid, convex_functional,
-                     convex_on_circle, convex_real, starlike_functional,
-                     starlike_on_circle, starlike_real)
+from .family import (FunctionalValue, NormalizedKind, _fixed_grid,
+                     convex_functional, convex_on_circle, convex_real,
+                     starlike_functional, starlike_on_circle, starlike_real)
 from .kernel import WrightParams, _check_tol
 from .zeros import _refine_bracket, derivative_positive_zeros, positive_zeros
 
@@ -186,7 +186,11 @@ def region_functional(query: RadiusQuery, z: complex) -> float:
     """The modulus on the left of the region condition at one point.
 
     A Janowski denominator within 10x its propagated error bound raises."""
-    fv = _functional_scalar(query, z)
+    return _region_at(query, _functional_scalar(query, z))
+
+
+def _region_at(query: RadiusQuery, fv: FunctionalValue) -> float:
+    """region_functional from the point functional's value and bound."""
     jp = query.janowski
     floor = 10.0 * abs(jp.B) * fv.abs_error_bound + 1e-300 if jp else 0.0
     return float(_region(query, fv.value, floor))
@@ -462,14 +466,14 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
     radius = 0.5 * (a + b)
     # a secant over the whole cell can miss a flat stretch next to the root
     slope = min(slope, (fa - fb) / (b - a))
-    err = (_functional_scalar(query, complex(radius)).abs_error_bound
-           + 2.0 * math.ulp(1.0) * max(abs(c), 1.0))
+    at_root = _functional_scalar(query, complex(radius))
+    err = at_root.abs_error_bound + 2.0 * math.ulp(1.0) * max(abs(c), 1.0)
     if b - a > tol or err > tol * slope:
         raise ConvergenceError(
             f"real-axis root r = {radius:.9g} not resolved to tol {tol:.3e}: "
             f"bracket width {b - a:.3e}, error bound {err:.3e}")
     return RadiusResult(radius=radius, bracket=(a, b), method="real_axis",
-                        sup_at_radius=region_functional(query, complex(radius)),
+                        sup_at_radius=_region_at(query, at_root),
                         argmax_angle=0.0, clamped=min(radius, 1.0))
 
 

@@ -12,10 +12,12 @@ from wright_radii import (
     EvalResult,
     NearZeroDenominatorError,
     NormalizedKind,
+    RadiusQuery,
     WrightParams,
     base_eval,
     convex_functional,
     convex_real,
+    domain_bound,
     log_gamma,
     starlike_functional,
     starlike_real,
@@ -166,13 +168,19 @@ def test_convex_f_matches_finite_difference():
 # ----------------------------------------------------------------------------
 
 def test_real_routes_match_scalar(grid_params):
-    for p in grid_params[::3]:
+    # The real route sums in floats what the point route sums in complex
+    # arithmetic with signed-zero imaginary parts: the same bits, up to
+    # nine tenths of the domain bound.
+    routes = ((starlike_real, starlike_functional, "lem_star"),
+              (convex_real, convex_functional, "lem_convex"))
+    for p in grid_params:
         for kind in NormalizedKind:
-            r = 0.2
-            assert starlike_real(kind, p, r) == pytest.approx(
-                starlike_functional(kind, p, complex(r)).value.real, rel=1e-13)
-            assert convex_real(kind, p, r) == pytest.approx(
-                convex_functional(kind, p, complex(r)).value.real, rel=1e-12)
+            for real, point, what in routes:
+                bound = domain_bound(RadiusQuery(kind, p, what))
+                for r in (0.05, 0.2, 0.9 * bound):
+                    got = real(kind, p, r)
+                    assert type(got) is float
+                    assert got == point(kind, p, complex(r)).value.real, (kind, p, r)
 
 
 def test_circle_routes_match_scalar(bessel_params):
@@ -335,11 +343,14 @@ def test_circle_functionals_equal_the_formulas(grid_params, star):
 
 
 @pytest.mark.parametrize("kind", tuple(NormalizedKind))
-@pytest.mark.parametrize("functional", (starlike_functional, convex_functional))
+@pytest.mark.parametrize("functional", (starlike_functional, convex_functional,
+                                        starlike_real, convex_real))
 def test_drowned_denominator_raises(monkeypatch, kind, functional):
     # Every denominator holds W(rho, beta; u); once its bound exceeds its
-    # modulus the quotient has no certified digits and must raise.
-    p, z = WrightParams(1.0, 1.5), 0.3 + 0.2j
+    # modulus the quotient has no certified digits and must raise, on the
+    # real axis too.
+    real = functional in (starlike_real, convex_real)
+    p, z = WrightParams(1.0, 1.5), (0.3 if real else 0.3 + 0.2j)
     functional(kind, p, z)
     wright = family.wright_eval
 

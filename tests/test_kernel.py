@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -124,6 +127,21 @@ def test_bessel_i1_reduction():
     assert abs(res.value - I1_AT_2) <= res.abs_error_bound + 1e-13
 
 
+@pytest.mark.parametrize("z", (-0.3, -3, complex(-0.3), complex(-0.3, -0.0),
+                               0.3 + 0.4j),
+                         ids=("float", "int", "real", "real-negzero", "complex"))
+def test_value_is_complex_for_every_argument(bessel_params, z):
+    # A real argument is summed in floats; the value stays a complex.
+    res = wright_eval(bessel_params, z)
+    assert type(res.value) is complex
+    assert math.copysign(1.0, res.value.imag) == 1.0 or z.imag != 0
+
+
+def test_real_argument_value_is_pinned(bessel_params):
+    for z in (-0.3, complex(-0.3), complex(-0.3, -0.0)):
+        assert wright_eval(bessel_params, z).value == 0.7217638951476403 + 0j
+
+
 def test_error_bound_is_a_bound_not_estimate(bessel_params):
     # Truncating at a loose tolerance must still bracket the true value.
     loose = wright_eval(bessel_params, -1.0, tol=1e-4)
@@ -214,9 +232,10 @@ def test_eval_rejects_nonfinite_argument(bessel_params, z):
 # shared-magnitude evaluation on a circle
 # ----------------------------------------------------------------------------
 
-def _circle_eval_oracle(p, modulus, phases, shifts, tol=1e-14):
-    # The uncached evaluation, term by term with math.exp and math.lgamma:
-    # the cached magnitude rows must reproduce it bit for bit.
+def _magnitude_rows_oracle(p, modulus, shifts, tol=1e-14):
+    # The uncached rows, term by term with math.exp and math.lgamma: the
+    # cached rows, read from the log-coefficient tables, must reproduce
+    # them bit for bit.
     log_u = math.log(modulus)
     log_fact = 0.0
     mag_rows = []
@@ -237,12 +256,17 @@ def _circle_eval_oracle(p, modulus, phases, shifts, tol=1e-14):
                 if max(math.exp(log_mag) * (q / (1.0 - q)), 5e-324) <= tol:
                     break
         last_log = log_mag
-    n_terms = len(mag_rows)
+    return np.asarray(mag_rows, dtype=float)
+
+
+def _circle_eval_oracle(p, modulus, phases, shifts):
+    mags = _magnitude_rows_oracle(p, modulus, shifts)
+    n_terms = len(mags)
     powers = np.empty((n_terms, len(phases)), dtype=complex)
     powers[0, :] = 1.0
     np.multiply.accumulate(np.broadcast_to(phases, (n_terms - 1, len(phases))),
                            axis=0, out=powers[1:, :])
-    return np.asarray(mag_rows, dtype=float).T @ powers
+    return mags.T @ powers
 
 
 @pytest.mark.parametrize("rho", (0.5, 1.0, 2.0))
@@ -278,6 +302,151 @@ def test_magnitude_rows_are_read_only_and_bounded():
         rows[0, 0] = 2.0
     assert _magnitude_rows(1.0, 1.0, 0.5, (0, 1)) is rows
     assert 0 < _magnitude_rows.cache_info().maxsize <= 1024
+
+
+# ----------------------------------------------------------------------------
+# log-coefficient tables
+# ----------------------------------------------------------------------------
+
+def _wright_eval_oracle(p, z, tol=1e-12):
+    # wright_eval term by term with math.log and math.lgamma, in complex
+    # arithmetic for every argument: the tabled loop, which sums a real
+    # argument in floats, must reproduce (value, bound, terms) bit for bit.
+    z = complex(z)
+    az = abs(z)
+    log_az = math.log(az)
+    phase_unit = z / az
+    phase = complex(1.0)
+    log_fact = 0.0
+    total = complex(0.0)
+    last_log = None
+    decays = 0
+    for n in range(10_000):
+        if n > 0:
+            log_fact += math.log(n)
+            phase *= phase_unit
+        log_mag = n * log_az - log_fact - math.lgamma(p.rho * n + p.beta)
+        mag = math.exp(log_mag)
+        total += mag * phase
+        if last_log is not None:
+            dlog = log_mag - last_log
+            decays = decays + 1 if dlog < math.log(0.5) else 0
+            if decays >= 3:
+                q = math.exp(dlog)
+                tail = max(mag * (q / (1.0 - q)), 5e-324)
+                if tail <= tol:
+                    return total, tail, n + 1
+        last_log = log_mag
+
+
+def _combo_oracle(p, x, a, b):
+    # combo_neg_axis term by term with math.log and math.lgamma.
+    log_x = math.log(x)
+    log_fact = 0.0
+    total = 0.0
+    max_mag = 0.0
+    max_log = 1.0
+    last_mag = None
+    decays = 0
+    n = 0
+    while n < 100_000:
+        if n > 0:
+            log_fact += math.log(n)
+        coeff = a - b * n
+        log_mag = n * log_x - log_fact - math.lgamma(p.rho * n + p.beta)
+        emag = math.exp(log_mag)
+        mag = emag * abs(coeff)
+        total += mag if (n % 2 == 0) == (coeff >= 0) else -mag
+        if mag > max_mag:
+            max_mag = mag
+            max_log = max(abs(log_mag), abs(log_fact), 1.0)
+        if emag == 0.0 and max_mag > 0.0 and n > 1:
+            break
+        if last_mag is not None and last_mag > 0.0:
+            q = mag / last_mag
+            decays = decays + 1 if q < 0.5 else 0
+            if decays >= 3 and mag < 1e-18 * max_mag:
+                break
+        last_mag = mag
+        n += 1
+    return total, 2.3e-16 * max_mag * max_log * max(1.0, math.sqrt(n))
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty log-coefficient tables for one test."""
+    monkeypatch.setattr(kernel, "_LOG_FACT", [0.0])
+    monkeypatch.setattr(kernel, "_lgammas",
+                        functools.lru_cache(maxsize=16)(kernel._lgammas.__wrapped__))
+
+
+@pytest.mark.parametrize("far_first", (True, False), ids=("far_first", "near_first"))
+def test_tables_reproduce_the_term_loops(fresh_tables, far_first):
+    # Far first grows the shift-0 table past the shift-1 and shift-2 ones,
+    # near first leaves it the shortest; in either order every loop reads
+    # the terms it formed before, bit for bit.
+    p = WrightParams(1.0, 1.5)
+
+    def far():
+        for z in (-200.0, 150j):
+            ev = wright_eval(p, z)
+            assert (ev.value, ev.abs_error_bound, ev.terms_used) == \
+                _wright_eval_oracle(p, z)
+        assert combo_neg_axis(p, 200.0, 1.0, -2.0) == _combo_oracle(p, 200.0, 1.0, -2.0)
+
+    def near():
+        for modulus in (0.07, 0.4, 30.0):
+            got = _magnitude_rows.__wrapped__(p.rho, p.beta, modulus, (0, 1, 2))
+            assert np.array_equal(got, _magnitude_rows_oracle(p, modulus, (0, 1, 2)))
+        for z in (-0.3, complex(-0.3), 0.3 + 0.4j):
+            ev = wright_eval(p, z)
+            assert (ev.value, ev.abs_error_bound, ev.terms_used) == \
+                _wright_eval_oracle(p, z)
+        assert combo_neg_axis(p, 0.8, 1.0, 0.0) == _combo_oracle(p, 0.8, 1.0, 0.0)
+
+    for step in ((far, near) if far_first else (near, far)):
+        step()
+
+
+def test_tables_grow_only_as_far_as_a_call_needs(fresh_tables):
+    p = WrightParams(0.5, 2.0)
+    ev = wright_eval(p, -0.3)
+    assert len(kernel._lgammas(0.5, 2.0, 0)) == len(kernel._LOG_FACT) == ev.terms_used
+    _magnitude_rows.__wrapped__(0.5, 2.0, 0.3, (0, 1))
+    assert len(kernel._lgammas(0.5, 2.0, 1)) <= len(kernel._LOG_FACT)
+
+
+def test_tables_grown_from_threads_keep_each_entry_at_its_index(fresh_tables):
+    # Growth reads a table's length and appends the entry for it; threads
+    # switching between the two would put an entry at the wrong index.
+    rho, beta = 0.5, 1.5
+    tables = [kernel._lgammas(rho, beta, s) for s in (0, 1, 2)]
+
+    def grow():
+        for s, lg in enumerate(tables):
+            for n in range(3000):
+                kernel._grow(lg, rho, beta, s, n)
+
+    threads = [threading.Thread(target=grow) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for s, lg in enumerate(tables):
+        assert lg == [math.lgamma(rho * n + beta + s * rho) for n in range(3000)]
+    lf = kernel._LOG_FACT
+    assert len(lf) == 3000 and all(lf[n] == lf[n - 1] + math.log(n)
+                                   for n in range(1, 3000))
+
+
+def test_table_keys_are_bounded():
+    assert 0 < kernel._lgammas.cache_info().maxsize <= 1024
 
 
 # ----------------------------------------------------------------------------

@@ -207,7 +207,10 @@ def test_real_axis_grid_shared_within_group(monkeypatch):
 # radius_real_axis raises or None when it answers).  At beta >= 10 the point
 # route's absolute 1e-12 tail is large against W.  The grid pass stops at
 # the first crossing, short of the domain bound where W nears 0, and the
-# accuracy rule refuses roots the error bound cannot place within tol.
+# accuracy rule refuses roots the error bound cannot place within tol.  The
+# real-axis functional, summed in floats, still checks each denominator
+# against its propagated bound; without that check the four drowned
+# denominators below go unseen and the route fails later, or not at all.
 REAL_AXIS_PROBE = (
     ("g", 0.05, 1.0, "jan_star", None),
     ("h", 0.25, 3.0, "jan_star", None),
@@ -216,6 +219,9 @@ REAL_AXIS_PROBE = (
     ("h", 8.0, 30.0, "jan_star", ConvergenceError),   # 809 off without the rule
     ("f", 1.0, 30.0, "jan_convex", MonotonicityError),
     ("f", 0.5, 30.0, "jan_star", NearZeroDenominatorError),
+    ("h", 0.05, 30.0, "jan_star", NearZeroDenominatorError),
+    ("h", 0.1, 30.0, "jan_star", NearZeroDenominatorError),
+    ("f", 1.0, 30.0, "jan_star", NearZeroDenominatorError),
 )
 
 
