@@ -16,10 +16,11 @@ starts cold):
     plus one winding count for (0.3, 1.1) that needs the mpmath rescue, and
     the number of certified evaluations (_ComboSeries.certified calls) that
     building those tables takes;
-  - radius_real_axis on the 336-query Janowski (1, -1) probe (rho in
-    PROBE_RHO, beta in PROBE_BETA, every kind, star and convex): the radius
-    or the name of the error it raises, so a change to the route's accuracy
-    rule shows up as a diff;
+  - radius_real_axis and the unseeded radius_by_certification on the
+    336-query Janowski (1, -1) probe (rho in PROBE_RHO, beta in PROBE_BETA,
+    every kind, star and convex): the radius or the name of the error it
+    raises, so a change to either route's accuracy rule or refusals shows up
+    as a diff;
   - the stdout bytes of `wright-radii sweep --check` on the surface grid.
 
 Prints, per output field, the items compared, the mismatches and the
@@ -189,10 +190,12 @@ def emit() -> dict:
         for rho in PROBE_RHO:
             for beta in PROBE_BETA:
                 for what in ("jan_star", "jan_convex"):
-                    res = _attempt(W.radius_real_axis, query(
-                        kind, W.WrightParams(rho, beta), what, (1.0, -1.0)))
-                    out.setdefault("real_axis_probe", []).append(
-                        res if isinstance(res, str) else res.radius)
+                    q = query(kind, W.WrightParams(rho, beta), what, (1.0, -1.0))
+                    for field, route in (("real_axis_probe", W.radius_real_axis),
+                                         ("cert_probe", W.radius_by_certification)):
+                        res = _attempt(route, q)
+                        out.setdefault(field, []).append(
+                            res if isinstance(res, str) else res.radius)
 
     with tempfile.TemporaryDirectory() as tmp:
         grid = Path(tmp) / "grid.txt"

@@ -17,7 +17,8 @@ via the shift identity; see the kernel module.  Each functional is written
 once, in _starlike and _convex, and evaluated by two routes: at one point
 with a first-order error bound (starlike_functional, convex_functional and
 the *_real wrappers) and on a circle of points without (the *_on_circle
-functions the boundary sweeps use).
+functions the boundary sweeps use), which keep the phase powers of their
+level-0 angle grid here.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearZeroDenominatorError, ParameterError
-from .kernel import (EvalResult, WrightParams, _fixed_phases, circle_eval,
+from .kernel import (EvalResult, WrightParams, _PhasePowers, circle_eval,
                      log_gamma, wright_eval)
 
 
@@ -186,29 +187,32 @@ def _at_point(functional, kind: NormalizedKind, p: WrightParams,
 # bisection margins dominate double-precision evaluation noise in the shallow
 # region where radii live.
 
-# Wright arguments -phases and -phases**2 of registered constant phase
-# arrays, keyed by identity like kernel._FIXED_POWERS.
-_FIXED_ARGS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# The level-0 angle grid of every sweep, its phases, and the phase-power
+# tables of their Wright arguments -phases and -phases**2, built once; any
+# other phases get fresh tables per call.
+_THETA0 = np.linspace(0.0, math.pi, 257)
+_PHASES0 = np.exp(1j * _THETA0)
+_THETA0.setflags(write=False)
+_PHASES0.setflags(write=False)
+_POWERS0_H = _PhasePowers(-_PHASES0)
+_POWERS0_FG = _PhasePowers(-(_PHASES0 * _PHASES0))
 
 
-def _fixed_grid(phases: np.ndarray) -> np.ndarray:
-    """Register constant sweep phases: their Wright arguments are built once,
-    with power tables kept by the kernel."""
-    phases.setflags(write=False)
-    _FIXED_ARGS[id(phases)] = (phases, _fixed_phases(-phases),
-                               _fixed_phases(-(phases * phases)))
-    return phases
+def _phases_of(theta: np.ndarray) -> np.ndarray:
+    """e^{i theta}, the kept level-0 phases for the level-0 grid."""
+    return _PHASES0 if theta is _THETA0 else np.exp(1j * theta)
 
 
 def _on_circle(functional, kind: NormalizedKind, p: WrightParams, r: float,
                phases: np.ndarray, n: int) -> np.ndarray:
     """functional at r * phases from one circle_eval of its n Wright rows."""
-    fixed = _FIXED_ARGS.get(id(phases))
+    kept = phases is _PHASES0
     if kind is NormalizedKind.H:
-        modulus, u = r, (-phases if fixed is None else fixed[1])
+        modulus, powers = r, _POWERS0_H if kept else _PhasePowers(-phases)
     else:
-        modulus, u = r * r, (-(phases * phases) if fixed is None else fixed[2])
-    W = circle_eval(p, modulus, u, shifts=(0, 1, 2)[:n])
+        modulus = r * r
+        powers = _POWERS0_FG if kept else _PhasePowers(-(phases * phases))
+    W = circle_eval(p, modulus, powers, shifts=(0, 1, 2)[:n])
     return functional(kind, p.beta, r * phases, W)
 
 

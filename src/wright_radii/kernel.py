@@ -14,6 +14,8 @@ ratio q, giving tail <= |t_last| * q / (1 - q).
 Terms are formed in log space, exp(n*log|z| - log n! - log Gamma(rho*n+beta)),
 with both logs read from tables kept across calls, so no intermediate
 overflows occur even when individual factors would overflow a double.
+circle_eval sums a whole circle |u| = const at once, from term magnitudes
+cached per modulus and the phase powers of the caller's _PhasePowers table.
 """
 from __future__ import annotations
 
@@ -210,8 +212,8 @@ def wright_derivative(p: WrightParams, z: complex, order: int,
 # scalar sequence shared by every point of the circle; only the unit phases
 # differ.  A boundary sweep in the radii module keeps |u| fixed over all of
 # its refinement levels, and the queries of one (kind, params) revisit the
-# same radii, so the magnitude rows are cached and only the phase powers are
-# formed per call.
+# same radii, so the magnitude rows are cached; the phase powers are kept by
+# the _PhasePowers object of each sweep grid.
 
 @functools.lru_cache(maxsize=256)
 def _magnitude_rows(rho: float, beta: float, modulus: float,
@@ -259,47 +261,40 @@ def _magnitude_rows(rho: float, beta: float, modulus: float,
     return mags
 
 
-def _phase_power_rows(phases: np.ndarray, n_terms: int) -> np.ndarray:
-    """Rows phases**0 .. phases**(n_terms-1), each the previous times phases."""
-    powers = np.empty((n_terms, len(phases)), dtype=complex)
-    powers[0, :] = 1.0
-    if n_terms > 1:
-        np.multiply.accumulate(
-            np.broadcast_to(phases, (n_terms - 1, len(phases))),
-            axis=0, out=powers[1:, :])
-    return powers
+class _PhasePowers:
+    """Unit phases u, which must not change, and a read-only table of the
+    rows u**0, u**1, ...: a sweep grid that keeps its object forms each row
+    once.  The table grows on demand to at least twice its length by
+    np.multiply.accumulate, so its first rows are bit for bit those of a
+    fresh, shorter table."""
+
+    __slots__ = ("phases", "_table")
+
+    def __init__(self, phases: np.ndarray):
+        self.phases = phases
+        self._table = np.empty((0, len(phases)), dtype=complex)
+
+    def rows(self, n_terms: int) -> np.ndarray:
+        """The first n_terms rows, read-only."""
+        # read via a local: a concurrent grower's table holds the same rows
+        table = self._table
+        if len(table) < n_terms:
+            n = max(n_terms, 2 * len(table))
+            table = np.empty((n, len(self.phases)), dtype=complex)
+            table[0, :] = 1.0
+            np.multiply.accumulate(
+                np.broadcast_to(self.phases, (n - 1, len(self.phases))),
+                axis=0, out=table[1:, :])
+            table.setflags(write=False)
+            self._table = table
+        return table[:n_terms]
 
 
-# Power tables of registered constant phase arrays (the level-0 sweep grid),
-# keyed by identity; a registered array is kept alive, so its id stays valid.
-_FIXED_POWERS: dict[int, list[np.ndarray]] = {}
-
-
-def _fixed_phases(phases: np.ndarray) -> np.ndarray:
-    """Register a constant phase array, now read-only: circle_eval keeps its
-    power table, grown on demand, instead of forming it per call."""
-    phases.setflags(write=False)
-    _FIXED_POWERS[id(phases)] = [phases, _phase_power_rows(phases, 1)]
-    return phases
-
-
-def _phase_powers(phases: np.ndarray, n_terms: int) -> np.ndarray:
-    """The first n_terms phase-power rows; read from the table if registered."""
-    entry = _FIXED_POWERS.get(id(phases))
-    if entry is None:
-        return _phase_power_rows(phases, n_terms)
-    if len(entry[1]) < n_terms:
-        rows = _phase_power_rows(phases, max(n_terms, 2 * len(entry[1])))
-        rows.setflags(write=False)
-        entry[1] = rows
-    return entry[1][:n_terms]
-
-
-def circle_eval(p: WrightParams, modulus: float, phases: np.ndarray,
+def circle_eval(p: WrightParams, modulus: float, powers: _PhasePowers,
                 shifts: tuple[int, ...]) -> np.ndarray:
-    """W(rho, beta + s*rho; u) for u = modulus*phases, for each s in shifts.
+    """W(rho, beta + s*rho; u) for u = modulus*powers.phases, each s in shifts.
 
-    phases must be unit-modulus complex.  Returns an array of shape
+    The phases must be unit-modulus complex.  Returns an array of shape
     (len(shifts), len(phases)).  The stopping rule is the same certified
     geometric-tail criterion as wright_eval, applied to the worst shift.
     """
@@ -307,7 +302,7 @@ def circle_eval(p: WrightParams, modulus: float, phases: np.ndarray,
         raise ParameterError("modulus must be >= 0")
     rho, beta = p.rho, p.beta
     if modulus == 0.0:
-        out = np.zeros((len(shifts), len(phases)), dtype=complex)
+        out = np.zeros((len(shifts), len(powers.phases)), dtype=complex)
         for k, s in enumerate(shifts):
             out[k, :] = 1.0 / math.exp(log_gamma(beta + s * rho))
         return out
@@ -315,7 +310,7 @@ def circle_eval(p: WrightParams, modulus: float, phases: np.ndarray,
     # Magnitude sequences are independent of the phases: the cached rows fix
     # the term count, then one matrix product against the phase powers.
     mags = _magnitude_rows(rho, beta, modulus, tuple(shifts))
-    return mags.T @ _phase_powers(phases, len(mags))
+    return mags.T @ powers.rows(len(mags))
 
 
 # ----------------------------------------------------------------------------

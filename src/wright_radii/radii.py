@@ -39,9 +39,10 @@ import numpy as np
 
 from .errors import (ConvergenceError, MonotonicityError, NotTranscribedError,
                      ParameterError, PoleProximityError)
-from .family import (FunctionalValue, NormalizedKind, _fixed_grid,
-                     convex_functional, convex_on_circle, convex_real,
-                     starlike_functional, starlike_on_circle, starlike_real)
+from .family import (_THETA0, FunctionalValue, NormalizedKind, _PHASES0,
+                     _phases_of, convex_functional, convex_on_circle,
+                     convex_real, starlike_functional, starlike_on_circle,
+                     starlike_real)
 from .kernel import WrightParams, _check_tol
 from .zeros import _refine_bracket, derivative_positive_zeros, positive_zeros
 
@@ -100,9 +101,11 @@ class RadiusResult:
 
     clamped is min(radius, 1): the subordination classes live on the unit
     disk, so the class membership radius caps at 1 while `radius` keeps the
-    analytic root.  hit_domain_bound marks searches where the condition never
-    failed before the analyticity bound; pole_truncated marks Janowski
-    searches truncated by a vanishing denominator.
+    analytic root.  hit_domain_bound marks real-axis searches whose
+    functional never reached its constant before the analyticity bound; the
+    certifier never sets it, since it refuses a condition that holds up to
+    the pole there.  pole_truncated marks Janowski searches truncated by a
+    vanishing denominator.
     """
 
     radius: float
@@ -200,19 +203,6 @@ def _region_at(query: RadiusQuery, fv: FunctionalValue) -> float:
 # boundary sweep
 # ----------------------------------------------------------------------------
 
-# Level-0 angle grid of the default sweep and its phases, built once; the
-# phases are registered so their Wright arguments and power tables are kept.
-_GRID0 = 256
-_THETA0 = np.linspace(0.0, math.pi, _GRID0 + 1)
-_PHASES0 = _fixed_grid(np.exp(1j * _THETA0))
-_THETA0.setflags(write=False)
-
-
-def _phases_of(theta: np.ndarray) -> np.ndarray:
-    """e^{i theta}, the kept level-0 phases for the level-0 grid."""
-    return _PHASES0 if theta is _THETA0 else np.exp(1j * theta)
-
-
 def _sup_scan(values_at: Callable[[np.ndarray], np.ndarray], tol_theta: float,
               stop_at: float = math.inf) -> tuple[float, float]:
     """Max of values_at over [0, pi]: coarse grid plus local 10x refinements.
@@ -273,13 +263,20 @@ def domain_bound(query: RadiusQuery, tol: float = 1e-9) -> float:
 
     Star kinds: first zero of the normalized function itself (the functional
     has a pole there).  Convex kinds: first zero of its derivative, pulled
-    back by 10*tol.
+    back by 10*tol.  Both routes search up to 10*tol below that zero, so a
+    tol with 10*tol at or above it raises ParameterError.
     """
     p, kind = query.params, query.kind
     if query.is_star:
         form = "minus_z" if kind is NormalizedKind.H else "minus_z_squared"
-        return positive_zeros(p, form, 1).zeros[0]
-    return derivative_positive_zeros(kind, p, 1).zeros[0] - 10.0 * tol
+        zero = positive_zeros(p, form, 1).zeros[0]
+    else:
+        zero = derivative_positive_zeros(kind, p, 1).zeros[0]
+    if not 10.0 * tol < zero:
+        raise ParameterError(
+            f"tol {tol:g} too coarse: 10 tol = {10.0 * tol:g} must be below "
+            f"the first singularity {zero:.9g}")
+    return zero if query.is_star else zero - 10.0 * tol
 
 
 # ----------------------------------------------------------------------------
@@ -297,8 +294,9 @@ def _certify(query: RadiusQuery,
     sweep(r)[0] - level here equals -1 (the functionals start at 1).  A
     sweep that meets a Janowski pole counts as a failure and sets
     pole_truncated.  The search runs on (0, hi), hi the domain bound, pulled
-    back by 10 tol for star kinds; if the condition holds at hi, the bound is
-    the radius.  Else the bracket is exactly that of bisecting from (0, hi)
+    back by 10 tol for star kinds, so 10 tol below the functional's pole.
+    The condition must fail before the pole, so a hold at hi is no radius:
+    it raises ConvergenceError.  The bracket is exactly that of bisecting from (0, hi)
     to width tol, found in fewer sweeps: two probes at seed -/+ 2 tol (at
     least 4 ulps of hi, so that they differ from the seed) narrow (0, hi) by
     their signs, a probe outside the current bracket skipped; an
@@ -335,39 +333,39 @@ def _certify(query: RadiusQuery,
                 else:
                     b, fb = x, fx
     if fb is None:
-        # hi decides the domain bound; a failing end below hi rules it out
+        # a failing end below hi already rules out a hold at hi
         fb = excess(hi)
-    at_bound = fb < 0.0
-    if at_bound:
-        bracket, radius, swept_at = (hi, bound), bound, sweep(hi)
-    else:
-        # below a few ulps of hi the solve could no longer shrink its bracket
-        a, b = _refine_bracket(excess, a, b, fa, fb,
-                               max(0.25 * tol, 4.0 * math.ulp(hi)))
-        lo = 0.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if a < mid < b:
-                if excess(mid) < 0.0:
-                    a = mid
-                else:
-                    b = mid
-            if mid <= a:
-                lo = mid
+    if fb < 0.0:
+        raise ConvergenceError(
+            f"condition holds at hi = {hi:.9g}, 10 tol below the functional's "
+            f"pole at {bound if query.is_star else bound + 10.0 * tol:.9g}, "
+            f"so the radius lies above hi or the sweep there is inaccurate")
+    # below a few ulps of hi the solve could no longer shrink its bracket
+    a, b = _refine_bracket(excess, a, b, fa, fb,
+                           max(0.25 * tol, 4.0 * math.ulp(hi)))
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if a < mid < b:
+            if excess(mid) < 0.0:
+                a = mid
             else:
-                hi = mid
-        bracket, radius = (lo, hi), 0.5 * (lo + hi)
-        try:
-            swept_at = sweep(max(radius, tol))
-        except PoleProximityError:     # inside the bracket; lo held, so saw none
-            pole_seen = True
-            swept_at = sweep(max(lo, tol))
-    return RadiusResult(radius=radius, bracket=bracket, method="certifier",
+                b = mid
+        if mid <= a:
+            lo = mid
+        else:
+            hi = mid
+    radius = 0.5 * (lo + hi)
+    try:
+        swept_at = sweep(max(radius, tol))
+    except PoleProximityError:         # inside the bracket; lo held, so saw none
+        pole_seen = True
+        swept_at = sweep(max(lo, tol))
+    return RadiusResult(radius=radius, bracket=(lo, hi), method="certifier",
                         sup_at_radius=swept_at[0], argmax_angle=swept_at[1],
-                        clamped=min(radius, 1.0), hit_domain_bound=at_bound,
-                        pole_truncated=pole_seen)
+                        clamped=min(radius, 1.0), pole_truncated=pole_seen)
 
 
 def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
@@ -375,11 +373,10 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
     """Largest r with sup_{|z|=r} |expression| < 1, bracketed to width tol.
 
     Sound because the sup is 0 at r -> 0, continuous, and nondecreasing in r;
-    the bracket is the bisection's, found by _certify.  If the condition
-    still holds at the domain bound the bound itself is reported with
-    hit_domain_bound set.  _seed is a guess of the radius that only narrows
-    the start bracket after sweeps check it (see _certify); every output bit
-    is the unseeded one.
+    the bracket is the bisection's, found by _certify, which refuses a
+    condition that holds 10 tol below the pole at the domain bound.  _seed is
+    a guess of the radius that only narrows the start bracket after sweeps
+    check it (see _certify); every output bit is the unseeded one.
     """
     return _certify(
         query, lambda r, stop_at=math.inf: boundary_sup(query, r, _stop_at=stop_at),
@@ -542,7 +539,8 @@ CROSS_CHECK_TOLERANCE = 1e-5
 
 
 def cross_validate(query: RadiusQuery, tol: float = 1e-9) -> CrossCheckResult:
-    """Run both methods; emit a Finding when they disagree beyond 1e-5.
+    """Run both methods; emit a Finding when they disagree beyond
+    max(CROSS_CHECK_TOLERANCE, 2 tol): each lies within tol of the crossing.
 
     The certifier is definitional ground truth; a finding therefore flags the
     real-axis equation (its constant is a containment bound, or sharpness
@@ -558,7 +556,7 @@ def cross_validate(query: RadiusQuery, tol: float = 1e-9) -> CrossCheckResult:
                                    _seed=real.radius if sharp else None)
     delta = abs(cert.radius - real.radius)
     finding = None
-    if delta > CROSS_CHECK_TOLERANCE:
+    if delta > max(CROSS_CHECK_TOLERANCE, 2.0 * tol):
         if real.radius < cert.radius:
             why = ("so the real-axis constant is a containment bound, not the "
                    "radius")

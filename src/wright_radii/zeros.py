@@ -41,8 +41,9 @@ from mpmath import mp
 from .errors import (ConvergenceError, NonIntegerWindingError, ParameterError,
                      ScanExhaustedError)
 from .family import NormalizedKind
-from .kernel import (WrightParams, _check_tol, circle_eval, combo_neg_axis,
-                     envelope_exponent, log_gamma, term_exponent_max)
+from .kernel import (WrightParams, _check_tol, _PhasePowers, circle_eval,
+                     combo_neg_axis, envelope_exponent, log_gamma,
+                     term_exponent_max)
 
 _LN10 = math.log(10.0)
 _FORMS = ("minus_z_squared", "minus_z")
@@ -545,7 +546,7 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
         theta = 2.0 * math.pi * np.arange(m) / m
         z = R * np.exp(1j * theta)
         u_phases = -np.exp((2j if squared else 1j) * theta)
-        vals = circle_eval(p, modulus, u_phases, shifts=(0, 1))
+        vals = circle_eval(p, modulus, _PhasePowers(u_phases), shifts=(0, 1))
         w0, w1 = vals[0].copy(), vals[1].copy()
         bad = (np.abs(w0) < 30.0 * noise0) | (np.abs(w1) < 30.0 * noise1)
         for j in np.nonzero(bad)[0]:

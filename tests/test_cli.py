@@ -159,6 +159,38 @@ def test_radius_lem_both_reports_finding(capsys):
     assert "containment bound" in err
 
 
+def test_radius_finding_threshold_follows_tol(capsys):
+    # Each route lies within tol of the crossing: at tol 0.05 a gap of
+    # 7.2e-4 on the sharp B = -1 target is within 2 tol, so no finding.
+    code, out, err = run(capsys, "radius", "--what", "jan-star", "-A", "1",
+                         "-B", "-1", "--tol", "0.05", "--method", "both")
+    assert code == 0
+    row = rows_of(out)[0]
+    assert 1e-5 < float(row["delta"]) <= 0.1
+    assert row["finding"] == ""
+    assert "sharpness fails" not in err
+
+
+def test_radius_refuses_a_condition_holding_up_to_the_pole(capsys):
+    # At tol 0.08, hi = 1.2024 - 0.8 lies below the radius 0.4797 of
+    # G(1, 1) lem_star, so the sweep at hi holds; the bound is not a radius.
+    code, out, err = run(capsys, "radius", "--what", "lem-star", "--tol", "0.08")
+    assert code == 1
+    assert out == ""
+    assert "condition holds at hi = 0.402412779" in err
+
+
+@pytest.mark.parametrize("argv", (
+    ("--what", "jan-star", "-A", "1", "-B", "-1", "--tol", "10"),
+    ("--what", "lem-convex", "--tol", "1", "--method", "real-axis"),
+))
+def test_radius_tol_too_coarse_for_the_domain_exits_2(capsys, argv):
+    code, out, err = run(capsys, "radius", *argv)
+    assert code == 2
+    assert out == ""
+    assert "too coarse" in err
+
+
 def test_radius_rejects_inadmissible_janowski(capsys):
     code, _, err = run(capsys, "radius", "--what", "jan-star",
                        "-A", "-1", "-B", "0")

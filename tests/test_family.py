@@ -25,7 +25,7 @@ from wright_radii import (
 )
 from wright_radii import family
 from wright_radii.family import convex_on_circle, starlike_on_circle
-from wright_radii.kernel import circle_eval
+from wright_radii.kernel import _PhasePowers, circle_eval
 from wright_radii.radii import _PHASES0
 
 # First positive zero of J0, halved: the first zero of g(r) = r J0(2r).
@@ -286,12 +286,13 @@ def _oracle_point(star, kind, p, z, tol=1e-12):
 def _oracle_circle(star, kind, p, r, phases):
     """w (star) or C at r * phases."""
     if kind is NormalizedKind.H:
-        vals = circle_eval(p, r, -phases, shifts=(0, 1, 2))
+        vals = circle_eval(p, r, _PhasePowers(-phases), shifts=(0, 1, 2))
         z = r * phases
         if star:
             return 1.0 - z * vals[1] / vals[0]
         return 1.0 + (-2.0 * z * vals[1] + z * z * vals[2]) / (vals[0] - z * vals[1])
-    vals = circle_eval(p, r * r, -(phases * phases), shifts=(0, 1, 2))
+    vals = circle_eval(p, r * r, _PhasePowers(-(phases * phases)),
+                       shifts=(0, 1, 2))
     zz = (r * phases) ** 2
     if star:
         scale = 2.0 / p.beta if kind is NormalizedKind.F else 2.0

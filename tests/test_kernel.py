@@ -20,7 +20,7 @@ from wright_radii import (
     wright_eval,
 )
 from wright_radii import kernel
-from wright_radii.kernel import (_fixed_phases, _magnitude_rows, circle_eval,
+from wright_radii.kernel import (_magnitude_rows, _PhasePowers, circle_eval,
                                  combo_neg_axis, envelope_exponent,
                                  term_exponent_max)
 
@@ -277,22 +277,36 @@ def test_circle_eval_matches_uncached_loop(rho, shifts):
     fine = np.exp(1j * np.linspace(1.0, 1.1, 21))
     for modulus in (0.07, 0.4, 1.3, 4.0):
         for phases in (coarse, fine, coarse):       # repeated calls hit the cache
-            got = circle_eval(p, modulus, -phases, shifts)
+            got = circle_eval(p, modulus, _PhasePowers(-phases), shifts)
             assert np.array_equal(got, _circle_eval_oracle(p, modulus, -phases, shifts))
 
 
-def test_fixed_phase_table_matches_uncached_loop(monkeypatch):
-    # A registered constant phase array keeps its power table and grows it
-    # when a larger modulus needs more terms; values stay bit for bit those
-    # of powers formed per call.
-    monkeypatch.setattr(kernel, "_FIXED_POWERS", dict(kernel._FIXED_POWERS))
+def test_fixed_phase_table_matches_uncached_loop():
+    # One kept table serves every modulus and grows when a larger modulus
+    # needs more terms; values stay bit for bit those of powers formed per
+    # call.
     p = WrightParams(1.0, 1.5)
     loose = -np.exp(1j * np.linspace(0.0, math.pi, 65))
-    fixed = _fixed_phases(loose.copy())
-    assert not fixed.flags.writeable
+    kept = _PhasePowers(loose.copy())
     for modulus in (0.07, 4.0, 30.0, 0.4, 30.0):
-        got = circle_eval(p, modulus, fixed, (0, 1))
+        got = circle_eval(p, modulus, kept, (0, 1))
         assert np.array_equal(got, _circle_eval_oracle(p, modulus, loose, (0, 1)))
+
+
+def test_phase_power_rows_are_read_only_and_keep_their_bits_as_they_grow():
+    phases = -np.exp(1j * np.linspace(0.0, math.pi, 33))
+    grown = _PhasePowers(phases)
+    short = grown.rows(5)
+    long = grown.rows(40)
+    for rows in (short, long):
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[1, 0] = 2.0
+    assert short.shape == (5, 33) and long.shape == (40, 33)
+    assert np.array_equal(long[:5], short)
+    assert np.array_equal(long[:5], _PhasePowers(phases).rows(5))
+    assert np.array_equal(long, _PhasePowers(phases).rows(40))
+    assert np.array_equal(grown.rows(5), short)
 
 
 def test_magnitude_rows_are_read_only_and_bounded():

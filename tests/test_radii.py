@@ -329,11 +329,7 @@ def _bisection_oracle(query: RadiusQuery, tol: float = 1e-9) -> radii.RadiusResu
         return s < 1.0
 
     if holds(hi):
-        sup, ang = boundary_sup(query, hi)
-        return radii.RadiusResult(radius=bound, bracket=(hi, bound),
-                                  method="certifier", sup_at_radius=sup,
-                                  argmax_angle=ang, clamped=min(bound, 1.0),
-                                  hit_domain_bound=True, pole_truncated=pole_seen)
+        raise ConvergenceError("condition holds 10 tol below the pole")
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -504,8 +500,9 @@ def test_radius_routes_reject_bad_tol(tol):
 
 @pytest.mark.parametrize("what, pull_back", (("jan_star", 10.0), ("jan_convex", 0.0)))
 def test_certify_reports_the_domain_bound(what, pull_back):
-    # No grid query holds up to its domain bound, so drive the branch with
-    # a stub sweep that holds on (0, bound].
+    # The functional has a pole 10 tol above hi, so the condition must fail
+    # below it: a stub sweep that holds on (0, bound] is refused, and the
+    # message names hi and the singularity.
     q = _q(NormalizedKind.G, P11, what, 1.0, -1.0)
     tol = 1e-9
     bound = domain_bound(q, tol)
@@ -514,10 +511,25 @@ def test_certify_reports_the_domain_bound(what, pull_back):
     def sweep(r, stop_at=math.inf):
         return 0.25 * r, 1.5
 
-    got = radii._certify(q, sweep, 1.0, tol)
-    assert (got.bracket, got.radius) == ((hi, bound), bound)
-    assert (got.sup_at_radius, got.argmax_angle) == sweep(hi)
-    assert got.hit_domain_bound and not got.pole_truncated
+    with pytest.raises(ConvergenceError) as refused:
+        radii._certify(q, sweep, 1.0, tol)
+    singularity = bound + (10.0 - pull_back) * tol
+    assert f"hi = {hi:.9g}" in str(refused.value)
+    assert f"pole at {singularity:.9g}" in str(refused.value)
+
+
+@pytest.mark.parametrize("what", ("lem_star", "lem_convex"))
+def test_domain_bound_rejects_a_tol_too_coarse_for_it(what):
+    # Both routes search up to 10 tol below the first zero, 1.2024 for
+    # star kinds of G(1, 1) and 0.6279 for convex ones.
+    q = _q(NormalizedKind.G, P11, what)
+    zero = (positive_zeros(P11, "minus_z_squared", 1) if q.is_star else
+            zeros.derivative_positive_zeros(NormalizedKind.G, P11, 1)).zeros[0]
+    assert domain_bound(q, zero / 20.0) > 0.0
+    for route in (domain_bound, radius_by_certification, radius_real_axis):
+        with pytest.raises(ParameterError, match="too coarse") as refused:
+            route(q, math.nextafter(zero / 10.0, math.inf))
+        assert f"{zero:.9g}" in str(refused.value)
 
 
 def test_one_bracket_solver_for_zeros_and_radii():
@@ -606,12 +618,19 @@ def test_certifier_final_sweep_survives_a_pole_in_the_bracket(monkeypatch):
         assert res.sup_at_radius < 1.0
 
 
+def test_certifier_refuses_the_domain_bound_at_beta_10():
+    # F(1, 10) jan_star (1, -1): unseeded, the sweep 10 tol below the pole
+    # at 6.677 reads the condition as holding, although w falls to -inf
+    # before it; the certifier refuses instead of reporting the bound.
+    q = _q(NormalizedKind.F, WrightParams(1.0, 10.0), "jan_star", 1.0, -1.0)
+    with pytest.raises(ConvergenceError, match="condition holds at hi"):
+        radius_by_certification(q, 1e-9)
+
+
 @pytest.mark.xfail(strict=True, reason=(
-    "at beta >= 10 the certifier misses its own tol: unseeded, its sweep "
-    "10 tol below the pole reads the condition as holding and it reports "
-    "the domain bound 6.677; seeded near the crossing it gives "
-    "5.501669021851194, 2.2e-8 off"))
-@pytest.mark.parametrize("seed", (None, 5.5016))
+    "at beta >= 10 the certifier misses its own tol: seeded near the "
+    "crossing it gives 5.501669021851194, 2.2e-8 off"))
+@pytest.mark.parametrize("seed", (5.5016,))
 def test_certifier_meets_tol_at_beta_10(seed):
     # F(1, 10): 1 + x J9'(x)/J9(x) = 0 at x = 2r, the Bessel form of
     # w(r) = 0; the root is mpmath's at 80 digits.
