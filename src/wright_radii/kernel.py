@@ -380,9 +380,8 @@ def combo_neg_axis(p: WrightParams, x: float, a: float = 1.0,
 def term_exponent_max(p: WrightParams, x: float) -> float:
     """Largest log term magnitude of the series at -x (ternary search).
 
-    Measures the cancellation depth: double precision retains about
-    (690 - value)/ln 10 digits... more precisely the rounding floor sits near
-    exp(value) * 1e-16.
+    Measures the cancellation depth: a double-precision sum at -x has a
+    rounding floor near exp(value) * 1e-16.
     """
     if x <= 1e-300:
         return 0.0

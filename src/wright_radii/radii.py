@@ -99,13 +99,8 @@ class RadiusQuery:
 class RadiusResult:
     """A computed radius with its certificate.
 
-    clamped is min(radius, 1): the subordination classes live on the unit
-    disk, so the class membership radius caps at 1 while `radius` keeps the
-    analytic root.  hit_domain_bound marks real-axis searches whose
-    functional never reached its constant before the analyticity bound; the
-    certifier never sets it, since it refuses a condition that holds up to
-    the pole there.  pole_truncated marks Janowski searches truncated by a
-    vanishing denominator.
+    pole_truncated marks Janowski searches truncated by a vanishing
+    denominator.
     """
 
     radius: float
@@ -113,9 +108,13 @@ class RadiusResult:
     method: str
     sup_at_radius: float
     argmax_angle: float
-    clamped: float
-    hit_domain_bound: bool = False
     pole_truncated: bool = False
+
+    @property
+    def clamped(self) -> float:
+        """min(radius, 1): the subordination classes live on the unit disk, so
+        the class membership radius caps at 1 while `radius` keeps the root."""
+        return min(self.radius, 1.0)
 
 
 @dataclass(frozen=True)
@@ -259,13 +258,16 @@ def boundary_sup(query: RadiusQuery, r: float, tol_theta: float = 1e-10, *,
 # ----------------------------------------------------------------------------
 
 def domain_bound(query: RadiusQuery, tol: float = 1e-9) -> float:
-    """Upper end of the admissible search interval.
+    """The first singularity of the query's functional, which every radius
+    lies below.
 
-    Star kinds: first zero of the normalized function itself (the functional
-    has a pole there).  Convex kinds: first zero of its derivative, pulled
-    back by 10*tol.  Both routes search up to 10*tol below that zero, so a
-    tol with 10*tol at or above it raises ParameterError.
+    Star kinds: the first zero of the normalized function, a pole of w.
+    Convex kinds: the first zero of its derivative, a pole of C.  Each route
+    sets its search end a little below it, at most 10 tol, so a tol that is
+    not finite and positive, or with 10 tol at or above the singularity,
+    raises ParameterError.
     """
+    _check_tol(tol)
     p, kind = query.params, query.kind
     if query.is_star:
         form = "minus_z" if kind is NormalizedKind.H else "minus_z_squared"
@@ -276,7 +278,7 @@ def domain_bound(query: RadiusQuery, tol: float = 1e-9) -> float:
         raise ParameterError(
             f"tol {tol:g} too coarse: 10 tol = {10.0 * tol:g} must be below "
             f"the first singularity {zero:.9g}")
-    return zero if query.is_star else zero - 10.0 * tol
+    return zero
 
 
 # ----------------------------------------------------------------------------
@@ -293,10 +295,10 @@ def _certify(query: RadiusQuery,
     reaches stop_at.  The condition holds as r -> 0, where every excess
     sweep(r)[0] - level here equals -1 (the functionals start at 1).  A
     sweep that meets a Janowski pole counts as a failure and sets
-    pole_truncated.  The search runs on (0, hi), hi the domain bound, pulled
-    back by 10 tol for star kinds, so 10 tol below the functional's pole.
-    The condition must fail before the pole, so a hold at hi is no radius:
-    it raises ConvergenceError.  The bracket is exactly that of bisecting from (0, hi)
+    pole_truncated.  The search runs on (0, hi), hi 10 tol below the
+    functional's pole at the domain bound.  The condition must fail before
+    the pole, so a hold at hi is no radius: it raises ConvergenceError.  The
+    bracket is exactly that of bisecting from (0, hi)
     to width tol, found in fewer sweeps: two probes at seed -/+ 2 tol (at
     least 4 ulps of hi, so that they differ from the seed) narrow (0, hi) by
     their signs, a probe outside the current bracket skipped; an
@@ -307,14 +309,14 @@ def _certify(query: RadiusQuery,
     to an endpoint.  sup_at_radius is the sweep at the radius, or at the
     bracket's lower end when a pole lies between them.
     """
-    _check_tol(tol)
-    bound = domain_bound(query, tol)
-    hi = bound - 10.0 * tol if query.is_star else bound
+    singularity = domain_bound(query, tol)
+    hi = singularity - 10.0 * tol
     pole_seen = False
 
     def excess(r: float) -> float:
-        # A failing sweep stops once its running max reaches level, so only
-        # the sign of its excess steers the bracket.
+        # A failing sweep stops once its running max reaches level, so its
+        # excess is truncated: the bracket is correct by the signs alone, but
+        # the solve's steps read the truncated values.
         nonlocal pole_seen
         try:
             return sweep(r, level)[0] - level
@@ -338,8 +340,8 @@ def _certify(query: RadiusQuery,
     if fb < 0.0:
         raise ConvergenceError(
             f"condition holds at hi = {hi:.9g}, 10 tol below the functional's "
-            f"pole at {bound if query.is_star else bound + 10.0 * tol:.9g}, "
-            f"so the radius lies above hi or the sweep there is inaccurate")
+            f"pole at {singularity:.9g}, so the radius lies above hi or the "
+            f"sweep there is inaccurate")
     # below a few ulps of hi the solve could no longer shrink its bracket
     a, b = _refine_bracket(excess, a, b, fa, fb,
                            max(0.25 * tol, 4.0 * math.ulp(hi)))
@@ -365,7 +367,7 @@ def _certify(query: RadiusQuery,
         swept_at = sweep(max(lo, tol))
     return RadiusResult(radius=radius, bracket=(lo, hi), method="certifier",
                         sup_at_radius=swept_at[0], argmax_angle=swept_at[1],
-                        clamped=min(radius, 1.0), pole_truncated=pole_seen)
+                        pole_truncated=pole_seen)
 
 
 def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
@@ -414,16 +416,16 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
 
     One pass over the grid, up to its first point at or below c, checks that
     the functional strictly decreases from 1 there, all the smallest root
-    needs; with no such point the domain bound is reported.  Raises
-    ConvergenceError if the regula falsi stalls wider than tol, or if the
+    needs.  The grid ends just below the domain bound for star kinds and
+    10 tol below it for convex ones.  Raises ConvergenceError if no grid
+    point reaches c, if the regula falsi stalls wider than tol, or if the
     functional's error bound at the root plus its rounding, 2 eps max(|c|, 1),
     exceeds tol times the smaller of the crossing cell's slope and the final
     bracket's.
     """
-    _check_tol(tol)
     c = default_constant(query)
-    bound = domain_bound(query, tol)
-    hi = bound * (1.0 - 1e-9) if query.is_star else bound
+    singularity = domain_bound(query, tol)
+    hi = singularity * (1.0 - 1e-9) if query.is_star else singularity - 10.0 * tol
 
     grid, vals = _real_axis_grid(query.kind, query.params, query.is_star, hi)
     for i, g in enumerate(grid):
@@ -436,11 +438,9 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
         if vals[i] <= c:
             break
     else:
-        return RadiusResult(radius=bound, bracket=(float(grid[-1]), bound),
-                            method="real_axis",
-                            sup_at_radius=region_functional(query, complex(grid[-1])),
-                            argmax_angle=0.0, clamped=min(bound, 1.0),
-                            hit_domain_bound=True)
+        raise ConvergenceError(
+            f"real-axis functional stays above c = {c:.9g} up to hi = {hi:.9g}, "
+            f"below the singularity at {singularity:.9g}")
 
     # the functionals equal 1 at r = 0
     a, fa = (float(grid[i - 1]), vals[i - 1] - c) if i > 0 else (0.0, 1.0 - c)
@@ -470,8 +470,7 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
             f"real-axis root r = {radius:.9g} not resolved to tol {tol:.3e}: "
             f"bracket width {b - a:.3e}, error bound {err:.3e}")
     return RadiusResult(radius=radius, bracket=(a, b), method="real_axis",
-                        sup_at_radius=_region_at(query, at_root),
-                        argmax_angle=0.0, clamped=min(radius, 1.0))
+                        sup_at_radius=_region_at(query, at_root), argmax_angle=0.0)
 
 
 # ----------------------------------------------------------------------------
@@ -509,7 +508,6 @@ def paper_equation_registry(query: RadiusQuery) -> EquationDescriptor:
             f"sharpness holds only for B <= 0")
     c = default_constant(query)
     functional = "z f'(z)/f(z)" if query.is_star else "1 + z f''(z)/f'(z)"
-    bound = domain_bound(query)
 
     def residual(r: float) -> float:
         return _functional_real(query, r) - c
@@ -518,7 +516,7 @@ def paper_equation_registry(query: RadiusQuery) -> EquationDescriptor:
         description=(f"{functional} restricted to real z = r crosses "
                      f"(1-A)/(1-B) = {c:.12g}"),
         constant=c,
-        interval=(0.0, bound),
+        interval=(0.0, domain_bound(query)),
         residual=residual,
         provenance="real-axis crossing, sharp for B <= 0 by the "
                    "containment-disk extreme-point argument",
@@ -551,7 +549,7 @@ def cross_validate(query: RadiusQuery, tol: float = 1e-9) -> CrossCheckResult:
     """
     real = radius_real_axis(query, tol)
     jp = query.janowski
-    sharp = jp is not None and jp.B <= 0.0 and not real.hit_domain_bound
+    sharp = jp is not None and jp.B <= 0.0
     cert = radius_by_certification(query, tol,
                                    _seed=real.radius if sharp else None)
     delta = abs(cert.radius - real.radius)

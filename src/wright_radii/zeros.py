@@ -521,7 +521,9 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
     doubled until the rounded count repeats with residual < 0.1.  Nodes whose
     double-precision series value is drowned by cancellation noise (near the
     negative-real axis of the Wright argument) are re-evaluated by the zero
-    scan's certified mpmath evaluator, or raise ConvergenceError.
+    scan's certified mpmath evaluator, or raise ConvergenceError.  The
+    minus_z_squared form counts on the minus_z contour |x| = R^2 and doubles
+    the count: Phi(z) = Psi(z^2), so each zero x of Psi gives the zeros +-sqrt(x).
     """
     if form not in _FORMS:
         raise ParameterError(f"form must be one of {_FORMS}, got {form!r}")
@@ -538,26 +540,21 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
     n_star = max(10.0, 2.0 * modulus ** (1.0 / (1.0 + p.rho)))
     noise0, noise1 = (2.3e-16 * math.exp(e) * max(1.0, e) * math.sqrt(n_star)
                       for e in (e_max, e_max1))
-    squared = form == "minus_z_squared"
+    factor = 2 if form == "minus_z_squared" else 1
 
     prev_round: int | None = None
     m = _QUADRATURE_POINTS
     while m <= _QUADRATURE_POINTS * 16:
-        theta = 2.0 * math.pi * np.arange(m) / m
-        z = R * np.exp(1j * theta)
-        u_phases = -np.exp((2j if squared else 1j) * theta)
+        u_phases = -np.exp(2j * math.pi * np.arange(m) / m)
         vals = circle_eval(p, modulus, _PhasePowers(u_phases), shifts=(0, 1))
         w0, w1 = vals[0].copy(), vals[1].copy()
         bad = (np.abs(w0) < 30.0 * noise0) | (np.abs(w1) < 30.0 * noise1)
+        u = modulus * u_phases
         for j in np.nonzero(bad)[0]:
-            u = modulus * u_phases[j]
-            w0[j] = _mp_wright_complex(p, u, e_max)
-            w1[j] = _mp_wright_complex(p.shifted(1), u, e_max1)
-        if squared:
-            integrand = -2.0 * (z * z) * w1 / w0
-        else:
-            integrand = -z * w1 / w0
-        mean = float(np.mean(integrand.real))
+            w0[j] = _mp_wright_complex(p, u[j], e_max)
+            w1[j] = _mp_wright_complex(p.shifted(1), u[j], e_max1)
+        # x Psi'(x)/Psi(x) at x = -u: d/dx W(rho, beta; -x) = -W(rho, rho+beta; -x)
+        mean = factor * float(np.mean((u * w1 / w0).real))
         nearest = int(round(mean))
         if abs(mean - nearest) < 0.1:
             if prev_round is not None and prev_round == nearest:

@@ -191,6 +191,18 @@ def test_radius_tol_too_coarse_for_the_domain_exits_2(capsys, argv):
     assert "too coarse" in err
 
 
+def test_radius_real_axis_refuses_a_crossing_above_its_search_end(capsys):
+    # At tol 0.05 the grid for G(1, 1) lem_convex ends 10 tol below the
+    # first zero of g', before C reaches 2 - sqrt(2): no radius, exit 1.
+    code, out, err = run(capsys, "radius", "--kind", "g", "--rho", "1",
+                         "--beta", "1", "--what", "lem-convex", "--tol", "0.05",
+                         "--method", "real-axis")
+    assert code == 1
+    assert out == ""
+    assert "hi = 0.127891856" in err
+    assert "singularity at 0.627891856" in err
+
+
 def test_radius_rejects_inadmissible_janowski(capsys):
     code, _, err = run(capsys, "radius", "--what", "jan-star",
                        "-A", "-1", "-B", "0")
@@ -308,6 +320,16 @@ def test_sweep_check_appends_delta(tmp_path, capsys):
         assert r["finding"] == ""
 
 
+def test_sweep_check_reports_findings_on_stderr(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("rho=1\nbeta=1\nkind=g\nwhat=lem-star, lem-convex\n")
+    code, out, err = run(capsys, "sweep", str(grid), "--check")
+    assert code == 0
+    findings = [r["finding"] for r in rows_of(out)]
+    assert len(findings) == 2 and all("containment bound" in f for f in findings)
+    assert err.splitlines() == [f"finding: {f}" for f in findings]
+
+
 def test_sweep_json_mode(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("rho=1\nbeta=1\nkind=g\nwhat=lem-star\n")
@@ -346,6 +368,25 @@ def test_sweep_jan_without_ab_exits_2(tmp_path, capsys):
     grid.write_text("rho=1\nbeta=1\nwhat=jan-star\n")
     code, _, _ = run(capsys, "sweep", str(grid))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, grid, message", (
+    (("radius", "--what", "bogus"), None, "--what must be one of"),
+    (("radius", "--what", "jan-star", "-A", "1"), None, "requires -A and -B"),
+    (("sweep", "missing.txt"), None, "cannot read grid file"),
+    (("sweep", "grid.txt"), "rho 1\nbeta=1\n", "expected key=value"),
+    (("sweep", "grid.txt"), "rho=1\nbeta = ,\n", "no values for key 'beta'"),
+    (("sweep", "grid.txt"), "beta=1\nwhat=lem-star\n", "must set 'rho'"),
+    (("sweep", "grid.txt"), "rho=1\nwhat=lem-star\n", "must set 'beta'"),
+))
+def test_usage_errors_exit_2(tmp_path, capsys, argv, grid, message):
+    if grid is not None:
+        (tmp_path / "grid.txt").write_text(grid)
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 # ----------------------------------------------------------------------------

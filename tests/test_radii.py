@@ -234,7 +234,6 @@ def test_real_axis_probe(kind, rho, beta, what, error):
             radius_real_axis(q)
         return
     got = radius_real_axis(q)
-    assert not got.hit_domain_bound
     assert got.radius == pytest.approx(radius_by_certification(q).radius, abs=1e-8)
 
 
@@ -316,7 +315,7 @@ def _bisection_oracle(query: RadiusQuery, tol: float = 1e-9) -> radii.RadiusResu
     # The certifier as plain bisection on the early-exit predicate, the
     # reference its bracket solve must reproduce bit for bit.
     bound = domain_bound(query, tol)
-    hi = bound - 10.0 * tol if query.is_star else bound
+    hi = bound - 10.0 * tol
     pole_seen = False
 
     def holds(r: float) -> bool:
@@ -341,7 +340,7 @@ def _bisection_oracle(query: RadiusQuery, tol: float = 1e-9) -> radii.RadiusResu
     sup, ang = boundary_sup(query, max(radius, tol))
     return radii.RadiusResult(radius=radius, bracket=(lo, hi), method="certifier",
                               sup_at_radius=sup, argmax_angle=ang,
-                              clamped=min(radius, 1.0), pole_truncated=pole_seen)
+                              pole_truncated=pole_seen)
 
 
 # Janowski pairs with B < 0, B = 0 and B > 0
@@ -491,31 +490,43 @@ def test_certifier_stops_below_one_ulp(tol):
 @pytest.mark.parametrize("tol", (0.0, -1e-9, math.inf, math.nan))
 def test_radius_routes_reject_bad_tol(tol):
     q = _q(NormalizedKind.G, P11, "jan_star", 0.5, -0.5)
-    for route in (radius_by_certification, radius_real_axis):
+    for route in (domain_bound, radius_by_certification, radius_real_axis):
         with pytest.raises(ParameterError, match="tol must be finite and > 0"):
             route(q, tol=tol)
     with pytest.raises(ParameterError, match="tol must be finite and > 0"):
         halfplane_starlike_radius(NormalizedKind.G, P11, tol)
 
 
-@pytest.mark.parametrize("what, pull_back", (("jan_star", 10.0), ("jan_convex", 0.0)))
-def test_certify_reports_the_domain_bound(what, pull_back):
+@pytest.mark.parametrize("what", ("jan_star", "jan_convex"))
+def test_certify_reports_the_domain_bound(what):
     # The functional has a pole 10 tol above hi, so the condition must fail
     # below it: a stub sweep that holds on (0, bound] is refused, and the
     # message names hi and the singularity.
     q = _q(NormalizedKind.G, P11, what, 1.0, -1.0)
     tol = 1e-9
     bound = domain_bound(q, tol)
-    hi = bound - pull_back * tol
+    hi = bound - 10.0 * tol
 
     def sweep(r, stop_at=math.inf):
         return 0.25 * r, 1.5
 
     with pytest.raises(ConvergenceError) as refused:
         radii._certify(q, sweep, 1.0, tol)
-    singularity = bound + (10.0 - pull_back) * tol
     assert f"hi = {hi:.9g}" in str(refused.value)
-    assert f"pole at {singularity:.9g}" in str(refused.value)
+    assert f"pole at {bound:.9g}" in str(refused.value)
+
+
+def test_real_axis_refuses_a_crossing_above_its_search_end():
+    # G(1, 1) lem_convex at tol 0.05: the grid ends at hi = 0.1279, 10 tol
+    # below the singularity 0.6279, before C reaches 2 - sqrt(2), so the
+    # route refuses rather than return hi as the radius.
+    q = _q(NormalizedKind.G, P11, "lem_convex")
+    tol = 0.05
+    singularity = domain_bound(q, tol)
+    with pytest.raises(ConvergenceError) as refused:
+        radius_real_axis(q, tol)
+    assert f"hi = {singularity - 10.0 * tol:.9g}" in str(refused.value)
+    assert f"singularity at {singularity:.9g}" in str(refused.value)
 
 
 @pytest.mark.parametrize("what", ("lem_star", "lem_convex"))
@@ -547,9 +558,11 @@ def test_convex_radius_below_star_radius():
 
 def test_domain_bound_is_first_singularity():
     lam1 = positive_zeros(P11, "minus_z_squared", 1).zeros[0]
+    mu1 = zeros.derivative_positive_zeros(NormalizedKind.G, P11, 1).zeros[0]
     star_bound = domain_bound(_q(NormalizedKind.G, P11, "lem_star"))
     conv_bound = domain_bound(_q(NormalizedKind.G, P11, "lem_convex"))
     assert star_bound == pytest.approx(lam1, abs=1e-6)
+    assert conv_bound == mu1
     assert conv_bound < star_bound
 
 

@@ -271,6 +271,30 @@ def test_reciprocal_square_sum_monotone(bessel_params):
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def test_linear_form_product_tools(bessel_params):
+    # Psi(x) = Gamma(1) W(1, 1; -x) = J0(2 sqrt(x)), with zeros nu_n = j_{0,n}^2/4
+    # and sum 1/nu_n = Gamma(1)/Gamma(2) = 1.  With tail = 1 - sum_{n<=N} 1/nu_n,
+    # P_N/Psi = 1/prod_{n>N} (1 - x/nu_n) lies in [exp(x tail),
+    # exp(x tail/(1 - x/nu_{N+1}))] for 0 < x < nu_{N+1}.
+    table = positive_zeros(bessel_params, "minus_z", 21)
+    nu = table.zeros
+    assert nu == pytest.approx(sp.jn_zeros(0, 21) ** 2 / 4.0, rel=1e-12, abs=0.0)
+    x = 0.6 * nu[0]
+    psi = sp.j0(2.0 * math.sqrt(x))
+    sums, errors = [], []
+    for N in (5, 10, 20):
+        sums.append(reciprocal_square_sum(table, N))
+        tail = 1.0 - sums[-1]
+        err = hadamard_partial_product(table, x, N).real - psi
+        assert math.expm1(x * tail) * psi <= err
+        assert err <= math.expm1(x * tail / (1.0 - x / nu[N])) * psi
+        errors.append(err)
+    # 0.923, 0.960, 0.980 and errors 0.021, 0.011, 0.0053
+    assert sums[0] < sums[1] < sums[2] < 1.0
+    assert sums[0] > 0.92 and errors[2] < 0.006
+    assert errors[0] > errors[1] > errors[2] > 0.0
+
+
 # ----------------------------------------------------------------------------
 # deep-zero evaluation routes and the table cache
 # ----------------------------------------------------------------------------
