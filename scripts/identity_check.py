@@ -127,10 +127,12 @@ def emit() -> dict:
             _result(out, f"{prefix}.certifier", chk.certifier)
             _result(out, f"{prefix}.real_axis", chk.real_axis)
             out.setdefault(f"{prefix}.delta", []).append(chk.delta)
+            # the finding's text, whether it is a message or a record holding one
             f = chk.finding
             out.setdefault(f"{prefix}.finding", []).append(
-                None if f is None else [f.certifier_radius, f.real_axis_radius,
-                                        f.delta, f.argmax_angle, f.message])
+                None if f is None else [chk.certifier.radius, chk.real_axis.radius,
+                                        chk.delta, chk.certifier.argmax_angle,
+                                        getattr(f, "message", f)])
             paper = _attempt(W.solve_registry_equation, q)
             out.setdefault(f"{prefix}.paper_equation", []).append(
                 paper if isinstance(paper, str) else _fields(paper))
