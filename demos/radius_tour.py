@@ -32,7 +32,7 @@ def show(what: str, jp: JanowskiParams | None = None) -> None:
           f"(argmax angle {chk.certifier.argmax_angle:.4f})")
     print(f"  real axis  {chk.real_axis.radius:.12f}   delta {chk.delta:.3e}")
     if chk.finding is not None:
-        print(f"  finding: {chk.finding.message}")
+        print(f"  finding: {chk.finding}")
     print()
 
 

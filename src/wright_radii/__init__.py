@@ -11,10 +11,9 @@ from .family import (FunctionalValue, NormalizedKind, base_eval,
                      starlike_real)
 from .kernel import (EvalResult, WrightParams, log_gamma, wright_derivative,
                      wright_eval)
-from .radii import (CrossCheckResult, EquationDescriptor, Finding,
-                    JanowskiParams, RadiusQuery, RadiusResult, boundary_sup,
-                    cross_validate, domain_bound, halfplane_starlike_radius,
-                    paper_equation_registry, radius_by_certification,
+from .radii import (CrossCheckResult, JanowskiParams, RadiusQuery,
+                    RadiusResult, boundary_sup, cross_validate, domain_bound,
+                    halfplane_starlike_radius, radius_by_certification,
                     radius_real_axis, region_functional,
                     rescaled_boundary_sup, solve_registry_equation)
 from .zeros import (ZeroTable, base_residual, count_zeros_in_disk,
@@ -24,16 +23,15 @@ from .zeros import (ZeroTable, base_residual, count_zeros_in_disk,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError", "CrossCheckResult", "EquationDescriptor",
-    "EvalResult", "Finding", "FunctionalValue", "JanowskiParams",
-    "MonotonicityError", "NearZeroDenominatorError", "NonIntegerWindingError",
-    "NormalizedKind", "NotTranscribedError", "ParameterError",
-    "PoleProximityError", "RadiusQuery", "RadiusResult", "ScanExhaustedError",
-    "WrightParams", "WrightRadiiError", "ZeroTable", "base_eval",
-    "base_residual", "boundary_sup", "convex_functional", "convex_real",
-    "count_zeros_in_disk", "cross_validate", "derivative_positive_zeros",
-    "domain_bound", "hadamard_partial_product", "halfplane_starlike_radius",
-    "log_gamma", "paper_equation_registry", "positive_zeros",
+    "ConvergenceError", "CrossCheckResult", "EvalResult", "FunctionalValue",
+    "JanowskiParams", "MonotonicityError", "NearZeroDenominatorError",
+    "NonIntegerWindingError", "NormalizedKind", "NotTranscribedError",
+    "ParameterError", "PoleProximityError", "RadiusQuery", "RadiusResult",
+    "ScanExhaustedError", "WrightParams", "WrightRadiiError", "ZeroTable",
+    "base_eval", "base_residual", "boundary_sup", "convex_functional",
+    "convex_real", "count_zeros_in_disk", "cross_validate",
+    "derivative_positive_zeros", "domain_bound", "hadamard_partial_product",
+    "halfplane_starlike_radius", "log_gamma", "positive_zeros",
     "radius_by_certification", "radius_real_axis", "reciprocal_square_sum",
     "region_functional", "rescaled_boundary_sup", "solve_registry_equation",
     "starlike_functional", "starlike_real", "wright_derivative", "wright_eval",

@@ -163,10 +163,10 @@ def cmd_radius(args) -> int:
             "delta": chk.delta,
             "sup_at_radius": chk.certifier.sup_at_radius,
             "argmax_angle": chk.certifier.argmax_angle,
-            "finding": chk.finding.message if chk.finding else "",
+            "finding": chk.finding or "",
         }], args.json)
         if chk.finding:
-            print(f"finding: {chk.finding.message}", file=sys.stderr)
+            print(f"finding: {chk.finding}", file=sys.stderr)
     return 0
 
 
@@ -181,6 +181,7 @@ def _parse_grid(path: str) -> dict[str, list[str]]:
     except OSError as exc:
         raise ParameterError(f"cannot read grid file {path!r}: {exc}") from exc
     grid: dict[str, list[str]] = {}
+    line_of: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -189,6 +190,10 @@ def _parse_grid(path: str) -> dict[str, list[str]]:
             raise ParameterError(f"grid file line {ln}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in line_of:
+            raise ParameterError(
+                f"grid file line {ln}: key {key!r} repeats line {line_of[key]}")
+        line_of[key] = ln
         items = [tok.strip() for tok in value.split(",") if tok.strip()]
         if not items:
             raise ParameterError(f"grid file line {ln}: no values for key {key!r}")
@@ -258,7 +263,7 @@ def cmd_sweep(args) -> int:
             chk = cross_validate(query, tol)
             row = _result_row(query, chk.certifier)
             row["delta"] = chk.delta
-            row["finding"] = chk.finding.message if chk.finding else ""
+            row["finding"] = chk.finding or ""
             return row
         return _result_row(query, radius_by_certification(query, tol))
 

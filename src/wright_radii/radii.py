@@ -20,13 +20,10 @@ Each radius is computed by two mutually checking routes:
   functional(r) = c on the real axis, with shipped candidate constants
   c = (1-A)/(1-B) (Janowski) and c = 2 - sqrt(2) (lemniscate).
 
-For Janowski targets with B <= 0 the two routes agree to solver tolerance:
-the functionals map the closed disk |z| <= r into a disk centered on the real
-axis whose leftmost point v(r) is attained at real z, and the Janowski
-modulus is maximized exactly at that leftmost point.  For the lemniscate the
-boundary extremum sits off the real axis and the real-axis constant is a
-containment lower bound only; the discrepancy is surfaced as a structured
-Finding by cross_validate, with the certifier authoritative.
+The real-axis crossing is the radius exactly where _real_axis_is_radius
+says so (Janowski B <= 0), and the two routes then agree to solver
+tolerance.  Elsewhere cross_validate reports their gap as a finding, with
+the certifier authoritative.
 """
 from __future__ import annotations
 
@@ -118,34 +115,14 @@ class RadiusResult:
 
 
 @dataclass(frozen=True)
-class Finding:
-    """Structured record of a cross-method disagreement."""
-
-    query: RadiusQuery
-    certifier_radius: float
-    real_axis_radius: float
-    delta: float
-    argmax_angle: float
-    message: str
-
-
-@dataclass(frozen=True)
 class CrossCheckResult:
+    """Both routes' results and their gap; finding is the message reporting
+    a gap above the cross-check tolerance, else None."""
+
     certifier: RadiusResult
     real_axis: RadiusResult
     delta: float
-    finding: Finding | None
-
-
-@dataclass(frozen=True)
-class EquationDescriptor:
-    """A scalar real-axis equation residual(r) = 0 with its search interval."""
-
-    description: str
-    constant: float
-    interval: tuple[float, float]
-    residual: Callable[[float], float]
-    provenance: str
+    finding: str | None
 
 
 # ----------------------------------------------------------------------------
@@ -477,55 +454,34 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
 # equations on file
 # ----------------------------------------------------------------------------
 
-def paper_equation_registry(query: RadiusQuery) -> EquationDescriptor:
-    """Closed-form scalar equation on file for the query, if any.
+def _real_axis_is_radius(query: RadiusQuery) -> bool:
+    """Whether the real-axis crossing is the radius: Janowski B <= 0.
 
-    Entries exist exactly where the real-axis crossing provably equals the
-    certified radius: Janowski targets with B <= 0, for every normalized
-    kind.  There the functional maps |z| <= r into a disk centered on the
-    real axis with leftmost point functional(r) attained at real z, and for
-    B <= 0 the Janowski modulus |(v-1)/(A-Bv)| over that disk peaks at the
-    leftmost point, so the boundary condition first fails on the real axis
-    and the radius solves functional(r) = (1-A)/(1-B).
-
-    Lemniscate entries are deliberately not on file: the analogous real-axis
-    crossing at 2 - sqrt(2) is only a containment bound (the boundary
-    extremum of |v^2 - 1| sits off the real axis), and no equation that
-    matches the certifier is available here.  Janowski entries with B > 0
-    are likewise absent (the extreme point of the image disk moves off the
-    leftmost point).
+    The functional maps |z| <= r into a disk centered on the real axis with
+    leftmost point functional(r) attained at real z, and for B <= 0 the
+    Janowski modulus |(v-1)/(A-Bv)| over that disk peaks at the leftmost
+    point, so the condition first fails on the real axis and the radius
+    solves functional(r) = (1-A)/(1-B).  For B > 0 the extreme point of the
+    image disk moves off the leftmost point.  For the lemniscate the
+    boundary extremum of |v^2 - 1| sits off the real axis, so the crossing
+    at 2 - sqrt(2) is only a containment lower bound.
     """
-    rk = query.radius_kind
-    if rk.startswith("lem"):
-        raise NotTranscribedError(
-            f"no equation on file for {rk} of kind {query.kind.value}: the "
-            f"real-axis candidate constant {LEM_CONSTANT:.10f} is a "
-            f"containment lower bound, not the certified radius")
     jp = query.janowski
-    if jp.B > 0:
-        raise NotTranscribedError(
-            f"no equation on file for {rk} with B = {jp.B} > 0: real-axis "
-            f"sharpness holds only for B <= 0")
-    c = default_constant(query)
-    functional = "z f'(z)/f(z)" if query.is_star else "1 + z f''(z)/f'(z)"
-
-    def residual(r: float) -> float:
-        return _functional_real(query, r) - c
-
-    return EquationDescriptor(
-        description=(f"{functional} restricted to real z = r crosses "
-                     f"(1-A)/(1-B) = {c:.12g}"),
-        constant=c,
-        interval=(0.0, domain_bound(query)),
-        residual=residual,
-        provenance="real-axis crossing, sharp for B <= 0 by the "
-                   "containment-disk extreme-point argument",
-    )
+    return jp is not None and jp.B <= 0.0
 
 
 def solve_registry_equation(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
-    """Solve the on-file equation, which is always radius_real_axis's."""
-    paper_equation_registry(query)
+    """radius_real_axis's result, labelled paper_equation, where an equation
+    is on file: where the crossing is the radius (_real_axis_is_radius).
+    Elsewhere it raises NotTranscribedError."""
+    if not _real_axis_is_radius(query):
+        rk = query.radius_kind
+        why = (f"of kind {query.kind.value}: the real-axis candidate constant "
+               f"{LEM_CONSTANT:.10f} is a containment lower bound, not the "
+               f"certified radius" if rk.startswith("lem") else
+               f"with B = {query.janowski.B} > 0: real-axis sharpness holds "
+               f"only for B <= 0")
+        raise NotTranscribedError(f"no equation on file for {rk} {why}")
     return replace(radius_real_axis(query, tol), method="paper_equation")
 
 
@@ -537,21 +493,17 @@ CROSS_CHECK_TOLERANCE = 1e-5
 
 
 def cross_validate(query: RadiusQuery, tol: float = 1e-9) -> CrossCheckResult:
-    """Run both methods; emit a Finding when they disagree beyond
+    """Run both methods; report a finding when they disagree beyond
     max(CROSS_CHECK_TOLERANCE, 2 tol): each lies within tol of the crossing.
 
     The certifier is definitional ground truth; a finding therefore flags the
-    real-axis equation (its constant is a containment bound, or sharpness
-    fails for the parameters), never the certifier.  For Janowski B <= 0 the
-    real-axis crossing is the radius (paper_equation_registry), so it seeds
-    the certifier's bracket; for B > 0 it overestimates and for the
-    lemniscate it lies far below, and a seed there costs more sweeps.
+    real-axis equation, never the certifier.  Where the crossing is the
+    radius (_real_axis_is_radius) it seeds the certifier's bracket;
+    elsewhere it lies off the radius, and a seed there costs more sweeps.
     """
     real = radius_real_axis(query, tol)
-    jp = query.janowski
-    sharp = jp is not None and jp.B <= 0.0
-    cert = radius_by_certification(query, tol,
-                                   _seed=real.radius if sharp else None)
+    cert = radius_by_certification(
+        query, tol, _seed=real.radius if _real_axis_is_radius(query) else None)
     delta = abs(cert.radius - real.radius)
     finding = None
     if delta > max(CROSS_CHECK_TOLERANCE, 2.0 * tol):
@@ -561,17 +513,10 @@ def cross_validate(query: RadiusQuery, tol: float = 1e-9) -> CrossCheckResult:
         else:
             why = ("so real-axis sharpness fails (it holds only for Janowski "
                    "B <= 0) and the real-axis crossing overestimates the radius")
-        finding = Finding(
-            query=query,
-            certifier_radius=cert.radius,
-            real_axis_radius=real.radius,
-            delta=delta,
-            argmax_angle=cert.argmax_angle,
-            message=(f"real-axis radius {real.radius:.9f} differs from the "
-                     f"certified radius {cert.radius:.9f} by {delta:.3e}; the "
-                     f"boundary extremum sits at angle {cert.argmax_angle:.4f} "
-                     f"off the real axis, {why}"),
-        )
+        finding = (f"real-axis radius {real.radius:.9f} differs from the "
+                   f"certified radius {cert.radius:.9f} by {delta:.3e}; the "
+                   f"boundary extremum sits at angle {cert.argmax_angle:.4f} "
+                   f"off the real axis, {why}")
     return CrossCheckResult(certifier=cert, real_axis=real, delta=delta,
                             finding=finding)
 

@@ -25,7 +25,6 @@ from wright_radii import (
     cross_validate,
     hadamard_partial_product,
     halfplane_starlike_radius,
-    paper_equation_registry,
     positive_zeros,
     radius_by_certification,
     reciprocal_square_sum,
@@ -294,7 +293,7 @@ def test_scalar_equation_registry_agreement(headline):
             solved += 1
         elif q.radius_kind.startswith("lem"):
             with pytest.raises(NotTranscribedError):
-                paper_equation_registry(q)
+                solve_registry_equation(q)
     print(f"\nregistry: {solved} transcribed equations agree, worst gap "
           f"{worst:.2e}")
     assert solved == 216

@@ -234,9 +234,12 @@ def test_radius_paper_method_is_the_real_axis_row(capsys):
     assert paper == real
 
 
-def test_radius_paper_method_without_equation_exits_1(capsys):
-    code, _, err = run(capsys, "radius", "--what", "lem-star",
-                       "--method", "paper")
+@pytest.mark.parametrize("target", (
+    ("--what", "lem-star"),
+    ("--what", "jan-star", "-A", "1", "-B", "0.5"),
+), ids=("lem-star", "jan-star-B-positive"))
+def test_radius_paper_method_without_equation_exits_1(capsys, target):
+    code, _, err = run(capsys, "radius", *target, "--method", "paper")
     assert code == 1
     assert "no equation on file" in err
 
@@ -378,6 +381,8 @@ def test_sweep_jan_without_ab_exits_2(tmp_path, capsys):
     (("sweep", "grid.txt"), "rho=1\nbeta = ,\n", "no values for key 'beta'"),
     (("sweep", "grid.txt"), "beta=1\nwhat=lem-star\n", "must set 'rho'"),
     (("sweep", "grid.txt"), "rho=1\nwhat=lem-star\n", "must set 'beta'"),
+    (("sweep", "grid.txt"), "rho=1\nbeta=1\nkind=g\nwhat=lem-star\nrho=2\n",
+     "grid file line 5: key 'rho' repeats line 1"),
 ))
 def test_usage_errors_exit_2(tmp_path, capsys, argv, grid, message):
     if grid is not None:

@@ -12,7 +12,6 @@ from scipy.optimize import brentq
 
 from wright_radii import (
     ConvergenceError,
-    Finding,
     JanowskiParams,
     MonotonicityError,
     NearZeroDenominatorError,
@@ -26,7 +25,6 @@ from wright_radii import (
     cross_validate,
     domain_bound,
     halfplane_starlike_radius,
-    paper_equation_registry,
     positive_zeros,
     radius_by_certification,
     radius_real_axis,
@@ -668,10 +666,10 @@ def test_cross_validate_janowski_agrees():
 def test_cross_validate_lem_reports_finding():
     q = _q(NormalizedKind.G, P11, "lem_star")
     chk = cross_validate(q)
-    assert isinstance(chk.finding, Finding)
-    assert chk.finding.delta > 1e-5
-    assert chk.finding.real_axis_radius < chk.finding.certifier_radius
-    assert "containment bound" in chk.finding.message
+    assert isinstance(chk.finding, str)
+    assert chk.delta > 1e-5
+    assert chk.real_axis.radius < chk.certifier.radius
+    assert "containment bound" in chk.finding
 
 
 def test_finding_message_follows_the_sign_of_the_gap():
@@ -679,9 +677,9 @@ def test_finding_message_follows_the_sign_of_the_gap():
     # message must not call it a containment bound.
     q = _q(NormalizedKind.G, P11, "jan_star", 1.0, 0.5)
     chk = cross_validate(q)
-    assert chk.finding.real_axis_radius > chk.finding.certifier_radius
-    assert "overestimates" in chk.finding.message
-    assert "containment bound" not in chk.finding.message
+    assert chk.real_axis.radius > chk.certifier.radius
+    assert "overestimates" in chk.finding
+    assert "containment bound" not in chk.finding
 
 
 def test_real_axis_constants():
@@ -718,11 +716,9 @@ def test_rescaled_boundary_sup_identity():
 
 def test_registry_janowski_descriptor():
     q = _q(NormalizedKind.G, P11, "jan_star", 0.5, -0.5)
-    desc = paper_equation_registry(q)
-    assert desc.constant == pytest.approx(1.0 / 3.0)
-    assert desc.interval[0] >= 0.0
+    assert default_constant(q) == pytest.approx(1.0 / 3.0)
     r = solve_registry_equation(q)
-    assert abs(desc.residual(r.radius)) < 1e-7
+    assert abs(starlike_real(q.kind, q.params, r.radius) - 1.0 / 3.0) < 1e-7
     assert r.method == "paper_equation"
     cert = radius_by_certification(q)
     assert r.radius == pytest.approx(cert.radius, abs=1e-5)
@@ -730,9 +726,9 @@ def test_registry_janowski_descriptor():
 
 def test_registry_refuses_untranscribed():
     with pytest.raises(NotTranscribedError, match="lower bound"):
-        paper_equation_registry(_q(NormalizedKind.G, P11, "lem_star"))
+        solve_registry_equation(_q(NormalizedKind.G, P11, "lem_star"))
     with pytest.raises(NotTranscribedError):
-        paper_equation_registry(_q(NormalizedKind.G, P11, "jan_star", 0.5, 0.25))
+        solve_registry_equation(_q(NormalizedKind.G, P11, "jan_star", 0.5, 0.25))
 
 
 # ----------------------------------------------------------------------------
