@@ -7,8 +7,7 @@ Exports the parent with bench_pairs.export into .bench_build/, then computes
 the same outputs on both sides, each in a fresh interpreter (so every cache
 starts cold):
 
-  - the 288 surface and 216 Janowski B > 0 cross_validate results, and the
-    paper_equation result of each (or the name of the error it raises);
+  - the 288 surface and 216 Janowski B > 0 cross_validate results;
   - the 36 half-plane radii;
   - the point, real-axis and circle functionals and the region modulus on a
     grid;
@@ -133,9 +132,6 @@ def emit() -> dict:
                 None if f is None else [chk.certifier.radius, chk.real_axis.radius,
                                         chk.delta, chk.certifier.argmax_angle,
                                         getattr(f, "message", f)])
-            paper = _attempt(W.solve_registry_equation, q)
-            out.setdefault(f"{prefix}.paper_equation", []).append(
-                paper if isinstance(paper, str) else _fields(paper))
             for theta in (0.0, 1.0):
                 z = 0.5 * chk.certifier.radius * cmath.exp(1j * theta)
                 out.setdefault(f"{prefix}.region_functional", []).append(
