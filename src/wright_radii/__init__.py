@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from .errors import (ConvergenceError, MonotonicityError,
                      NearZeroDenominatorError, NonIntegerWindingError,
-                     NotTranscribedError, ParameterError, PoleProximityError,
-                     ScanExhaustedError, WrightRadiiError)
+                     ParameterError, PoleProximityError, ScanExhaustedError,
+                     WrightRadiiError)
 from .family import (FunctionalValue, NormalizedKind, base_eval,
                      convex_functional, convex_real, starlike_functional,
                      starlike_real)
@@ -15,7 +15,7 @@ from .radii import (CrossCheckResult, JanowskiParams, RadiusQuery,
                     RadiusResult, boundary_sup, cross_validate, domain_bound,
                     halfplane_starlike_radius, radius_by_certification,
                     radius_real_axis, region_functional,
-                    rescaled_boundary_sup, solve_registry_equation)
+                    rescaled_boundary_sup)
 from .zeros import (ZeroTable, base_residual, count_zeros_in_disk,
                     derivative_positive_zeros, hadamard_partial_product,
                     positive_zeros, reciprocal_square_sum)
@@ -25,15 +25,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError", "CrossCheckResult", "EvalResult", "FunctionalValue",
     "JanowskiParams", "MonotonicityError", "NearZeroDenominatorError",
-    "NonIntegerWindingError", "NormalizedKind", "NotTranscribedError",
-    "ParameterError", "PoleProximityError", "RadiusQuery", "RadiusResult",
-    "ScanExhaustedError", "WrightParams", "WrightRadiiError", "ZeroTable",
-    "base_eval", "base_residual", "boundary_sup", "convex_functional",
-    "convex_real", "count_zeros_in_disk", "cross_validate",
-    "derivative_positive_zeros", "domain_bound", "hadamard_partial_product",
-    "halfplane_starlike_radius", "log_gamma", "positive_zeros",
-    "radius_by_certification", "radius_real_axis", "reciprocal_square_sum",
-    "region_functional", "rescaled_boundary_sup", "solve_registry_equation",
-    "starlike_functional", "starlike_real", "wright_derivative", "wright_eval",
-    "__version__",
+    "NonIntegerWindingError", "NormalizedKind", "ParameterError",
+    "PoleProximityError", "RadiusQuery", "RadiusResult", "ScanExhaustedError",
+    "WrightParams", "WrightRadiiError", "ZeroTable", "base_eval",
+    "base_residual", "boundary_sup", "convex_functional", "convex_real",
+    "count_zeros_in_disk", "cross_validate", "derivative_positive_zeros",
+    "domain_bound", "hadamard_partial_product", "halfplane_starlike_radius",
+    "log_gamma", "positive_zeros", "radius_by_certification",
+    "radius_real_axis", "reciprocal_square_sum", "region_functional",
+    "rescaled_boundary_sup", "starlike_functional", "starlike_real",
+    "wright_derivative", "wright_eval", "__version__",
 ]

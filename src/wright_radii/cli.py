@@ -21,8 +21,7 @@ from .errors import ParameterError, WrightRadiiError
 from .family import NormalizedKind
 from .kernel import WrightParams, wright_eval
 from .radii import (JanowskiParams, RadiusQuery, cross_validate,
-                    radius_by_certification, radius_real_axis,
-                    solve_registry_equation)
+                    radius_by_certification, radius_real_axis)
 from .zeros import base_residual, positive_zeros
 
 _WHAT = {"lem-star": "lem_star", "lem-convex": "lem_convex",
@@ -152,8 +151,6 @@ def cmd_radius(args) -> int:
         emit([_result_row(query, radius_by_certification(query, args.tol))], args.json)
     elif args.method == "real-axis":
         emit([_result_row(query, radius_real_axis(query, args.tol))], args.json)
-    elif args.method == "paper":
-        emit([_result_row(query, solve_registry_equation(query, args.tol))], args.json)
     else:                           # both; argparse rejects any other method
         chk = cross_validate(query, args.tol)
         emit([{
@@ -211,7 +208,7 @@ def _floats(grid: dict, key: str) -> list[float]:
 
 
 def _sweep_queries(grid: dict[str, list[str]]) -> list[RadiusQuery]:
-    known = {"rho", "beta", "kind", "what", "A", "B", "tol"}
+    known = {"rho", "beta", "kind", "what", "A", "B"}
     unknown = set(grid) - known
     if unknown:
         raise ParameterError(f"unknown grid keys: {sorted(unknown)}")
@@ -243,29 +240,17 @@ def _sweep_queries(grid: dict[str, list[str]]) -> list[RadiusQuery]:
     return queries
 
 
-def _sweep_tol(grid: dict, default: float) -> float:
-    if "tol" not in grid:
-        return default
-    tols = _floats(grid, "tol")
-    if len(tols) != 1:
-        raise ParameterError(
-            f"grid key 'tol' takes one value, got {len(tols)}: {grid['tol']}")
-    return tols[0]
-
-
 def cmd_sweep(args) -> int:
-    grid = _parse_grid(args.grid)
-    tol = _sweep_tol(grid, args.tol)
-    queries = _sweep_queries(grid)
+    queries = _sweep_queries(_parse_grid(args.grid))
 
     def run(query: RadiusQuery) -> dict:
         if args.check:
-            chk = cross_validate(query, tol)
+            chk = cross_validate(query, args.tol)
             row = _result_row(query, chk.certifier)
             row["delta"] = chk.delta
             row["finding"] = chk.finding or ""
             return row
-        return _result_row(query, radius_by_certification(query, tol))
+        return _result_row(query, radius_by_certification(query, args.tol))
 
     rows = [run(q) for q in queries]
     emit(rows, args.json)
@@ -315,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("-A", type=float, default=None)
     pr.add_argument("-B", type=float, default=None)
     pr.add_argument("--method", default="cert",
-                    choices=["cert", "real-axis", "paper", "both"])
+                    choices=["cert", "real-axis", "both"])
     pr.add_argument("--tol", type=float, default=1e-9)
     pr.add_argument("--json", action="store_true")
     pr.set_defaults(func=cmd_radius)

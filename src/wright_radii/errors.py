@@ -49,7 +49,3 @@ class NonIntegerWindingError(WrightRadiiError):
 
 class MonotonicityError(WrightRadiiError):
     """Real-axis functional failed its strictly-decreasing precondition."""
-
-
-class NotTranscribedError(WrightRadiiError, KeyError):
-    """No closed-form equation is on file for the requested radius query."""

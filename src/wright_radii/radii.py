@@ -34,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConvergenceError, MonotonicityError, NotTranscribedError,
-                     ParameterError, PoleProximityError)
+from .errors import (ConvergenceError, MonotonicityError, ParameterError,
+                     PoleProximityError)
 from .family import (_THETA0, FunctionalValue, NormalizedKind, _PHASES0,
                      _phases_of, convex_functional, convex_on_circle,
                      convex_real, starlike_functional, starlike_on_circle,
@@ -272,13 +272,14 @@ def _certify(query: RadiusQuery,
     reaches stop_at.  The condition holds as r -> 0, where every excess
     sweep(r)[0] - level here equals -1 (the functionals start at 1).  A
     sweep that meets a Janowski pole counts as a failure and sets
-    pole_truncated.  The search runs on (0, hi), hi 10 tol below the
-    functional's pole at the domain bound.  The condition must fail before
-    the pole, so a hold at hi is no radius: it raises ConvergenceError.  The
-    bracket is exactly that of bisecting from (0, hi)
-    to width tol, found in fewer sweeps: two probes at seed -/+ 2 tol (at
-    least 4 ulps of hi, so that they differ from the seed) narrow (0, hi) by
-    their signs, a probe outside the current bracket skipped; an
+    pole_truncated.  The search runs on (0, hi), hi below the functional's
+    pole at the domain bound by 10 tol, or by 1% of the pole where that is
+    less, so that a coarse tol still reaches a radius near the pole.  The
+    condition must fail before the pole, so a hold at hi is no radius: it
+    raises ConvergenceError.  The bracket is exactly that of bisecting from
+    (0, hi) to width tol, found in fewer sweeps: two probes at seed -/+
+    2 tol (at least 4 ulps of hi, so that they differ from the seed) narrow
+    (0, hi) by their signs, a probe outside the current bracket skipped; an
     Anderson-Bjorck solve narrows that start to a quarter of tol; the
     bisection is then replayed, deciding midpoints at or below the solve's
     lower end (holds) and at or above its upper end (fails) by monotonicity
@@ -287,7 +288,7 @@ def _certify(query: RadiusQuery,
     bracket's lower end when a pole lies between them.
     """
     singularity = domain_bound(query, tol)
-    hi = singularity - 10.0 * tol
+    hi = singularity - min(10.0 * tol, 0.01 * singularity)
     pole_seen = False
 
     def excess(r: float) -> float:
@@ -316,9 +317,9 @@ def _certify(query: RadiusQuery,
         fb = excess(hi)
     if fb < 0.0:
         raise ConvergenceError(
-            f"condition holds at hi = {hi:.9g}, 10 tol below the functional's "
-            f"pole at {singularity:.9g}, so the radius lies above hi or the "
-            f"sweep there is inaccurate")
+            f"condition holds at hi = {hi:.9g}, below the functional's pole "
+            f"at {singularity:.9g}, so the radius lies above hi or the sweep "
+            f"there is inaccurate")
     # below a few ulps of hi the solve could no longer shrink its bracket
     a, b = _refine_bracket(excess, a, b, fa, fb,
                            max(0.25 * tol, 4.0 * math.ulp(hi)))
@@ -353,7 +354,7 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
 
     Sound because the sup is 0 at r -> 0, continuous, and nondecreasing in r;
     the bracket is the bisection's, found by _certify, which refuses a
-    condition that holds 10 tol below the pole at the domain bound.  _seed is
+    condition that holds at its search end below the pole.  _seed is
     a guess of the radius that only narrows the start bracket after sweeps
     check it (see _certify); every output bit is the unseeded one.
     """
@@ -393,16 +394,18 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
 
     One pass over the grid, up to its first point at or below c, checks that
     the functional strictly decreases from 1 there, all the smallest root
-    needs.  The grid ends just below the domain bound for star kinds and
-    10 tol below it for convex ones.  Raises ConvergenceError if no grid
-    point reaches c, if the regula falsi stalls wider than tol, or if the
+    needs.  The grid ends just below the domain bound for star kinds and,
+    for convex ones, below it by 10 tol or by 1% of it where that is less,
+    as _certify's search does.  Raises ConvergenceError if no grid point
+    reaches c, if the regula falsi stalls wider than tol, or if the
     functional's error bound at the root plus its rounding, 2 eps max(|c|, 1),
     exceeds tol times the smaller of the crossing cell's slope and the final
     bracket's.
     """
     c = default_constant(query)
     singularity = domain_bound(query, tol)
-    hi = singularity * (1.0 - 1e-9) if query.is_star else singularity - 10.0 * tol
+    hi = (singularity * (1.0 - 1e-9) if query.is_star
+          else singularity - min(10.0 * tol, 0.01 * singularity))
 
     grid, vals = _real_axis_grid(query.kind, query.params, query.is_star, hi)
     for i, g in enumerate(grid):
@@ -451,7 +454,7 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
 
 
 # ----------------------------------------------------------------------------
-# equations on file
+# cross-validation and findings
 # ----------------------------------------------------------------------------
 
 def _real_axis_is_radius(query: RadiusQuery) -> bool:
@@ -469,25 +472,6 @@ def _real_axis_is_radius(query: RadiusQuery) -> bool:
     jp = query.janowski
     return jp is not None and jp.B <= 0.0
 
-
-def solve_registry_equation(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
-    """radius_real_axis's result, labelled paper_equation, where an equation
-    is on file: where the crossing is the radius (_real_axis_is_radius).
-    Elsewhere it raises NotTranscribedError."""
-    if not _real_axis_is_radius(query):
-        rk = query.radius_kind
-        why = (f"of kind {query.kind.value}: the real-axis candidate constant "
-               f"{LEM_CONSTANT:.10f} is a containment lower bound, not the "
-               f"certified radius" if rk.startswith("lem") else
-               f"with B = {query.janowski.B} > 0: real-axis sharpness holds "
-               f"only for B <= 0")
-        raise NotTranscribedError(f"no equation on file for {rk} {why}")
-    return replace(radius_real_axis(query, tol), method="paper_equation")
-
-
-# ----------------------------------------------------------------------------
-# cross-validation and findings
-# ----------------------------------------------------------------------------
 
 CROSS_CHECK_TOLERANCE = 1e-5
 

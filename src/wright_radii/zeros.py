@@ -572,14 +572,19 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
 # Hadamard partial products
 # ----------------------------------------------------------------------------
 
+def _check_count(table: ZeroTable, N: int) -> None:
+    """Raise ParameterError unless N counts 1 to all of the table's zeros."""
+    if not (isinstance(N, int) and 1 <= N <= len(table.zeros)):
+        raise ParameterError(
+            f"N must be an integer in [1, {len(table.zeros)}], got {N!r}")
+
+
 def hadamard_partial_product(table: ZeroTable, z: complex, N: int) -> complex:
     """Product over the first N table zeros.
 
     form minus_z_squared: prod (1 - z^2/lambda_n^2); minus_z: prod (1 - z/lambda_n).
     """
-    if not (isinstance(N, int) and 1 <= N <= len(table.zeros)):
-        raise ParameterError(
-            f"N must be an integer in [1, {len(table.zeros)}], got {N!r}")
+    _check_count(table, N)
     z = complex(z)
     lam = np.asarray(table.zeros[:N], dtype=float)
     if table.form == "minus_z_squared":
@@ -594,10 +599,12 @@ def reciprocal_square_sum(table: ZeroTable, N: int | None = None) -> float:
 
     For form minus_z_squared this is sum 1/lambda_n^2, for minus_z it is
     sum 1/nu_n; both converge to Gamma(beta)/Gamma(rho+beta), the magnitude
-    of the first nontrivial series coefficient of the base function.
+    of the first nontrivial series coefficient of the base function.  N
+    defaults to the whole table.
     """
     if N is None:
         N = len(table.zeros)
+    _check_count(table, N)
     lam = np.asarray(table.zeros[:N], dtype=float)
     if table.form == "minus_z_squared":
         return float(np.sum(1.0 / (lam * lam)))

@@ -16,11 +16,11 @@ import pytest
 from wright_radii import (
     JanowskiParams,
     NormalizedKind,
-    NotTranscribedError,
     RadiusQuery,
     WrightParams,
     base_eval,
     boundary_sup,
+    convex_functional,
     count_zeros_in_disk,
     cross_validate,
     hadamard_partial_product,
@@ -29,7 +29,7 @@ from wright_radii import (
     radius_by_certification,
     reciprocal_square_sum,
     rescaled_boundary_sup,
-    solve_registry_equation,
+    starlike_functional,
     wright_derivative,
     wright_eval,
 )
@@ -276,24 +276,58 @@ def test_rescaled_boundary_semantics(headline):
     print(f"\nrescaled boundary: worst gap {worst:.2e} on 6 queries")
 
 
-def test_scalar_equation_registry_agreement(headline):
-    # Every equation on file (Janowski targets with B <= 0) has its smallest
-    # positive root match the certifier to 1e-5 on the grid; lemniscate
-    # targets are deliberately not on file (their real-axis constant is a
-    # containment bound, not the certified radius) and must refuse.
+def _other_axis_crossing(q: RadiusQuery, level: float) -> float:
+    """Where the point functional on the other axis reaches level, bisected
+    to 1e-13; its upper end is returned.
+
+    On z = ir for F and G and on z = -r for H the series have positive
+    terms, so the functional is real, starts at 1 and increases with r.
+    """
+    functional = starlike_functional if q.is_star else convex_functional
+    axis = -1.0 if q.kind is NormalizedKind.H else 1j
+
+    def above(r: float) -> bool:
+        return functional(q.kind, q.params, axis * r).value.real >= level
+
+    lo, hi = 0.0, 1.0
+    while not above(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_radius_two_sided_bracket(headline):
+    # Lower side: the lemniscate's real-axis crossing at 2 - sqrt(2) is a
+    # containment bound strictly below the certified radius (smallest gap
+    # 0.0091).  Upper side: the condition fails at the point of the other
+    # axis where the functional reaches sqrt(2) (lemniscate) or the right
+    # end (1 + A)/(1 + B) of the Janowski disk, so that crossing r_up bounds
+    # the radius from above, up to tol, on the 216 queries with B > -1.
+    # Janowski B <= 0 from below: test_radius_cross_validation.
     results, _ = headline
-    solved = 0
-    worst = 0.0
+    tol = 1e-9
+    bounded = on_axis = 0
+    worst = -math.inf
     for q, chk in results.items():
-        if q.radius_kind.startswith("jan") and q.janowski.B <= 0.0:
-            root = solve_registry_equation(q).radius
-            gap = abs(root - chk.certifier.radius)
-            worst = max(worst, gap)
-            assert gap <= 1e-5, (q, gap)
-            solved += 1
-        elif q.radius_kind.startswith("lem"):
-            with pytest.raises(NotTranscribedError):
-                solve_registry_equation(q)
-    print(f"\nregistry: {solved} transcribed equations agree, worst gap "
-          f"{worst:.2e}")
-    assert solved == 216
+        radius = chk.certifier.radius
+        if q.janowski is None:
+            assert chk.real_axis.radius < radius, (q, chk.real_axis.radius)
+            level = math.sqrt(2.0)
+        elif q.janowski.B > -1.0:
+            A, B = q.janowski.A, q.janowski.B
+            level = (1.0 + A) / (1.0 + B)
+        else:
+            continue
+        r_up = _other_axis_crossing(q, level)
+        assert radius <= r_up + tol, (q, radius, r_up)
+        worst = max(worst, radius - r_up)
+        on_axis += abs(radius - r_up) <= 2.0 * tol
+        bounded += 1
+    print(f"\ntwo-sided bracket: {bounded} radii at most r_up + tol, largest "
+          f"excess {worst:.2e}, {on_axis} equal to r_up within 2 tol")
+    assert bounded == 216

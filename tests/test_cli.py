@@ -171,13 +171,14 @@ def test_radius_finding_threshold_follows_tol(capsys):
     assert "sharpness fails" not in err
 
 
-def test_radius_refuses_a_condition_holding_up_to_the_pole(capsys):
-    # At tol 0.08, hi = 1.2024 - 0.8 lies below the radius 0.4797 of
-    # G(1, 1) lem_star, so the sweep at hi holds; the bound is not a radius.
-    code, out, err = run(capsys, "radius", "--what", "lem-star", "--tol", "0.08")
-    assert code == 1
-    assert out == ""
-    assert "condition holds at hi = 0.402412779" in err
+def test_radius_answers_a_radius_near_the_pole_at_coarse_tol(capsys):
+    # At tol 0.08 the search ends 1% below the pole of G(1, 1) lem_star at
+    # 1.2024, not 10 tol below it at 0.4024, under the radius 0.4797.
+    code, out, _ = run(capsys, "radius", "--what", "lem-star", "--tol", "0.08")
+    assert code == 0
+    row = rows_of(out)[0]
+    assert float(row["bracket_lo"]) < 0.4796529767 < float(row["bracket_hi"])
+    assert float(row["bracket_hi"]) - float(row["bracket_lo"]) <= 0.08
 
 
 @pytest.mark.parametrize("argv", (
@@ -191,16 +192,16 @@ def test_radius_tol_too_coarse_for_the_domain_exits_2(capsys, argv):
     assert "too coarse" in err
 
 
-def test_radius_real_axis_refuses_a_crossing_above_its_search_end(capsys):
-    # At tol 0.05 the grid for G(1, 1) lem_convex ends 10 tol below the
-    # first zero of g', before C reaches 2 - sqrt(2): no radius, exit 1.
-    code, out, err = run(capsys, "radius", "--kind", "g", "--rho", "1",
-                         "--beta", "1", "--what", "lem-convex", "--tol", "0.05",
-                         "--method", "real-axis")
-    assert code == 1
-    assert out == ""
-    assert "hi = 0.127891856" in err
-    assert "singularity at 0.627891856" in err
+def test_radius_real_axis_answers_near_the_pole_at_coarse_tol(capsys):
+    # At tol 0.05 the grid for G(1, 1) lem_convex ends 1% below the first
+    # zero of g' at 0.6279, not 10 tol below it at 0.1279, under the
+    # crossing 0.2447 of C with 2 - sqrt(2).
+    code, out, _ = run(capsys, "radius", "--kind", "g", "--rho", "1",
+                       "--beta", "1", "--what", "lem-convex", "--tol", "0.05",
+                       "--method", "real-axis")
+    assert code == 0
+    row = rows_of(out)[0]
+    assert float(row["radius"]) == pytest.approx(0.2447171391, abs=0.05)
 
 
 def test_radius_rejects_inadmissible_janowski(capsys):
@@ -220,35 +221,14 @@ def test_radius_real_axis_method(capsys):
     assert 0.0 < float(row["radius"]) < 1.5
 
 
-def test_radius_paper_method_is_the_real_axis_row(capsys):
-    argv = ("radius", "--kind", "g", "--rho", "1", "--beta", "1",
-            "--what", "jan-star", "-A", "1", "-B", "-1", "--method")
-    code, out, _ = run(capsys, *argv, "paper")
-    assert code == 0
-    paper = rows_of(out)[0]
-    code, out, _ = run(capsys, *argv, "real-axis")
-    assert code == 0
-    real = rows_of(out)[0]
-    assert paper.pop("method") == "paper_equation"
-    assert real.pop("method") == "real_axis"
-    assert paper == real
-
-
-@pytest.mark.parametrize("target", (
-    ("--what", "lem-star"),
-    ("--what", "jan-star", "-A", "1", "-B", "0.5"),
-), ids=("lem-star", "jan-star-B-positive"))
-def test_radius_paper_method_without_equation_exits_1(capsys, target):
-    code, _, err = run(capsys, "radius", *target, "--method", "paper")
-    assert code == 1
-    assert "no equation on file" in err
-
-
 def test_radius_unknown_method_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["radius", "--what", "lem-star", "--method", "bogus"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    # paper was the real-axis route relabelled; --method both reports where
+    # the crossing is not the radius
+    for method in ("bogus", "paper"):
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "--what", "lem-star", "--method", method])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------------
@@ -383,6 +363,11 @@ def test_sweep_jan_without_ab_exits_2(tmp_path, capsys):
     (("sweep", "grid.txt"), "rho=1\nwhat=lem-star\n", "must set 'beta'"),
     (("sweep", "grid.txt"), "rho=1\nbeta=1\nkind=g\nwhat=lem-star\nrho=2\n",
      "grid file line 5: key 'rho' repeats line 1"),
+    # a sweep's tol comes from --tol alone
+    *((("sweep", "grid.txt"), f"rho=1\nbeta=1\nwhat=lem-star\ntol={tol}\n",
+       "unknown grid keys: ['tol']") for tol in ("abc", "inf", "1e-6, 1e-3")),
+    *((("sweep", "grid.txt", "--tol", tol), "rho=1\nbeta=1\nwhat=lem-star\n",
+       "tol must be finite and > 0") for tol in ("inf", "nan", "0")),
 ))
 def test_usage_errors_exit_2(tmp_path, capsys, argv, grid, message):
     if grid is not None:
@@ -425,28 +410,12 @@ def test_nonfinite_or_zero_tol_exits_2(capsys, argv, tol):
     assert "tol must be finite and > 0" in err
 
 
-def test_sweep_unparsable_tol_exits_2(tmp_path, capsys):
+def test_sweep_honours_tol(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
-    grid.write_text("rho=1\nbeta=1\nwhat=lem-star\ntol=abc\n")
-    code, out, err = run(capsys, "sweep", str(grid))
-    assert code == 2
-    assert out == ""
-    assert "'tol'" in err
-
-
-def test_sweep_infinite_tol_exits_2(tmp_path, capsys):
-    grid = tmp_path / "grid.txt"
-    grid.write_text("rho=1\nbeta=1\nwhat=lem-star\ntol=inf\n")
-    code, out, err = run(capsys, "sweep", str(grid))
-    assert code == 2
-    assert "tol must be finite and > 0" in err
-
-
-def test_sweep_multi_value_tol_exits_2(tmp_path, capsys):
-    # One tol serves the whole grid; a list would silently drop all but one.
-    grid = tmp_path / "grid.txt"
-    grid.write_text("rho=1\nbeta=1\nwhat=lem-star\ntol=1e-6, 1e-3\n")
-    code, out, err = run(capsys, "sweep", str(grid))
-    assert code == 2
-    assert out == ""
-    assert "'tol' takes one value" in err
+    grid.write_text("rho=1\nbeta=1\nkind=g\nwhat=lem-star, lem-convex\n")
+    code, out, _ = run(capsys, "sweep", str(grid), "--tol", "0.01")
+    assert code == 0
+    rows = rows_of(out)
+    assert len(rows) == 2
+    for r in rows:
+        assert 1e-3 < float(r["bracket_hi"]) - float(r["bracket_lo"]) <= 0.01

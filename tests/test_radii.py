@@ -16,7 +16,6 @@ from wright_radii import (
     MonotonicityError,
     NearZeroDenominatorError,
     NormalizedKind,
-    NotTranscribedError,
     ParameterError,
     PoleProximityError,
     RadiusQuery,
@@ -30,7 +29,6 @@ from wright_radii import (
     radius_real_axis,
     region_functional,
     rescaled_boundary_sup,
-    solve_registry_equation,
     starlike_real,
     WrightRadiiError,
 )
@@ -313,7 +311,7 @@ def _bisection_oracle(query: RadiusQuery, tol: float = 1e-9) -> radii.RadiusResu
     # The certifier as plain bisection on the early-exit predicate, the
     # reference its bracket solve must reproduce bit for bit.
     bound = domain_bound(query, tol)
-    hi = bound - 10.0 * tol
+    hi = bound - min(10.0 * tol, 0.01 * bound)
     pole_seen = False
 
     def holds(r: float) -> bool:
@@ -326,7 +324,7 @@ def _bisection_oracle(query: RadiusQuery, tol: float = 1e-9) -> radii.RadiusResu
         return s < 1.0
 
     if holds(hi):
-        raise ConvergenceError("condition holds 10 tol below the pole")
+        raise ConvergenceError("condition holds at hi, below the pole")
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -514,16 +512,24 @@ def test_certify_reports_the_domain_bound(what):
     assert f"pole at {bound:.9g}" in str(refused.value)
 
 
-def test_real_axis_refuses_a_crossing_above_its_search_end():
-    # G(1, 1) lem_convex at tol 0.05: the grid ends at hi = 0.1279, 10 tol
-    # below the singularity 0.6279, before C reaches 2 - sqrt(2), so the
-    # route refuses rather than return hi as the radius.
+def test_real_axis_refuses_a_crossing_above_its_search_end(monkeypatch):
+    # G(1, 1) lem_convex at tol 0.05: the grid ends 1% below the singularity
+    # 0.6279, not 10 tol below it at 0.1279, so it reaches the crossing.
     q = _q(NormalizedKind.G, P11, "lem_convex")
     tol = 0.05
+    exact = radius_real_axis(q).radius
+    assert abs(radius_real_axis(q, tol).radius - exact) <= tol
+    # A functional that stays above c up to the grid's end has no crossing
+    # there: the route refuses rather than return hi as the radius.
     singularity = domain_bound(q, tol)
-    with pytest.raises(ConvergenceError) as refused:
-        radius_real_axis(q, tol)
-    assert f"hi = {singularity - 10.0 * tol:.9g}" in str(refused.value)
+    monkeypatch.setattr(radii, "_functional_real", lambda q, r: 1.0 - 0.1 * r)
+    _real_axis_grid.cache_clear()          # holds the true functional's values
+    try:
+        with pytest.raises(ConvergenceError) as refused:
+            radius_real_axis(q, tol)
+    finally:
+        _real_axis_grid.cache_clear()      # holds the stub's values
+    assert f"hi = {0.99 * singularity:.9g}" in str(refused.value)
     assert f"singularity at {singularity:.9g}" in str(refused.value)
 
 
@@ -711,24 +717,29 @@ def test_rescaled_boundary_sup_identity():
 
 
 # ----------------------------------------------------------------------------
-# transcribed scalar-equation registry
+# when the real-axis crossing is the radius
 # ----------------------------------------------------------------------------
 
 def test_registry_janowski_descriptor():
     q = _q(NormalizedKind.G, P11, "jan_star", 0.5, -0.5)
     assert default_constant(q) == pytest.approx(1.0 / 3.0)
-    r = solve_registry_equation(q)
+    r = radius_real_axis(q)
     assert abs(starlike_real(q.kind, q.params, r.radius) - 1.0 / 3.0) < 1e-7
-    assert r.method == "paper_equation"
+    assert r.method == "real_axis"
     cert = radius_by_certification(q)
     assert r.radius == pytest.approx(cert.radius, abs=1e-5)
 
 
-def test_registry_refuses_untranscribed():
-    with pytest.raises(NotTranscribedError, match="lower bound"):
-        solve_registry_equation(_q(NormalizedKind.G, P11, "lem_star"))
-    with pytest.raises(NotTranscribedError):
-        solve_registry_equation(_q(NormalizedKind.G, P11, "jan_star", 0.5, 0.25))
+@pytest.mark.parametrize("what, A, B, is_radius", (
+    ("lem_star", None, None, False), ("lem_convex", None, None, False),
+    ("jan_star", 0.5, 0.25, False), ("jan_star", 1.0, 0.0, True),
+    ("jan_convex", 1.0, -1.0, True), ("jan_star", 0.5, -0.5, True),
+))
+def test_real_axis_is_radius_truth_table(what, A, B, is_radius):
+    # Janowski B <= 0 only: the lemniscate crossing is a containment bound
+    # and for B > 0 the image disk peaks off its leftmost point.
+    q = _q(NormalizedKind.G, P11, what, A, B)
+    assert radii._real_axis_is_radius(q) is is_radius
 
 
 # ----------------------------------------------------------------------------

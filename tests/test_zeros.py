@@ -238,6 +238,16 @@ def test_partial_product_validation(bessel_params):
         hadamard_partial_product(table, 0.1, 4)
 
 
+@pytest.mark.parametrize("N", [0, -1, 4, 2.5])
+def test_reciprocal_square_sum_validation(bessel_params, N):
+    # the product's check on N, shared: a count outside [1, len] or not an
+    # integer raises instead of summing a slice of the table
+    table = positive_zeros(bessel_params, "minus_z_squared", 3)
+    with pytest.raises(ParameterError, match=r"integer in \[1, 3\]"):
+        reciprocal_square_sum(table, N)
+    assert reciprocal_square_sum(table) == reciprocal_square_sum(table, 3)
+
+
 def test_partial_product_tracks_base_near_origin(bessel_params):
     # prod_{n<=N} (1 - z^2/lambda_n^2) converges to Phi(z); the leading
     # defect is exp(-z^2 * tail) with tail = sum_{n>N} 1/lambda_n^2.
