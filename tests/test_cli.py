@@ -161,7 +161,7 @@ def test_radius_lem_both_reports_finding(capsys):
 
 def test_radius_finding_threshold_follows_tol(capsys):
     # Each route lies within tol of the crossing: at tol 0.05 a gap of
-    # 7.2e-4 on the sharp B = -1 target is within 2 tol, so no finding.
+    # 2.3e-2 on the sharp B = -1 target is within 2 tol, so no finding.
     code, out, err = run(capsys, "radius", "--what", "jan-star", "-A", "1",
                          "-B", "-1", "--tol", "0.05", "--method", "both")
     assert code == 0
@@ -364,10 +364,14 @@ def test_sweep_jan_without_ab_exits_2(tmp_path, capsys):
     (("sweep", "grid.txt"), "rho=1\nbeta=1\nkind=g\nwhat=lem-star\nrho=2\n",
      "grid file line 5: key 'rho' repeats line 1"),
     # a sweep's tol comes from --tol alone
-    *((("sweep", "grid.txt"), f"rho=1\nbeta=1\nwhat=lem-star\ntol={tol}\n",
-       "unknown grid keys: ['tol']") for tol in ("abc", "inf", "1e-6, 1e-3")),
-    *((("sweep", "grid.txt", "--tol", tol), "rho=1\nbeta=1\nwhat=lem-star\n",
-       "tol must be finite and > 0") for tol in ("inf", "nan", "0")),
+    *(pytest.param(("sweep", "grid.txt"),
+                   f"rho=1\nbeta=1\nwhat=lem-star\ntol={tol}\n",
+                   "unknown grid keys: ['tol']", id=f"grid-tol={tol}")
+      for tol in ("abc", "inf", "1e-6, 1e-3")),
+    *(pytest.param(("sweep", "grid.txt", "--tol", tol),
+                   "rho=1\nbeta=1\nwhat=lem-star\n",
+                   "tol must be finite and > 0", id=f"sweep--tol={tol}")
+      for tol in ("inf", "nan", "0")),
 ))
 def test_usage_errors_exit_2(tmp_path, capsys, argv, grid, message):
     if grid is not None:

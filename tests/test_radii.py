@@ -522,7 +522,8 @@ def test_real_axis_refuses_a_crossing_above_its_search_end(monkeypatch):
     # A functional that stays above c up to the grid's end has no crossing
     # there: the route refuses rather than return hi as the radius.
     singularity = domain_bound(q, tol)
-    monkeypatch.setattr(radii, "_functional_real", lambda q, r: 1.0 - 0.1 * r)
+    monkeypatch.setattr(radii, "_functional_real",
+                        lambda query, r: 1.0 - 0.1 * r)
     _real_axis_grid.cache_clear()          # holds the true functional's values
     try:
         with pytest.raises(ConvergenceError) as refused:
@@ -535,8 +536,8 @@ def test_real_axis_refuses_a_crossing_above_its_search_end(monkeypatch):
 
 @pytest.mark.parametrize("what", ("lem_star", "lem_convex"))
 def test_domain_bound_rejects_a_tol_too_coarse_for_it(what):
-    # Both routes search up to 10 tol below the first zero, 1.2024 for
-    # star kinds of G(1, 1) and 0.6279 for convex ones.
+    # Both routes need 10 tol below the first zero, 1.2024 for star kinds
+    # of G(1, 1) and 0.6279 for convex ones.
     q = _q(NormalizedKind.G, P11, what)
     zero = (positive_zeros(P11, "minus_z_squared", 1) if q.is_star else
             zeros.derivative_positive_zeros(NormalizedKind.G, P11, 1)).zeros[0]
