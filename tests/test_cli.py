@@ -222,8 +222,8 @@ def test_radius_real_axis_method(capsys):
 
 
 def test_radius_unknown_method_exits_2(capsys):
-    # paper was the real-axis route relabelled; --method both reports where
-    # the crossing is not the radius
+    # no paper method: real-axis solves the paper's equation, and both
+    # reports where its root is not the radius
     for method in ("bogus", "paper"):
         with pytest.raises(SystemExit) as exc:
             main(["radius", "--what", "lem-star", "--method", method])
