@@ -168,10 +168,10 @@ def emit() -> dict:
     evals = 0
     certified = _ComboSeries.certified
 
-    def counted(self, x):
+    def counted(self, x, *args):
         nonlocal evals
         evals += 1
-        return certified(self, x)
+        return certified(self, x, *args)
 
     _ComboSeries.certified = counted
     for p in params:
