@@ -387,10 +387,10 @@ def term_exponent_max(p: WrightParams, x: float) -> float:
         return 0.0
     rho, beta = p.rho, p.beta
     log_x = math.log(x)
-
-    def phi(t: float) -> float:
-        return t * log_x - math.lgamma(t + 1.0) - math.lgamma(rho * t + beta)
-
+    lgamma = math.lgamma
+    # the log term t log x - lgamma(t + 1) - lgamma(rho t + beta), written
+    # out in the loop: a function call per evaluation costs a quarter of the
+    # search's time
     lo = 0.0
     hi = 20.0 + 4.0 * x ** (1.0 / (1.0 + rho)) * (1.0 + 1.0 / rho)
     for _ in range(200):
@@ -398,11 +398,13 @@ def term_exponent_max(p: WrightParams, x: float) -> float:
         m2 = hi - (hi - lo) / 3.0
         if m1 == lo and m2 == hi:
             break                        # no update can move lo or hi again
-        if phi(m1) < phi(m2):
+        if (m1 * log_x - lgamma(m1 + 1.0) - lgamma(rho * m1 + beta)
+                < m2 * log_x - lgamma(m2 + 1.0) - lgamma(rho * m2 + beta)):
             lo = m1
         else:
             hi = m2
-    return max(phi(0.5 * (lo + hi)), 0.0)
+    t = 0.5 * (lo + hi)
+    return max(t * log_x - lgamma(t + 1.0) - lgamma(rho * t + beta), 0.0)
 
 
 def envelope_exponent(p: WrightParams, x: float) -> float:

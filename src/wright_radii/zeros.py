@@ -19,11 +19,16 @@ like exp(E_max(x)) while the signal envelope decays (rho < 1) or grows slower
 (rho = 1) than that, so double precision dies after the first handful of
 zeros.  The evaluator degrades gracefully: double precision while the value
 clears 30x its accumulated-rounding noise, otherwise mpmath at a working
-precision budgeted from the cancellation depth.  For rational rho = p/q the
-series splits by n mod q into q hypergeometric series that mpmath sums in
-fixed point; irrational rho is summed term by term.  A sign that three
-escalations cannot certify raises ConvergenceError; the winding count's
-rescue runs the same escalations at complex argument.
+precision budgeted from the cancellation depth.  The double sum is not even
+tried where a one-point lower bound on that depth exceeds 37 (about ln 1e16).
+The mpmath sum has three rungs, 40 digits apart; the scan tells it the |s|
+it must resolve (the last secant slope times a quarter of the refinement
+width or of the prediction bracket), and it starts on the first rung whose
+sign floor lies below that, so a point costs one evaluation, not a retry.
+For rational rho = p/q the series splits by n mod q into q hypergeometric
+series that mpmath sums in fixed point; irrational rho is summed term by
+term.  A sign that the last rung cannot certify raises ConvergenceError; the
+winding count's rescue runs the same rungs at complex argument.
 
 Zero tables are cached per parameter set as the scan that made them, and
 extended on demand by resuming that scan, so a table is the same whichever
@@ -32,6 +37,7 @@ shorter tables were asked for first.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,6 +105,8 @@ class _ComboSeries:
         fr = Fraction(p.rho).limit_denominator(64)
         exact = abs(fr.numerator / fr.denominator - p.rho) < 1e-15
         self._rho = fr if exact else None
+        self._hyp_params: dict = {}        # beta -> per-j hypsum parameters
+        self._hyp_scales: dict = {}        # (beta, j, mp.prec) -> j! Gamma(c)
 
     # -- mpmath path ---------------------------------------------------------
 
@@ -136,18 +144,26 @@ class _ComboSeries:
         caller's floor check certifies the sign.
         """
         P, Q = self._rho.numerator, self._rho.denominator
+        if beta not in self._hyp_params:
+            rows = []
+            for j in range(Q):
+                c = self._rho * j + beta
+                params = [Fraction(j + i, Q) for i in range(1, Q + 1) if i != Q - j]
+                params += [(c + i) / P for i in range(P)]
+                coeffs, flags = zip(*map(_hyp_param, params))
+                rows.append((j, c, coeffs, flags))
+            self._hyp_params[beta] = rows
         mx = -mp.mpmathify(x)
         z = mx ** Q / (Q ** Q * P ** P)
         total = mp.mpf(0)
-        for j in range(Q):
-            c = self._rho * j + beta
-            params = [Fraction(j + i, Q) for i in range(1, Q + 1) if i != Q - j]
-            params += [(c + i) / P for i in range(P)]
-            coeffs, flags = zip(*map(_hyp_param, params))
-            series = mp.hypsum(0, len(params), flags, coeffs, z,
-                               accurate_small=False)
-            total += series * mx ** j / (mp.factorial(j)
+        for j, c, coeffs, flags in self._hyp_params[beta]:
+            key = (beta, j, mp.prec)
+            if key not in self._hyp_scales:
+                self._hyp_scales[key] = (mp.factorial(j)
                                          * mp.gamma(mp.mpf(c.numerator) / c.denominator))
+            series = mp.hypsum(0, len(coeffs), flags, coeffs, z,
+                               accurate_small=False)
+            total += series * mx ** j / self._hyp_scales[key]
         return total
 
     def _sum_terms(self, x: float, dps: int):
@@ -198,34 +214,56 @@ class _ComboSeries:
 
     # -- certified evaluation --------------------------------------------------
 
-    def certified(self, x: float):
+    def certified(self, x: float, need=math.inf):
         """Value of s(x) whose sign is trustworthy; float or mpf (see _certified_mp)."""
         if x < 0:
             raise ParameterError("negative x in zero scan")
-        res = combo_neg_axis(self.p, x, self.a, self.b)
-        if res is not None:
-            v, noise = res
-            if abs(v) > 30.0 * noise:
-                return v
-        return self._certified_mp(x, term_exponent_max(self.p, x))
+        if not _doomed(self.p, x):
+            res = combo_neg_axis(self.p, x, self.a, self.b)
+            if res is not None:
+                v, noise = res
+                if abs(v) > 30.0 * noise:
+                    return v
+        return self._certified_mp(x, term_exponent_max(self.p, x), need)
 
-    def _certified_mp(self, x, e_max: float):
+    def _certified_mp(self, x, e_max: float, need=math.inf):
         """s(x), real or complex x, above the floor 10^-(dps-8) exp(e_max).
 
-        e_max = term_exponent_max(p, |x|).  Raises ConvergenceError when three
-        attempts, 40 digits apart, all stay under the floor.
+        e_max = term_exponent_max(p, |x|).  The rungs are dps (_dps_budget),
+        dps + 40 and dps + 80 digits, each with its own floor.  The first
+        tried is the first whose floor lies below need, the |s(x)| the caller
+        expects (else the last), then each later one while the value stays
+        under its floor.  Raises ConvergenceError when the last rung does.
         """
         dps = self._dps_budget(abs(x), e_max)
-        for _ in range(3):
-            v = self._eval_mp(x, dps)
-            with mp.workdps(30):
-                floor = mp.mpf(10) ** (-(dps - 8)) * mp.exp(e_max)
-            if abs(v) > floor:
+        with mp.workdps(30):
+            scale = mp.exp(e_max)
+            floors = [mp.mpf(10) ** (8 - dps - k) * scale for k in (0, 40, 80)]
+        start = sum(floor >= need for floor in floors[:2])
+        for k in range(start, 3):
+            v = self._eval_mp(x, dps + 40 * k)
+            if abs(v) > floors[k]:
                 return v
-            dps += 40
         raise ConvergenceError(
             f"s({x!r}) for rho={self.p.rho}, beta={self.p.beta}, "
-            f"(a, b)=({self.a}, {self.b}) under its floor at {dps - 40} digits")
+            f"(a, b)=({self.a}, {self.b}) under its floor at {dps + 80} digits")
+
+
+# Past this cancellation depth, about ln 1e16, a double sum's rounding noise
+# tops the signal, so it cannot certify a sign.
+_DOUBLE_DEPTH = 37.0
+
+
+def _doomed(p: WrightParams, x: float) -> bool:
+    """Whether the double sum at x cannot certify: the log term at t0, near
+    the largest, less the envelope's log scale (if positive) bounds the
+    cancellation depth from below."""
+    if x <= 1e-300:
+        return False
+    rho, beta = p.rho, p.beta
+    t0 = (x * rho ** -rho) ** (1.0 / (1.0 + rho))
+    depth = t0 * math.log(x) - math.lgamma(t0 + 1.0) - math.lgamma(rho * t0 + beta)
+    return depth - max(envelope_exponent(p, x), 0.0) > _DOUBLE_DEPTH
 
 
 # ----------------------------------------------------------------------------
@@ -346,6 +384,7 @@ class _Scan:
         self.errors = {1.0: 0.0, 1.0 / (1.0 + ev.p.rho): math.inf}
         self.preds: dict[float, float] = {}
         self.half: float | None = None    # prediction bracket half-width
+        self.slope = math.inf             # secant slope |ds/dx| at the last zero
         self.steps = 0
 
     def zeros(self, count: int) -> list[float]:
@@ -359,13 +398,17 @@ class _Scan:
         ev = self.ev
         zeros = list(self.known)
         x, fx, step, half, steps = self.x, self.fx, self.step, self.half, self.steps
+        slope = self.slope
         errors, preds = dict(self.errors), dict(self.preds)
         cap = _SCAN_CAP_PER_ZERO * count
 
         def found(lo: float, hi: float, flo, fhi) -> None:
-            nonlocal half
+            nonlocal half, slope
             xtol = _xtol_for(hi, self.tol, self.form)
-            a, b = _refine_bracket(ev.certified, lo, hi, flo, fhi, xtol)
+            slope = abs(fhi - flo) / (hi - lo)
+            need = slope * (0.25 * xtol)  # |s| a quarter width from the zero
+            a, b = _refine_bracket(lambda x: ev.certified(x, need),
+                                   lo, hi, flo, fhi, xtol)
             zeros.append(0.5 * (a + b))
             if preds:
                 errors.update((k, abs(zeros[-1] - v)) for k, v in preds.items())
@@ -385,11 +428,12 @@ class _Scan:
                 h = 0.06 * gap if half is None else min(half, 0.06 * gap)
                 lo = pred - h
                 if lo > x:
-                    flo = ev.certified(lo)
+                    need = slope * (0.25 * h)  # a quarter bracket from the zero
+                    flo = ev.certified(lo, need)
                     steps += 1
                     if (flo < 0) == (fx < 0):
                         hi = pred + h
-                        fhi = ev.certified(hi)
+                        fhi = ev.certified(hi, need)
                         steps += 1
                         if (fhi < 0) != (flo < 0):
                             found(lo, hi, flo, fhi)
@@ -420,12 +464,25 @@ class _Scan:
                 step = min(step, 0.05 * (1.0 + x))
         self.known, self.x, self.fx, self.step = zeros, x, fx, step
         self.errors, self.preds, self.half, self.steps = errors, preds, half, steps
+        self.slope = slope
         return zeros[:count]
 
 
 # ----------------------------------------------------------------------------
 # cached table construction
 # ----------------------------------------------------------------------------
+
+def _check_count(N: int, top: int | None = None) -> int:
+    """N as an int in [1, top], or ParameterError; any integer type but bool."""
+    try:
+        n = 0 if isinstance(N, bool) else operator.index(N)
+    except TypeError:
+        n = 0
+    if not 1 <= n <= (math.inf if top is None else top):
+        raise ParameterError(f"count must be a positive integer, got {N!r}" if top is None
+                             else f"N must be an integer in [1, {top}], got {N!r}")
+    return n
+
 
 # One scan per series and form.  Keyed per form because the refinement width
 # that realizes a form-space tolerance differs between the two forms
@@ -441,8 +498,7 @@ def _table(p: WrightParams, form: str, a: float, b: float, count: int,
     cold scan at the scan's tol; a looser one is replaced by a new scan at
     tol.  A scan is cached only once its request has returned.
     """
-    if not (isinstance(count, int) and count >= 1):
-        raise ParameterError(f"count must be a positive integer, got {count!r}")
+    count = _check_count(count)
     _check_tol(tol)
     key = (p.rho, p.beta, float(a), float(b), form)
     scan = _x_zero_cache.get(key)
@@ -572,19 +628,12 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
 # Hadamard partial products
 # ----------------------------------------------------------------------------
 
-def _check_count(table: ZeroTable, N: int) -> None:
-    """Raise ParameterError unless N counts 1 to all of the table's zeros."""
-    if not (isinstance(N, int) and 1 <= N <= len(table.zeros)):
-        raise ParameterError(
-            f"N must be an integer in [1, {len(table.zeros)}], got {N!r}")
-
-
 def hadamard_partial_product(table: ZeroTable, z: complex, N: int) -> complex:
     """Product over the first N table zeros.
 
     form minus_z_squared: prod (1 - z^2/lambda_n^2); minus_z: prod (1 - z/lambda_n).
     """
-    _check_count(table, N)
+    N = _check_count(N, len(table.zeros))
     z = complex(z)
     lam = np.asarray(table.zeros[:N], dtype=float)
     if table.form == "minus_z_squared":
@@ -604,7 +653,7 @@ def reciprocal_square_sum(table: ZeroTable, N: int | None = None) -> float:
     """
     if N is None:
         N = len(table.zeros)
-    _check_count(table, N)
+    N = _check_count(N, len(table.zeros))
     lam = np.asarray(table.zeros[:N], dtype=float)
     if table.form == "minus_z_squared":
         return float(np.sum(1.0 / (lam * lam)))

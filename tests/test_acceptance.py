@@ -331,3 +331,23 @@ def test_radius_two_sided_bracket(headline):
     print(f"\ntwo-sided bracket: {bounded} radii at most r_up + tol, largest "
           f"excess {worst:.2e}, {on_axis} equal to r_up within 2 tol")
     assert bounded == 216
+
+
+def test_radius_upper_bound_for_b_positive():
+    # The other axis's crossing bounds the Janowski radius from above for
+    # B > 0 too: on these 216 queries (every kind, grid point, star and
+    # convex, three (A, B) pairs) radius <= r_up + tol.  All 216 also equal
+    # r_up within 2 tol (largest excess 4.7e-10), which is measured here,
+    # not proven, so only the bound is asserted.
+    tol = 1e-9
+    worst = -math.inf
+    for A, B in ((0.5, 0.25), (1.0, 0.5), (0.9, 0.8)):
+        for kind in NormalizedKind:
+            for p in GRID:
+                for what in ("jan_star", "jan_convex"):
+                    q = RadiusQuery(kind, p, what, JanowskiParams(A, B))
+                    radius = radius_by_certification(q, tol).radius
+                    r_up = _other_axis_crossing(q, (1.0 + A) / (1.0 + B))
+                    assert radius <= r_up + tol, (q, radius, r_up)
+                    worst = max(worst, radius - r_up)
+    print(f"\nB > 0 upper bound: largest excess over r_up {worst:.2e}")

@@ -4,6 +4,7 @@ import cmath
 import hashlib
 import math
 
+import numpy as np
 import pytest
 import scipy.special as sp
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from wright_radii import (
     reciprocal_square_sum,
 )
 from wright_radii import zeros
-from wright_radii.kernel import term_exponent_max
+from wright_radii.kernel import combo_neg_axis, term_exponent_max
 from wright_radii.zeros import _ComboSeries, _mp_wright_complex, _Scan
 
 # j_{0,k}/2: zeros of g(r) = r J0(2r) for rho = beta = 1.
@@ -232,20 +233,31 @@ def test_zero_tables_are_complete(rho, beta):
 
 def test_partial_product_validation(bessel_params):
     table = positive_zeros(bessel_params, "minus_z_squared", 3)
-    with pytest.raises(ParameterError):
-        hadamard_partial_product(table, 0.1, 0)
-    with pytest.raises(ParameterError):
-        hadamard_partial_product(table, 0.1, 4)
+    for N in (0, 4, True, 2.5):
+        with pytest.raises(ParameterError, match=r"integer in \[1, 3\]"):
+            hadamard_partial_product(table, 0.1, N)
+    # any integer type counts, NumPy's included
+    assert (hadamard_partial_product(table, 0.3, np.int64(3))
+            == hadamard_partial_product(table, 0.3, 3))
 
 
-@pytest.mark.parametrize("N", [0, -1, 4, 2.5])
+@pytest.mark.parametrize("N", [0, -1, 4, 2.5, True])
 def test_reciprocal_square_sum_validation(bessel_params, N):
-    # the product's check on N, shared: a count outside [1, len] or not an
-    # integer raises instead of summing a slice of the table
+    # the product's check on N, shared: a count outside [1, len], not an
+    # integer, or a bool raises instead of summing a slice of the table
     table = positive_zeros(bessel_params, "minus_z_squared", 3)
     with pytest.raises(ParameterError, match=r"integer in \[1, 3\]"):
         reciprocal_square_sum(table, N)
     assert reciprocal_square_sum(table) == reciprocal_square_sum(table, 3)
+    assert reciprocal_square_sum(table, np.int64(2)) == reciprocal_square_sum(table, 2)
+
+
+def test_table_count_takes_any_integer_type(bessel_params):
+    table = positive_zeros(bessel_params, "minus_z_squared", np.int64(5))
+    assert table.zeros == positive_zeros(bessel_params, "minus_z_squared", 5).zeros
+    for count in (True, 2.5):
+        with pytest.raises(ParameterError, match="count must be a positive integer"):
+            positive_zeros(bessel_params, "minus_z_squared", count)
 
 
 def test_partial_product_tracks_base_near_origin(bessel_params):
@@ -356,9 +368,9 @@ def test_table_extension_resumes_and_keeps_tighter_tol(monkeypatch):
     seen = []
     certified = _ComboSeries.certified
 
-    def record(self, x):
+    def record(self, x, *args):
         seen.append(x)
-        return certified(self, x)
+        return certified(self, x, *args)
 
     monkeypatch.setattr(_ComboSeries, "certified", record)
     longer = positive_zeros(p, "minus_z_squared", 6)
@@ -397,11 +409,11 @@ def test_failed_extension_leaves_the_scan_resumable(monkeypatch):
     certified = _ComboSeries.certified
     calls = []
 
-    def fail_once(self, x):
+    def fail_once(self, x, *args):
         calls.append(x)
         if len(calls) == 12:
             raise ConvergenceError("injected failure")
-        return certified(self, x)
+        return certified(self, x, *args)
 
     monkeypatch.setattr(_ComboSeries, "certified", fail_once)
     with pytest.raises(ConvergenceError):
@@ -440,3 +452,75 @@ def test_cancellation_depth_only_on_the_mpmath_path(monkeypatch):
     assert calls == []
     assert not isinstance(ev.certified(400.0), float)
     assert calls == [400.0]
+
+
+# ----------------------------------------------------------------------------
+# evaluation policy on deep scans: rung start and skipped double sums
+# ----------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def scan_log():
+    """Cold 80-zero scans of (1, 1) and (1/2, 1/2) with every certified x,
+    every mpmath call as (x, e_max, value, first dps) and every attempt's dps."""
+    certified, certified_mp, eval_mp = (_ComboSeries.certified,
+                                        _ComboSeries._certified_mp,
+                                        _ComboSeries._eval_mp)
+    log = {}
+
+    def spy_certified(self, x, *args):
+        rec["xs"].append(x)
+        return certified(self, x, *args)
+
+    def spy_certified_mp(self, x, e_max, *args):
+        first = len(rec["dps"])
+        v = certified_mp(self, x, e_max, *args)
+        rec["mp"].append((x, e_max, v, rec["dps"][first]))
+        return v
+
+    def spy_eval_mp(self, x, dps):
+        rec["dps"].append(dps)
+        return eval_mp(self, x, dps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_ComboSeries, "certified", spy_certified)
+        patch.setattr(_ComboSeries, "_certified_mp", spy_certified_mp)
+        patch.setattr(_ComboSeries, "_eval_mp", spy_eval_mp)
+        for rho, beta in ((1.0, 1.0), (0.5, 0.5)):
+            rec = log[rho, beta] = {"xs": [], "mp": [], "dps": []}
+            _Scan(_ComboSeries(WrightParams(rho, beta), 1.0, 0.0), 1e-12,
+                  "minus_z_squared").zeros(80)
+    return log
+
+
+def test_rung_start_keeps_the_ladder_value(scan_log):
+    # A call that starts above its budget's rung returns the double the full
+    # ladder from the budget returns, so the refinement reads the same
+    # number: the rung it skipped failed, or passed with the same double
+    # (about one call in five here, the mpf differing below 1e-16).
+    for (rho, beta), rec in scan_log.items():
+        ev = _ComboSeries(WrightParams(rho, beta), 1.0, 0.0)
+        above = [(x, e_max, v) for x, e_max, v, dps in rec["mp"]
+                 if dps > ev._dps_budget(x, e_max)]
+        assert len(above) > 100, (rho, beta)
+        for x, e_max, v in above:
+            assert float(v) == float(ev._certified_mp(x, e_max)), (rho, beta, x)
+
+
+def test_skipped_double_sums_could_not_certify(scan_log):
+    # Rule: no double sum past cancellation depth 37.  Every one it skips
+    # would have failed |v| > 30 noise, so the scan reads the same values.
+    for (rho, beta), rec in scan_log.items():
+        p = WrightParams(rho, beta)
+        skipped = [x for x in rec["xs"] if zeros._doomed(p, x)]
+        assert len(skipped) > 200, (rho, beta)
+        for x in skipped:
+            res = combo_neg_axis(p, x, 1.0, 0.0)
+            assert res is None or not abs(res[0]) > 30.0 * res[1], (rho, beta, x)
+
+
+def test_mpmath_retries_are_rare(scan_log):
+    # Starting on the right rung leaves few retries: 2 of 313 calls on
+    # (1, 1), where a start on the budget's rung retried 213.
+    rec = scan_log[1.0, 1.0]
+    retries = len(rec["dps"]) - len(rec["mp"])
+    assert retries <= 0.1 * len(rec["mp"])
