@@ -9,8 +9,10 @@ starts cold):
 
   - the 288 surface and 216 Janowski B > 0 cross_validate results;
   - the 36 half-plane radii;
-  - the point, real-axis and circle functionals and the region modulus on a
-    grid;
+  - the point, real-axis and circle functionals on the grid and on one
+    non-dyadic pair, NON_DYADIC, where rho*n + beta + s*rho and
+    rho*n + (beta + s*rho) round apart, so reading the wrong lgamma table
+    shows up; the region modulus on the grid;
   - the 12 cold 80-zero tables, 5-zero derivative tables and winding counts,
     plus one winding count for (0.3, 1.1) that needs the mpmath rescue, and
     the number of certified evaluations (_ComboSeries.certified calls) that
@@ -50,6 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, export  # noqa: E402
 
 GRID = [(rho, beta) for rho in (0.5, 1.0, 2.0) for beta in (0.5, 1.0, 1.5, 2.0)]
+NON_DYADIC = (0.3, 1.1)
 KINDS = ("f", "g", "h")
 SURFACE_PAIRS = ((1.0, -1.0), (1.0, 0.0), (0.5, -0.5))
 B_POSITIVE_PAIRS = ((0.5, 0.25), (1.0, 0.5), (0.9, 0.8))
@@ -147,7 +150,7 @@ def emit() -> dict:
                 ("starlike", W.starlike_functional, W.starlike_real, starlike_on_circle),
                 ("convex", W.convex_functional, W.convex_real, convex_on_circle)):
             key = f"{name}.{kind.name}"
-            for p in params:
+            for p in params + [W.WrightParams(*NON_DYADIC)]:
                 for r in POINT_RADII:
                     out.setdefault(f"real.{key}", []).append(
                         _attempt(real, kind, p, r))

@@ -23,15 +23,14 @@ level-0 angle grid here.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NearZeroDenominatorError, ParameterError
-from .kernel import (EvalResult, WrightParams, _PhasePowers, circle_eval,
-                     log_gamma, wright_eval)
+from .kernel import (EvalResult, WrightParams, _PhasePowers, _wright_shifts,
+                     circle_eval, log_gamma, wright_eval)
 
 
 class NormalizedKind(enum.Enum):
@@ -158,25 +157,14 @@ def _convex(kind: NormalizedKind, beta: float, z, W):
     return 1.0 + a / beta + (a + phi2 - a * a) / (beta + a)
 
 
-@functools.lru_cache(maxsize=256)
-def _shifted(p: WrightParams) -> tuple[WrightParams, ...]:
-    """(p, p shifted by rho, p shifted by 2 rho), built once per parameter
-    pair: validating new WrightParams at every point is a visible share of
-    a point's two or three wright_eval calls."""
-    return p, p.shifted(1), p.shifted(2)
-
-
 def _at_point(functional, kind: NormalizedKind, p: WrightParams,
               z: complex | float, n: int) -> _Bounded:
     """functional at z from its first n Wright values, with bounds; for a
     float z in floats, which give the real parts of the complex route."""
     real = isinstance(z, float)
     u = -z if kind is NormalizedKind.H else -(z * z)
-    W = []
-    for q in _shifted(p)[:n]:
-        ev = wright_eval(q, u, 1e-12)
-        W.append(_Bounded(ev.value.real if real else ev.value,
-                          ev.abs_error_bound))
+    W = [_Bounded(value.real if real else value, tail)
+         for value, tail, _ in _wright_shifts(p, u, n, 1e-12)]
     return functional(kind, p.beta, z, W)
 
 

@@ -14,8 +14,13 @@ ratio q, giving tail <= |t_last| * q / (1 - q).
 Terms are formed in log space, exp(n*log|z| - log n! - log Gamma(rho*n+beta)),
 with both logs read from tables kept across calls, so no intermediate
 overflows occur even when individual factors would overflow a double.
-circle_eval sums a whole circle |u| = const at once, from term magnitudes
-cached per modulus and the phase powers of the caller's _PhasePowers table.
+_wright_shifts sums the shifted series W(rho, beta + s*rho; u), s < count, at
+one point in one loop: the shifts share the phase powers and n*log|u| - log
+n!, and each stops on its own certificate.  wright_eval is its count = 1
+case, and the family's point functionals read their two or three Wright
+values from one call.  circle_eval sums a whole circle |u| = const at once,
+from term magnitudes cached per modulus and the phase powers of the caller's
+_PhasePowers table.
 """
 from __future__ import annotations
 
@@ -142,55 +147,80 @@ def wright_eval(p: WrightParams, z: complex, tol: float = 1e-12) -> EvalResult:
     Raises ConvergenceError if the geometric-ratio regime with tail <= tol is
     not reached within the term cap.
     """
+    return EvalResult(*_wright_shifts(p, z, 1, tol)[0])
+
+
+def _wright_shifts(p: WrightParams, u: complex, count: int,
+                   tol: float) -> list[tuple[complex, float, int]]:
+    """(value, tail, terms) of W(rho, beta + s*rho; u) for each s < count.
+
+    Entry s is what wright_eval(p.shifted(s), u, tol) returns, and the first
+    shift that fails raises what that call raises.  The shifts share the
+    phase powers and the log terms n*log|u| - log n!, formed once; each sums
+    its own terms and stops on its own certificate.
+    """
     _check_tol(tol)
-    if not cmath.isfinite(z):
-        raise ParameterError(f"z must be finite, got {z!r}")
-    az = abs(z)
-    if az == 0.0:
-        return EvalResult(complex(1.0 / math.exp(log_gamma(p.beta))), 0.0, 1)
-
-    log_az = math.log(az)
-    # For real z every imaginary part would be a signed zero: sum in floats.
-    z, phase, total = ((z.real, 1.0, 0.0) if z.imag == 0
-                       else (z, complex(1.0), complex(0.0)))
-    phase_unit = z / az                     # unit modulus: powers cannot overflow
-    last_log = None
-    decays = 0
+    if not cmath.isfinite(u):
+        raise ParameterError(f"z must be finite, got {u!r}")
     rho, beta = p.rho, p.beta
-    lf, lg = _LOG_FACT, _lgammas(rho, beta, 0)
-    known = len(lg)
+    au = abs(u)
+    if au == 0.0:
+        return [(complex(1.0 / math.exp(log_gamma(beta + s * rho))), 0.0, 1)
+                for s in range(count)]
 
-    # Decay detection runs on log magnitudes: exp'd terms underflow to an
-    # exact 0.0 long before the series is mathematically done, and a ratio
-    # of zeros would stall the certificate.
-    for n in range(_TERM_CAP):
-        if n == known:
-            known = _grow(lg, rho, beta, 0, n)
-        log_mag = n * log_az - lf[n] - lg[n]
-        if log_mag > 709.0:
+    log_au = math.log(au)
+    # For real u every imaginary part would be a signed zero: sum in floats.
+    u, phase, zero = ((u.real, 1.0, 0.0) if u.imag == 0
+                      else (u, complex(1.0), complex(0.0)))
+    phase_unit = u / au                     # unit modulus: powers cannot overflow
+    lf = _LOG_FACT
+    bases: list[float] = []                 # n*log|u| - log n!
+    phases = []
+    out = []
+    for s in range(count):
+        # wright_eval(p.shifted(s)) reads the table of (rho, beta + s*rho, 0),
+        # not circle_eval's (rho, beta, s): rho*n + (beta + s*rho) and
+        # rho*n + beta + s*rho round apart
+        b = beta + s * rho
+        lg = _lgammas(rho, b, 0)
+        known = len(lg)
+        total, last_log, decays = zero, None, 0
+        # Decay detection runs on log magnitudes: exp'd terms underflow to an
+        # exact 0.0 long before the series is mathematically done, and a
+        # ratio of zeros would stall the certificate.
+        for n in range(_TERM_CAP):
+            if n == known:
+                known = _grow(lg, rho, b, 0, n)
+            if n == len(bases):
+                bases.append(n * log_au - lf[n])
+                phases.append(phase)
+                phase *= phase_unit
+            log_mag = bases[n] - lg[n]
+            if log_mag > 709.0:
+                raise ConvergenceError(
+                    f"series terms for (rho={rho}, beta={b}, |z|={au:.3g}) "
+                    "exceed double-precision range")
+            mag = math.exp(log_mag)
+            total += mag * phases[n]
+            if last_log is not None:
+                dlog = log_mag - last_log
+                decays = decays + 1 if dlog < _LN_Q0 else 0
+                if decays >= 3:
+                    q = math.exp(dlog)
+                    # Term magnitudes are log-concave in n, so the ratio only
+                    # shrinks from here: tail <= mag * q / (1 - q).
+                    tail = mag * (q / (1.0 - q))
+                    if tail == 0.0:
+                        tail = 5e-324       # sub-subnormal tail, over-covered
+                    if tail <= tol:
+                        out.append((complex(total), tail, n + 1))
+                        break
+            last_log = log_mag
+        else:
             raise ConvergenceError(
-                f"series terms for (rho={rho}, beta={beta}, |z|={az:.3g}) "
-                "exceed double-precision range")
-        mag = math.exp(log_mag)
-        total += mag * phase
-        if last_log is not None:
-            dlog = log_mag - last_log
-            decays = decays + 1 if dlog < _LN_Q0 else 0
-            if decays >= 3:
-                q = math.exp(dlog)
-                # Term magnitudes are log-concave in n, so the ratio only
-                # shrinks from here: tail <= mag * q / (1 - q).
-                tail = mag * (q / (1.0 - q))
-                if tail == 0.0:
-                    tail = 5e-324           # sub-subnormal tail, over-covered
-                if tail <= tol:
-                    return EvalResult(complex(total), tail, n + 1)
-        last_log = log_mag
-        phase *= phase_unit
-    raise ConvergenceError(
-        f"series for (rho={rho}, beta={beta}, |z|={az:.3g}) did not certify "
-        f"tail <= {tol:g} within {_TERM_CAP} terms"
-    )
+                f"series for (rho={rho}, beta={b}, |z|={au:.3g}) did not "
+                f"certify tail <= {tol:g} within {_TERM_CAP} terms")
+    return out
 
 
 def wright_derivative(p: WrightParams, z: complex, order: int,

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ConvergenceError, MonotonicityError, ParameterError,
-                     PoleProximityError)
+                     PoleProximityError, WrightRadiiError)
 from .family import (_THETA0, FunctionalValue, NormalizedKind, _PHASES0,
                      _phases_of, convex_functional, convex_on_circle,
                      convex_real, starlike_functional, starlike_on_circle,
@@ -258,6 +258,13 @@ def domain_bound(query: RadiusQuery, tol: float = 1e-9) -> float:
     return zero
 
 
+def _search_end(query: RadiusQuery, tol: float) -> tuple[float, float]:
+    """(singularity, hi): the domain bound and the search end below it by
+    10 tol, or by 1% of it where that is less."""
+    singularity = domain_bound(query, tol)
+    return singularity, singularity - min(10.0 * tol, 0.01 * singularity)
+
+
 # ----------------------------------------------------------------------------
 # method 1: boundary certification
 # ----------------------------------------------------------------------------
@@ -287,8 +294,7 @@ def _certify(query: RadiusQuery,
     to an endpoint.  sup_at_radius is the sweep at the radius, or at the
     bracket's lower end when a pole lies between them.
     """
-    singularity = domain_bound(query, tol)
-    hi = singularity - min(10.0 * tol, 0.01 * singularity)
+    singularity, hi = _search_end(query, tol)
     pole_seen = False
 
     def excess(r: float) -> float:
@@ -403,9 +409,9 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
     bracket's.
     """
     c = default_constant(query)
-    singularity = domain_bound(query, tol)
-    hi = (singularity * (1.0 - 1e-9) if query.is_star
-          else singularity - min(10.0 * tol, 0.01 * singularity))
+    singularity, hi = _search_end(query, tol)
+    if query.is_star:
+        hi = singularity * (1.0 - 1e-9)
 
     grid, vals = _real_axis_grid(query.kind, query.params, query.is_star, hi)
     for i, g in enumerate(grid):
@@ -473,6 +479,34 @@ def _real_axis_is_radius(query: RadiusQuery) -> bool:
     return jp is not None and jp.B <= 0.0
 
 
+def _other_axis_crossing(query: RadiusQuery, tol: float) -> float | None:
+    """The root r_up of v = level on the other axis, z = i r for kinds F
+    and G and z = -r for kind H, solved to a quarter of tol on (0, hi).
+
+    There v is real, starts at 1 and increases, and the region condition
+    reads v < level: sqrt(2) for the lemniscate, (1 + A)/(1 + B) for
+    Janowski B > 0.  The condition thus fails at r_up, which bounds the
+    radius from above.  None when v stays below level up to _certify's
+    search end hi, or when the point functional raises.
+    """
+    jp = query.janowski
+    level = math.sqrt(2.0) if jp is None else (1.0 + jp.A) / (1.0 + jp.B)
+    axis = -1.0 if query.kind is NormalizedKind.H else 1j
+
+    def excess(r: float) -> float:
+        return _functional_scalar(query, axis * r).value.real - level
+
+    _, hi = _search_end(query, tol)
+    try:
+        fhi = excess(hi)
+        if fhi < 0.0:
+            return None
+        a, b = _refine_bracket(excess, 0.0, hi, 1.0 - level, fhi, 0.25 * tol)
+    except WrightRadiiError:
+        return None
+    return 0.5 * (a + b)
+
+
 CROSS_CHECK_TOLERANCE = 1e-5
 
 
@@ -483,11 +517,13 @@ def cross_validate(query: RadiusQuery, tol: float = 1e-9) -> CrossCheckResult:
     The certifier is definitional ground truth; a finding therefore flags the
     real-axis equation, never the certifier.  Where the crossing is the
     radius (_real_axis_is_radius) it seeds the certifier's bracket;
-    elsewhere it lies off the radius, and a seed there costs more sweeps.
+    elsewhere it lies off the radius, and the crossing on the other axis,
+    an upper bound of the radius, seeds it instead.
     """
     real = radius_real_axis(query, tol)
-    cert = radius_by_certification(
-        query, tol, _seed=real.radius if _real_axis_is_radius(query) else None)
+    seed = (real.radius if _real_axis_is_radius(query)
+            else _other_axis_crossing(query, tol))
+    cert = radius_by_certification(query, tol, _seed=seed)
     delta = abs(cert.radius - real.radius)
     finding = None
     if delta > max(CROSS_CHECK_TOLERANCE, 2.0 * tol):

@@ -186,14 +186,9 @@ class _ComboSeries:
             max_mag2 = -(10 ** 9)
             last_mag2 = None
             decays = 0
-            pure = (b == 0.0) and (a == 1.0)
-            n = 0
-            while n < 500_000:
+            for n in range(500_000):
                 g = mp.gamma(rho * n + beta)
-                if pure:
-                    t = term_num / g
-                else:
-                    t = term_num * (a - b * n) / g
+                t = term_num * (a - b * n) / g
                 total = total - t if n % 2 else total + t
                 m2 = mp.mag(t)
                 if m2 > max_mag2:
@@ -204,7 +199,6 @@ class _ComboSeries:
                         break
                 last_mag2 = m2
                 term_num = term_num * mpx / (n + 1)
-                n += 1
             return total
 
     def _dps_budget(self, x: float, e_max: float) -> int:
@@ -431,21 +425,18 @@ class _Scan:
                     need = slope * (0.25 * h)  # a quarter bracket from the zero
                     flo = ev.certified(lo, need)
                     steps += 1
+                    step = 0.12 * gap
                     if (flo < 0) == (fx < 0):
                         hi = pred + h
                         fhi = ev.certified(hi, need)
                         steps += 1
+                        x, fx = hi, fhi        # if short, stepping resumes here
                         if (fhi < 0) != (flo < 0):
                             found(lo, hi, flo, fhi)
-                            x, fx = hi, fhi
-                            step = 0.12 * gap
                             continue
-                        x, fx = hi, fhi        # prediction short: resume stepping
-                        step = 0.12 * gap
                     else:
                         found(x, lo, fx, flo)  # prediction long: zero before lo
                         x, fx = lo, flo
-                        step = 0.12 * gap
                         continue
             x2 = x + step
             fx2 = ev.certified(x2)
@@ -564,9 +555,12 @@ def base_residual(p: WrightParams, form: str, r: float) -> float:
 _QUADRATURE_POINTS = 512
 
 
-def _mp_wright_complex(p: WrightParams, u: complex, e_max: float) -> complex:
-    """W(rho, beta; u) at complex u, certified; e_max = term_exponent_max(p, |u|)."""
-    return complex(_ComboSeries(p, 1.0, 0.0)._certified_mp(-complex(u), e_max))
+def _mp_wright_complex(p: WrightParams, u: complex, e_max: float,
+                       series: _ComboSeries | None = None) -> complex:
+    """W(rho, beta; u) at complex u, certified; e_max = term_exponent_max(p, |u|).
+    series, p's base series, keeps its mpmath setup across the nodes of a contour."""
+    series = series or _ComboSeries(p, 1.0, 0.0)
+    return complex(series._certified_mp(-complex(u), e_max))
 
 
 def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
@@ -591,7 +585,10 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
     if e_max > 600.0:
         raise ParameterError(
             f"contour radius {R} too deep for double-precision quadrature")
-    e_max1 = term_exponent_max(p.shifted(1), modulus)
+    p1 = p.shifted(1)
+    e_max1 = term_exponent_max(p1, modulus)
+    # the rescue's mpmath setup, built once for all nodes and node counts
+    series0, series1 = _ComboSeries(p, 1.0, 0.0), _ComboSeries(p1, 1.0, 0.0)
     # Shared-magnitude rounding noise on the circle, same model as the axis.
     n_star = max(10.0, 2.0 * modulus ** (1.0 / (1.0 + p.rho)))
     noise0, noise1 = (2.3e-16 * math.exp(e) * max(1.0, e) * math.sqrt(n_star)
@@ -599,26 +596,24 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
     factor = 2 if form == "minus_z_squared" else 1
 
     prev_round: int | None = None
-    m = _QUADRATURE_POINTS
-    while m <= _QUADRATURE_POINTS * 16:
+    for k in range(5):
+        m = _QUADRATURE_POINTS << k
         u_phases = -np.exp(2j * math.pi * np.arange(m) / m)
-        vals = circle_eval(p, modulus, _PhasePowers(u_phases), shifts=(0, 1))
-        w0, w1 = vals[0].copy(), vals[1].copy()
+        w0, w1 = circle_eval(p, modulus, _PhasePowers(u_phases), shifts=(0, 1))
         bad = (np.abs(w0) < 30.0 * noise0) | (np.abs(w1) < 30.0 * noise1)
         u = modulus * u_phases
         for j in np.nonzero(bad)[0]:
-            w0[j] = _mp_wright_complex(p, u[j], e_max)
-            w1[j] = _mp_wright_complex(p.shifted(1), u[j], e_max1)
+            w0[j] = _mp_wright_complex(p, u[j], e_max, series0)
+            w1[j] = _mp_wright_complex(p1, u[j], e_max1, series1)
         # x Psi'(x)/Psi(x) at x = -u: d/dx W(rho, beta; -x) = -W(rho, rho+beta; -x)
         mean = factor * float(np.mean((u * w1 / w0).real))
         nearest = int(round(mean))
         if abs(mean - nearest) < 0.1:
-            if prev_round is not None and prev_round == nearest:
+            if prev_round == nearest:
                 return nearest
             prev_round = nearest
         else:
             prev_round = None
-        m *= 2
     raise NonIntegerWindingError(
         f"winding integral did not stabilize near an integer for R={R} "
         f"(rho={p.rho}, beta={p.beta}); a zero may sit near the contour")

@@ -422,6 +422,32 @@ def test_tables_reproduce_the_term_loops(fresh_tables, far_first):
         step()
 
 
+@pytest.mark.parametrize("p", (WrightParams(1.0, 1.5), WrightParams(0.3, 1.1),
+                               WrightParams(0.05, 0.3), WrightParams(0.1, 30.0)),
+                         ids=str)
+def test_point_shifts_equal_wright_eval_per_shift(p):
+    # One loop sums a point's shifts; shift s must be wright_eval(p.shifted(s))
+    # to the bit, so it reads lgamma(rho n + (beta + s rho)): at (0.3, 1.1)
+    # rho n + beta + s rho rounds apart from it on 16 of the first 60 terms
+    # at s = 1 and on 26 at s = 2.
+    for u in (0.0, -0.3, 2.5, -7.0, complex(-0.3), 0.3 + 0.4j, -4.0 + 3.0j, 6j):
+        for s, got in enumerate(kernel._wright_shifts(p, u, 3, 1e-12)):
+            ev = wright_eval(p.shifted(s), u)
+            assert tuple(map(type, got)) == (complex, float, int)
+            assert got == (ev.value, ev.abs_error_bound, ev.terms_used), (u, s)
+            if u:
+                assert got == _wright_eval_oracle(p.shifted(s), u), (u, s)
+
+
+def test_point_shifts_raise_what_the_first_failing_shift_raises():
+    p = WrightParams(1.0, 1.0)
+    with pytest.raises(ConvergenceError) as want:
+        wright_eval(p, 1.0e8)
+    with pytest.raises(ConvergenceError) as got:
+        kernel._wright_shifts(p, 1.0e8, 3, 1e-12)
+    assert str(got.value) == str(want.value)
+
+
 def test_tables_grow_only_as_far_as_a_call_needs(fresh_tables):
     p = WrightParams(0.5, 2.0)
     ev = wright_eval(p, -0.3)

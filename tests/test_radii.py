@@ -456,13 +456,50 @@ def test_off_seeds_cost_at_most_six_sweeps(monkeypatch):
 
 
 @pytest.mark.parametrize("what, A, B, sweeps", (
-    ("jan_star", 1.0, 0.5, 9), ("jan_convex", 0.5, 0.25, 13),
-    ("lem_star", None, None, 15)))
-def test_unsharp_targets_stay_unseeded(monkeypatch, what, A, B, sweeps):
+    ("jan_star", 1.0, 0.5, 5), ("jan_convex", 0.5, 0.25, 5),
+    ("lem_star", None, None, 6)))
+def test_unsharp_targets_are_seeded_from_the_other_axis(monkeypatch, what, A, B,
+                                                       sweeps):
     # For B > 0 and the lemniscate the real-axis crossing is no guess of the
-    # radius: cross_validate keeps the unseeded bracket and its sweep count.
+    # radius; the other axis's crossing r_up seeds the certifier instead.
+    # Unseeded these queries took 9, 13 and 15 sweeps.
     q = _q(NormalizedKind.G, P11, what, A, B)
     assert _certifier_sweeps(monkeypatch, q) == sweeps
+
+
+# the lemniscate and Janowski pairs with B > 0
+UNSHARP_TARGETS = (("lem_star", None, None), ("lem_convex", None, None),
+                   *((what, A, B) for what in ("jan_star", "jan_convex")
+                     for A, B in ((0.5, 0.25), (1.0, 0.5), (0.9, 0.8))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rho=st.floats(0.5, 2.0), beta=st.floats(0.5, 2.0),
+       kind=st.sampled_from(list(NormalizedKind)),
+       target=st.sampled_from(UNSHARP_TARGETS))
+def test_other_axis_seed_keeps_the_unseeded_radius(rho, beta, kind, target):
+    # r_up, where the condition fails on the other axis, bounds the radius
+    # from above and seeds cross_validate's certifier, whose result is the
+    # unseeded one; a crossing solve that raises leaves the certifier
+    # unseeded, with the same result.
+    q = _q(kind, WrightParams(rho, beta), *target)
+    tol = 1e-9
+    want = radius_by_certification(q, tol)
+    r_up = radii._other_axis_crossing(q, tol)
+    assert r_up is not None
+    assert want.radius <= r_up + tol
+    assert cross_validate(q, tol).certifier == want
+    scalar = radii._functional_scalar
+
+    def off_axis_fails(query, z):
+        if complex(z).real <= 0.0:              # z = i r or z = -r
+            raise NearZeroDenominatorError("stub")
+        return scalar(query, z)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radii, "_functional_scalar", off_axis_fails)
+        assert radii._other_axis_crossing(q, tol) is None
+        assert cross_validate(q, tol).certifier == want
 
 
 @pytest.mark.parametrize("tol", (1e-15, 1e-12))
