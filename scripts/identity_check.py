@@ -8,6 +8,9 @@ the same outputs on both sides, each in a fresh interpreter (so every cache
 starts cold):
 
   - the 288 surface and 216 Janowski B > 0 cross_validate results;
+  - the boundary sweeps the certifier takes on each of those two sets
+    (radii.boundary_sup calls), printed per side but not compared, as a
+    change to the sweep schedule moves them with every output kept;
   - the 36 half-plane radii;
   - the point, real-axis and circle functionals on the grid and on one
     non-dyadic pair, NON_DYADIC, where rho*n + beta + s*rho and
@@ -104,6 +107,7 @@ def emit() -> dict:
     import numpy as np
 
     import wright_radii as W
+    from wright_radii import radii
     from wright_radii.family import convex_on_circle, starlike_on_circle
     from wright_radii.radii import _PHASES0
     from wright_radii.zeros import _ComboSeries
@@ -123,7 +127,17 @@ def emit() -> dict:
     b_positive = [query(kind, p, what, jp) for jp in B_POSITIVE_PAIRS
                   for kind in KINDS for p in params
                   for what in ("jan_star", "jan_convex")]
+    sweeps = []
+    sup = radii.boundary_sup
+
+    def counted_sup(*args, **kwargs):
+        sweeps.append(args[1])
+        return sup(*args, **kwargs)
+
+    radii.boundary_sup = counted_sup
+    out["certifier_sweeps"] = {}
     for prefix, queries in (("surface", surface), ("b_positive", b_positive)):
+        sweeps.clear()
         for q in queries:
             chk = W.cross_validate(q)
             _result(out, f"{prefix}.certifier", chk.certifier)
@@ -139,6 +153,8 @@ def emit() -> dict:
                 z = 0.5 * chk.certifier.radius * cmath.exp(1j * theta)
                 out.setdefault(f"{prefix}.region_functional", []).append(
                     _attempt(W.region_functional, q, z))
+        out["certifier_sweeps"][prefix] = len(sweeps)
+    radii.boundary_sup = sup
     for kind in KINDS:
         for p in params:
             _result(out, "halfplane", W.halfplane_starlike_radius(
@@ -302,7 +318,11 @@ def main() -> int:
         if proc.returncode != 0:
             raise SystemExit(f"{name} side exited {proc.returncode}")
         sides[name] = json.loads(text)
+    sweeps = {name: side.pop("certifier_sweeps") for name, side in sides.items()}
     lines, ok = compare(sides["parent"], sides["change"], allow)
+    for prefix, n in sweeps["change"].items():
+        lines.append(f"certifier sweeps on {prefix}: parent {sweeps['parent'][prefix]}, "
+                     f"change {n} (not compared)")
     reference = (ROOT / "perfbench" / "reference_sweep.csv").read_text().split("\n")
     same = sides["change"]["sweep_check.lines"] == reference
     lines.append(f"sweep --check stdout equals perfbench/reference_sweep.csv: {same}")

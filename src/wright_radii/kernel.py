@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -46,6 +47,21 @@ _CIRCLE_TOL = 1e-14
 # domain types
 # ----------------------------------------------------------------------------
 
+def _store_real(obj, name: str) -> None:
+    """Store the field name of the frozen dataclass obj as a Python float:
+    any finite real scalar but bool, else ParameterError."""
+    value = getattr(obj, name)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:           # an integer beyond the double range
+            x = math.inf
+        if math.isfinite(x):
+            object.__setattr__(obj, name, x)
+            return
+    raise ParameterError(f"{name} must be a finite real, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WrightParams:
     """Parameter pair (rho, beta) of the Wright function, both positive."""
@@ -54,10 +70,8 @@ class WrightParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.rho, (int, float)) and math.isfinite(self.rho)):
-            raise ParameterError(f"rho must be a finite real, got {self.rho!r}")
-        if not (isinstance(self.beta, (int, float)) and math.isfinite(self.beta)):
-            raise ParameterError(f"beta must be a finite real, got {self.beta!r}")
+        _store_real(self, "rho")
+        _store_real(self, "beta")
         if self.rho <= 0:
             raise ParameterError(f"rho must be > 0 (entire regime), got {self.rho}")
         if self.beta <= 0:

@@ -40,7 +40,7 @@ from .family import (_THETA0, FunctionalValue, NormalizedKind, _PHASES0,
                      _phases_of, convex_functional, convex_on_circle,
                      convex_real, starlike_functional, starlike_on_circle,
                      starlike_real)
-from .kernel import WrightParams, _check_tol
+from .kernel import WrightParams, _check_tol, _store_real
 from .zeros import _refine_bracket, derivative_positive_zeros, positive_zeros
 
 RADIUS_KINDS = ("lem_star", "lem_convex", "jan_star", "jan_convex")
@@ -60,8 +60,8 @@ class JanowskiParams:
     B: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.A) and math.isfinite(self.B)):
-            raise ParameterError("A and B must be finite reals")
+        _store_real(self, "A")
+        _store_real(self, "B")
         if not (-1.0 <= self.B < self.A <= 1.0):
             raise ParameterError(
                 f"Janowski parameters require -1 <= B < A <= 1, got "
@@ -269,6 +269,27 @@ def _search_end(query: RadiusQuery, tol: float) -> tuple[float, float]:
 # method 1: boundary certification
 # ----------------------------------------------------------------------------
 
+def _bisection_walk(lo: float, hi: float, a: float, b: float,
+                    tol: float) -> tuple[float, float, float | None]:
+    """Bisect (lo, hi) to width tol, deciding midpoints at or below a as
+    holds and at or above b as fails, until a midpoint falls strictly inside
+    (a, b): (lo, hi, mid) with mid that midpoint and (lo, hi) the cell it
+    splits, or mid None and (lo, hi) the final cell.  The walk stops early
+    once a midpoint rounds to an endpoint.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if a < mid < b:
+            return lo, hi, mid
+        if mid <= a:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, None
+
+
 def _certify(query: RadiusQuery,
              sweep: Callable[..., tuple[float, float]], level: float,
              tol: float, seed: float | None = None) -> RadiusResult:
@@ -283,16 +304,24 @@ def _certify(query: RadiusQuery,
     pole at the domain bound by 10 tol, or by 1% of the pole where that is
     less, so that a coarse tol still reaches a radius near the pole.  The
     condition must fail before the pole, so a hold at hi is no radius: it
-    raises ConvergenceError.  The bracket is exactly that of bisecting from
-    (0, hi) to width tol, found in fewer sweeps: two probes at seed -/+
-    2 tol (at least 4 ulps of hi, so that they differ from the seed) narrow
-    (0, hi) by their signs, a probe outside the current bracket skipped; an
-    Anderson-Bjorck solve narrows that start to a quarter of tol; the
-    bisection is then replayed, deciding midpoints at or below the solve's
-    lower end (holds) and at or above its upper end (fails) by monotonicity
-    and evaluating only those inside.  It stops early once a midpoint rounds
-    to an endpoint.  sup_at_radius is the sweep at the radius, or at the
-    bracket's lower end when a pole lies between them.
+    raises ConvergenceError.
+
+    The bracket is exactly that of bisecting from (0, hi) to width tol, found
+    in fewer sweeps.  The sign-known ends (a, b) start at (0, hi).  A seed
+    names a cell of that bisection, the one it would end in were the seed the
+    radius; two probes at the cell's ends narrow (a, b) by their signs, a
+    probe outside the current (a, b) skipped.  The bisection is then
+    replayed: a midpoint at or below a holds and one at or above b fails, by
+    monotonicity, so only a midpoint strictly inside (a, b) needs a sweep.
+    The first such midpoint first runs an Anderson-Bjorck solve that narrows
+    (a, b) to a quarter of tol; the rest are swept.  A seed in the radius's
+    cell thus leaves no midpoint inside (a, b) and no solve: three sweeps,
+    the two probes and the one at the radius.  Unseeded, hi/2 lies inside
+    (0, hi), so the solve runs first.  The probes and the solve only move
+    an end to a point whose sign they read, and the replayed midpoints are
+    the bisection's own with its verdicts, so the bracket is the
+    bisection's whatever the seed.  sup_at_radius is the sweep at the
+    radius, or at the bracket's lower end when a pole lies between them.
     """
     singularity, hi = _search_end(query, tol)
     pole_seen = False
@@ -310,8 +339,7 @@ def _certify(query: RadiusQuery,
 
     a, fa, b, fb = 0.0, -1.0, hi, None
     if seed is not None:
-        d = max(2.0 * tol, 4.0 * math.ulp(hi))
-        for x in (seed - d, seed + d):
+        for x in _bisection_walk(0.0, hi, seed, seed, tol)[:2]:
             if a < x < b:
                 fx = excess(x)
                 if fx < 0.0:
@@ -327,22 +355,19 @@ def _certify(query: RadiusQuery,
             f"at {singularity:.9g}, so the radius lies above hi or the sweep "
             f"there is inaccurate")
     # below a few ulps of hi the solve could no longer shrink its bracket
-    a, b = _refine_bracket(excess, a, b, fa, fb,
-                           max(0.25 * tol, 4.0 * math.ulp(hi)))
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+    xtol = max(0.25 * tol, 4.0 * math.ulp(hi))
+    lo, solved = 0.0, False
+    while True:
+        lo, hi, mid = _bisection_walk(lo, hi, a, b, tol)
+        if mid is None:
             break
-        if a < mid < b:
-            if excess(mid) < 0.0:
-                a = mid
-            else:
-                b = mid
-        if mid <= a:
-            lo = mid
+        if not solved:
+            a, b = _refine_bracket(excess, a, b, fa, fb, xtol)
+            solved = True
+        elif excess(mid) < 0.0:
+            a = mid
         else:
-            hi = mid
+            b = mid
     radius = 0.5 * (lo + hi)
     try:
         swept_at = sweep(max(radius, tol))

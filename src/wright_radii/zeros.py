@@ -582,7 +582,7 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
 
     modulus = R * R if form == "minus_z_squared" else R
     e_max = term_exponent_max(p, modulus)
-    if e_max > 600.0:
+    if not e_max <= 600.0:              # nan once R * R overflows
         raise ParameterError(
             f"contour radius {R} too deep for double-precision quadrature")
     p1 = p.shifted(1)

@@ -291,6 +291,21 @@ def test_sweep_check_reproduces_reference_bytes(tmp_path):
     assert proc.stdout == (root / "perfbench" / "reference_sweep.csv").read_bytes()
 
 
+def test_plain_sweep_matches_the_reference_columns(tmp_path, capsys):
+    # Plain sweep certifies unseeded, --check seeds the certifier from an
+    # axis crossing; every certifier column must agree on all 288 rows.
+    root = Path(__file__).resolve().parents[1]
+    grid = tmp_path / "grid.txt"
+    grid.write_text(SURFACE_GRID)
+    code, out, _ = run(capsys, "sweep", str(grid))
+    assert code == 0
+    want = rows_of((root / "perfbench" / "reference_sweep.csv").read_text())
+    for row in want:
+        del row["delta"], row["finding"]
+    assert len(want) == 288
+    assert rows_of(out) == want
+
+
 def test_sweep_check_appends_delta(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text(JAN_GRID)

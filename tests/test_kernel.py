@@ -57,6 +57,24 @@ def test_params_reject_nonfinite():
         WrightParams(1.0, float("inf"))
 
 
+def test_params_take_any_real_scalar_as_a_float():
+    for rho, beta in ((np.int64(2), np.float32(0.5)), (2, 0.5),
+                      (np.float64(2.0), np.int32(0) + 0.5)):
+        p = WrightParams(rho, beta)
+        assert (p.rho, p.beta) == (2.0, 0.5)
+        assert type(p.rho) is float and type(p.beta) is float
+    assert WrightParams(np.float32(0.1), 1.0).rho == float(np.float32(0.1))
+
+
+@pytest.mark.parametrize("bad", (True, False, np.bool_(True), "1", None,
+                                 1 + 0j, 10 ** 400))
+def test_params_reject_bools_and_non_reals(bad):
+    with pytest.raises(ParameterError, match="rho must be a finite real"):
+        WrightParams(bad, 1.0)
+    with pytest.raises(ParameterError, match="beta must be a finite real"):
+        WrightParams(1.0, bad)
+
+
 def test_shifted_params():
     p = WrightParams(0.5, 1.5)
     q = p.shifted(2)

@@ -59,6 +59,26 @@ def test_janowski_validation():
     JanowskiParams(1.0, -1.0)   # the halfplane target is admissible
 
 
+def test_janowski_params_take_any_real_scalar_as_a_float():
+    # A float32 pair once kept its type, and the real-axis constant
+    # (1 - A)/(1 - B) with it: 0.33333334, a radius 1.4e-9 off at tol 1e-9.
+    jp = JanowskiParams(np.float32(0.5), np.float32(-0.5))
+    assert jp == JanowskiParams(0.5, -0.5)
+    assert type(jp.A) is float and type(jp.B) is float
+    q = _q(NormalizedKind.G, P11, "jan_star", np.float32(0.5), np.float32(-0.5))
+    assert default_constant(q) == 1.0 / 3.0
+    assert radius_real_axis(q) == radius_real_axis(
+        _q(NormalizedKind.G, P11, "jan_star", 0.5, -0.5))
+    assert JanowskiParams(np.int64(1), -1) == JanowskiParams(1.0, -1.0)
+
+
+@pytest.mark.parametrize("A, B", ((True, False), (1.0, False), (np.bool_(True), 0.0),
+                                  ("1", 0.0), (1.0, None), (float("nan"), 0.0)))
+def test_janowski_params_reject_bools_and_non_reals(A, B):
+    with pytest.raises(ParameterError, match="must be a finite real"):
+        JanowskiParams(A, B)
+
+
 def test_query_validation():
     with pytest.raises(ParameterError):
         RadiusQuery(NormalizedKind.G, P11, "jan_star", None)
@@ -455,9 +475,58 @@ def test_off_seeds_cost_at_most_six_sweeps(monkeypatch):
     assert worst <= 6
 
 
+def test_seed_in_the_radius_cell_costs_three_sweeps(monkeypatch):
+    # A seed in the bisection cell of the radius: the probes at the cell's
+    # ends decide every replayed midpoint, so no solve runs and the sweep at
+    # the radius is the third.
+    q = _q(NormalizedKind.G, P11, "jan_star", 1.0, -1.0)
+    tol = 1e-9
+    seed = radius_real_axis(q, tol).radius
+    want = radius_by_certification(q, tol)
+    assert want.bracket[0] <= seed < want.bracket[1]
+    sweeps, solves = [], []
+    sup, refine = radii.boundary_sup, radii._refine_bracket
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[1])
+        return sup(*args, **kwargs)
+
+    def solve(*args):
+        solves.append(args[1:3])
+        return refine(*args)
+
+    monkeypatch.setattr(radii, "boundary_sup", counted)
+    monkeypatch.setattr(radii, "_refine_bracket", solve)
+    assert radius_by_certification(q, tol, _seed=seed) == want
+    assert len(sweeps) == 3 and solves == []
+
+
+@pytest.mark.parametrize("kind, what, A, B", (
+    (NormalizedKind.G, "jan_star", 1.0, -1.0), (NormalizedKind.H, "lem_convex", None, None)))
+def test_seeds_on_the_bisection_path_keep_the_unseeded_radius(kind, what, A, B):
+    # Seeds at the final cell's ends and at every midpoint of the bisection
+    # from (0, hi) sit where a probe or the replay decides a midpoint twice.
+    q = _q(kind, WrightParams(1.0, 1.5), what, A, B)
+    tol = 1e-9
+    want = radius_by_certification(q, tol)
+    bound = domain_bound(q, tol)
+    lo, hi = 0.0, bound - min(10.0 * tol, 0.01 * bound)
+    path = []
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        if mid <= want.bracket[0]:
+            lo = mid
+        else:
+            hi = mid
+    assert (lo, hi) == want.bracket
+    for seed in (*want.bracket, *path):
+        assert radius_by_certification(q, tol, _seed=seed) == want, seed
+
+
 @pytest.mark.parametrize("what, A, B, sweeps", (
-    ("jan_star", 1.0, 0.5, 5), ("jan_convex", 0.5, 0.25, 5),
-    ("lem_star", None, None, 6)))
+    ("jan_star", 1.0, 0.5, 3), ("jan_convex", 0.5, 0.25, 3),
+    ("lem_star", None, None, 5)))
 def test_unsharp_targets_are_seeded_from_the_other_axis(monkeypatch, what, A, B,
                                                        sweeps):
     # For B > 0 and the lemniscate the real-axis crossing is no guess of the

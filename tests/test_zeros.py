@@ -189,6 +189,13 @@ def test_count_in_disk_validation(bessel_params):
         count_zeros_in_disk(bessel_params, "minus_z_squared", math.inf)
 
 
+@pytest.mark.parametrize("R", (1e160, 1e300))
+def test_count_in_disk_refuses_an_overflowing_contour(bessel_params, R):
+    # R * R overflows, so the contour's exponent reads nan: still too deep
+    with pytest.raises(ParameterError, match="too deep"):
+        count_zeros_in_disk(bessel_params, "minus_z_squared", R)
+
+
 def test_rescue_matches_exact_argument_sum():
     # Near the negative axis at |u| = 40 the double-precision circle value
     # of W(0.3, 1.1; u) ~ 4e-11 drowns under terms of size e^E_max ~ 6e10.
