@@ -16,6 +16,9 @@ starts cold):
     non-dyadic pair, NON_DYADIC, where rho*n + beta + s*rho and
     rho*n + (beta + s*rho) round apart, so reading the wrong lgamma table
     shows up; the region modulus on the grid;
+  - the circle functionals on the kept sweep grids, level 0 and the
+    refinement grids REFINED_CELLS, each next to the same phases in a fresh
+    array (a checkout without kept grids passes the fresh phases twice);
   - the 12 cold 80-zero tables, 5-zero derivative tables and winding counts,
     plus one winding count for (0.3, 1.1) that needs the mpmath rescue, and
     the number of certified evaluations (_ComboSeries.certified calls) that
@@ -65,6 +68,9 @@ CIRCLE_RADII = (0.2, 0.45, 0.7)
 PROBE_RHO = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 PROBE_BETA = (0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 COARSE_TOLS = (0.02, 0.03, 0.05)
+# refinement grids by their cells (i, j) of the level-0 grid: those about
+# theta = 0, pi/2 and pi, where most sweeps refine, and an interior one
+REFINED_CELLS = ((0, 1), (127, 129), (255, 256), (40, 42))
 RESULT_FIELDS = ("radius", "bracket", "method", "sup_at_radius", "argmax_angle",
                  "clamped", "pole_truncated")
 SWEEP_GRID = """rho = 0.5, 1, 2
@@ -109,8 +115,14 @@ def emit() -> dict:
     import wright_radii as W
     from wright_radii import radii
     from wright_radii.family import convex_on_circle, starlike_on_circle
-    from wright_radii.radii import _PHASES0
     from wright_radii.zeros import _ComboSeries
+    try:
+        from wright_radii.family import _GRID0, _refinement_grid
+    except ImportError:             # a checkout without kept grids
+        from wright_radii.radii import _PHASES0 as _GRID0
+
+        def _refinement_grid(lo, hi):
+            return np.exp(1j * np.linspace(lo, hi, 21))
 
     out: dict[str, list] = {}
     params = [W.WrightParams(rho, beta) for rho, beta in GRID]
@@ -161,6 +173,10 @@ def emit() -> dict:
                 W.NormalizedKind.from_string(kind), p))
 
     fresh = np.exp(1j * np.linspace(0.0, math.pi, 33))
+    theta0 = np.linspace(0.0, math.pi, 257)
+    refined = [(_refinement_grid(float(theta0[i]), float(theta0[j])),
+                np.exp(1j * np.linspace(theta0[i], theta0[j], 21)))
+               for i, j in REFINED_CELLS]
     for kind in W.NormalizedKind:
         for name, point, real, circle in (
                 ("starlike", W.starlike_functional, W.starlike_real, starlike_on_circle),
@@ -178,10 +194,15 @@ def emit() -> dict:
                         out.setdefault(f"point.{key}.bound", []).append(
                             fv.abs_error_bound if ok else fv)
                 for r in CIRCLE_RADII:
-                    for phases in (_PHASES0, fresh):
+                    for phases in (_GRID0, fresh):
                         vals = circle(kind, p, r, phases)
                         out.setdefault(f"circle.{key}", []).append(
                             [x for v in vals for x in _c(v)])
+                    for kept, new in refined:
+                        for phases in (kept, new):
+                            vals = circle(kind, p, r, phases)
+                            out.setdefault(f"circle_refined.{key}", []).append(
+                                [x for v in vals for x in _c(v)])
 
     # count the scan's work as well as its outputs
     evals = 0

@@ -17,12 +17,14 @@ via the shift identity; see the kernel module.  Each functional is written
 once, in _starlike and _convex, and evaluated by two routes: at one point
 with a first-order error bound (starlike_functional, convex_functional and
 the *_real wrappers) and on a circle of points without (the *_on_circle
-functions the boundary sweeps use), which keep the phase powers of their
-level-0 angle grid here.
+functions the boundary sweeps use).  The sweeps pass kept angle grids, the
+level-0 grid and a bounded cache of refinement grids, each holding its
+phases and the phase powers of its Wright arguments once formed.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -175,31 +177,55 @@ def _at_point(functional, kind: NormalizedKind, p: WrightParams,
 # bisection margins dominate double-precision evaluation noise in the shallow
 # region where radii live.
 
-# The level-0 angle grid of every sweep, its phases, and the phase-power
-# tables of their Wright arguments -phases and -phases**2, built once; any
-# other phases get fresh tables per call.
-_THETA0 = np.linspace(0.0, math.pi, 257)
-_PHASES0 = np.exp(1j * _THETA0)
-_THETA0.setflags(write=False)
-_PHASES0.setflags(write=False)
-_POWERS0_H = _PhasePowers(-_PHASES0)
-_POWERS0_FG = _PhasePowers(-(_PHASES0 * _PHASES0))
+def _phase_powers(kind: NormalizedKind, phases: np.ndarray) -> _PhasePowers:
+    """The power table of the Wright argument's phases at unit phases:
+    -phases for kind H, -phases**2 for kinds F and G."""
+    return _PhasePowers(-phases if kind is NormalizedKind.H
+                        else -(phases * phases))
 
 
-def _phases_of(theta: np.ndarray) -> np.ndarray:
-    """e^{i theta}, the kept level-0 phases for the level-0 grid."""
-    return _PHASES0 if theta is _THETA0 else np.exp(1j * theta)
+class _AngleGrid:
+    """A kept sweep grid: read-only angles theta, their phases e^{i theta},
+    and the _phase_powers tables of kind H and of kinds F and G, which grow
+    in place, so a sweep that passes the grid again forms no row twice.
+    Their rows are bit for bit those of a fresh table."""
+
+    __slots__ = ("theta", "phases", "_powers")
+
+    def __init__(self, theta: np.ndarray):
+        self.theta = theta
+        self.phases = np.exp(1j * theta)
+        theta.setflags(write=False)
+        self.phases.setflags(write=False)
+        self._powers = (_phase_powers(NormalizedKind.G, self.phases),
+                        _phase_powers(NormalizedKind.H, self.phases))
+
+    def powers(self, kind: NormalizedKind) -> _PhasePowers:
+        """The phase-power table of kind's Wright argument."""
+        return self._powers[kind is NormalizedKind.H]
+
+
+# The level-0 grid of every sweep, and the 21-point refinement grids of its
+# later levels by their end angles.  The argmax of most sweeps lands at
+# theta = 0, pi/2 or pi, so few distinct refinement grids recur.
+_GRID0 = _AngleGrid(np.linspace(0.0, math.pi, 257))
+
+
+@functools.lru_cache(maxsize=16)
+def _refinement_grid(lo: float, hi: float) -> _AngleGrid:
+    """The kept 21-point grid on [lo, hi]."""
+    return _AngleGrid(np.linspace(lo, hi, 21))
 
 
 def _on_circle(functional, kind: NormalizedKind, p: WrightParams, r: float,
-               phases: np.ndarray, n: int) -> np.ndarray:
-    """functional at r * phases from one circle_eval of its n Wright rows."""
-    kept = phases is _PHASES0
-    if kind is NormalizedKind.H:
-        modulus, powers = r, _POWERS0_H if kept else _PhasePowers(-phases)
+               phases: np.ndarray | _AngleGrid, n: int) -> np.ndarray:
+    """functional at r * phases from one circle_eval of its n Wright rows:
+    a kept grid's tables, or fresh ones for an array of phases."""
+    if isinstance(phases, _AngleGrid):
+        powers, phases = phases.powers(kind), phases.phases
     else:
-        modulus = r * r
-        powers = _POWERS0_FG if kept else _PhasePowers(-(phases * phases))
+        powers = _phase_powers(kind, phases)
+    modulus = r if kind is NormalizedKind.H else r * r
     W = circle_eval(p, modulus, powers, shifts=(0, 1, 2)[:n])
     return functional(kind, p.beta, r * phases, W)
 
@@ -223,14 +249,14 @@ def convex_functional(kind: NormalizedKind, p: WrightParams,
 
 
 def starlike_on_circle(kind: NormalizedKind, p: WrightParams, r: float,
-                       phases: np.ndarray) -> np.ndarray:
-    """w(r * phases) for unit-modulus phases."""
+                       phases: np.ndarray | _AngleGrid) -> np.ndarray:
+    """w(r * phases) for unit-modulus phases or a kept grid's phases."""
     return _on_circle(_starlike, kind, p, r, phases, 2)
 
 
 def convex_on_circle(kind: NormalizedKind, p: WrightParams, r: float,
-                     phases: np.ndarray) -> np.ndarray:
-    """C(r * phases) for unit-modulus phases."""
+                     phases: np.ndarray | _AngleGrid) -> np.ndarray:
+    """C(r * phases) for unit-modulus phases or a kept grid's phases."""
     return _on_circle(_convex, kind, p, r, phases, 3)
 
 

@@ -257,7 +257,8 @@ def wright_derivative(p: WrightParams, z: complex, order: int,
 # differ.  A boundary sweep in the radii module keeps |u| fixed over all of
 # its refinement levels, and the queries of one (kind, params) revisit the
 # same radii, so the magnitude rows are cached; the phase powers are kept by
-# the _PhasePowers object of each sweep grid.
+# the _PhasePowers tables of the family's kept angle grids, the level-0 grid
+# and the cached refinement grids that sweeps revisit.
 
 @functools.lru_cache(maxsize=256)
 def _magnitude_rows(rho: float, beta: float, modulus: float,
@@ -307,10 +308,10 @@ def _magnitude_rows(rho: float, beta: float, modulus: float,
 
 class _PhasePowers:
     """Unit phases u, which must not change, and a read-only table of the
-    rows u**0, u**1, ...: a sweep grid that keeps its object forms each row
-    once.  The table grows on demand to at least twice its length by
-    np.multiply.accumulate, so its first rows are bit for bit those of a
-    fresh, shorter table."""
+    rows u**0, u**1, ...: a kept sweep grid that holds its object forms each
+    row once, over all the radii and sweeps that pass that grid.  The table
+    grows on demand to at least twice its length by np.multiply.accumulate,
+    so its first rows are bit for bit those of a fresh, shorter table."""
 
     __slots__ = ("phases", "_table")
 

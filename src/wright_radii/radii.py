@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, MonotonicityError, ParameterError,
                      PoleProximityError, WrightRadiiError)
-from .family import (_THETA0, FunctionalValue, NormalizedKind, _PHASES0,
-                     _phases_of, convex_functional, convex_on_circle,
+from .family import (_GRID0, FunctionalValue, NormalizedKind, _AngleGrid,
+                     _refinement_grid, convex_functional, convex_on_circle,
                      convex_real, starlike_functional, starlike_on_circle,
                      starlike_real)
 from .kernel import WrightParams, _check_tol, _store_real
@@ -135,10 +135,10 @@ def _functional_scalar(query: RadiusQuery, z: complex):
     return convex_functional(query.kind, query.params, z)
 
 
-def _functional_circle(query: RadiusQuery, r: float, phases: np.ndarray) -> np.ndarray:
+def _functional_circle(query: RadiusQuery, r: float, grid: _AngleGrid) -> np.ndarray:
     if query.is_star:
-        return starlike_on_circle(query.kind, query.params, r, phases)
-    return convex_on_circle(query.kind, query.params, r, phases)
+        return starlike_on_circle(query.kind, query.params, r, grid)
+    return convex_on_circle(query.kind, query.params, r, grid)
 
 
 def _functional_real(query: RadiusQuery, r: float) -> float:
@@ -179,22 +179,27 @@ def _region_at(query: RadiusQuery, fv: FunctionalValue) -> float:
 # boundary sweep
 # ----------------------------------------------------------------------------
 
-def _sup_scan(values_at: Callable[[np.ndarray], np.ndarray], tol_theta: float,
+def _sup_scan(values_at: Callable[[_AngleGrid], np.ndarray], tol_theta: float,
               stop_at: float = math.inf) -> tuple[float, float]:
     """Max of values_at over [0, pi]: coarse grid plus local 10x refinements.
 
-    Refinement stops when the triangle bound on the missed-peak excess (half
-    the largest adjacent difference near the argmax) falls below tol_theta.
+    values_at takes a kept angle grid: the level-0 grid, then the cached
+    21-point grid between the argmax's neighbours, so a refinement that
+    recurs, as those about theta = 0, pi/2 and pi do, reuses its phases and
+    phase powers.  Refinement stops when the triangle bound on the
+    missed-peak excess (half the largest adjacent difference near the
+    argmax) falls below tol_theta.
     Both boundary-sup routes share this exact schedule so that they sample
     identical angle sequences and differ only by evaluation noise.  The scan
     also stops at the first level whose running max reaches stop_at: the
     running max only grows, so the full scan's max would reach it too.
     """
-    theta = _THETA0
+    grid = _GRID0
     best_sup = -math.inf
     best_angle = 0.0
     for _level in range(12):
-        vals = values_at(theta)
+        theta = grid.theta
+        vals = values_at(grid)
         i = int(np.argmax(vals))
         if vals[i] > best_sup:
             best_sup = float(vals[i])
@@ -211,7 +216,7 @@ def _sup_scan(values_at: Callable[[np.ndarray], np.ndarray], tol_theta: float,
             neighbor_jump = max(neighbor_jump, abs(float(vals[i] - vals[i + 1])))
         if neighbor_jump * 0.5 < tol_theta or step <= 1e-15:
             break
-        theta = np.linspace(lo, hi, 21)
+        grid = _refinement_grid(float(lo), float(hi))
     return best_sup, best_angle
 
 
@@ -224,8 +229,8 @@ def boundary_sup(query: RadiusQuery, r: float, tol_theta: float = 1e-10, *,
     if not (r > 0):
         raise ParameterError(f"r must be > 0, got {r}")
 
-    def values_at(theta: np.ndarray) -> np.ndarray:
-        return _region(query, _functional_circle(query, r, _phases_of(theta)), 1e-13)
+    def values_at(grid: _AngleGrid) -> np.ndarray:
+        return _region(query, _functional_circle(query, r, grid), 1e-13)
 
     return _sup_scan(values_at, tol_theta, _stop_at)
 
@@ -408,16 +413,20 @@ def default_constant(query: RadiusQuery) -> float:
 
 @functools.lru_cache(maxsize=128)
 def _real_axis_grid(kind: NormalizedKind, params: WrightParams, is_star: bool,
-                    hi: float) -> tuple[np.ndarray, list[float]]:
-    """The 50-point grid on (0, hi] and the real-axis functional on a prefix.
+                    hi: float) -> tuple[np.ndarray, list[float], dict]:
+    """The 50-point grid on (0, hi], the real-axis functional on a prefix,
+    and the crossings solved on it.
 
     The functional depends on (kind, params, star/convex) alone, so the
     lemniscate and Janowski queries of one group share the prefix, each
-    extending it only as far as its own constant needs.
+    extending it only as far as its own constant needs.  The crossings map
+    (c, tol) to the radius, the bracket and the point functional at the
+    root: Janowski (1, -1) and (1, 0) share c = 0, and the second reads the
+    first's crossing.  A crossing that raised is not kept.
     """
     grid = np.linspace(hi / 50.0, hi, 50)
     grid.setflags(write=False)
-    return grid, []
+    return grid, [], {}
 
 
 def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
@@ -431,14 +440,31 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
     reaches c, if the regula falsi stalls wider than tol, or if the
     functional's error bound at the root plus its rounding, 2 eps max(|c|, 1),
     exceeds tol times the smaller of the crossing cell's slope and the final
-    bracket's.
+    bracket's.  The crossing is solved once per functional, c and tol and
+    kept with the grid (see _real_axis_grid); sup_at_radius, which depends
+    on the query's target, is formed per query.
     """
     c = default_constant(query)
     singularity, hi = _search_end(query, tol)
     if query.is_star:
         hi = singularity * (1.0 - 1e-9)
 
-    grid, vals = _real_axis_grid(query.kind, query.params, query.is_star, hi)
+    grid, vals, crossings = _real_axis_grid(query.kind, query.params,
+                                            query.is_star, hi)
+    crossing = crossings.get((c, tol))
+    if crossing is None:
+        crossing = _real_axis_crossing(query, c, tol, singularity, grid, vals)
+        crossings[c, tol] = crossing
+    radius, bracket, at_root = crossing
+    return RadiusResult(radius=radius, bracket=bracket, method="real_axis",
+                        sup_at_radius=_region_at(query, at_root), argmax_angle=0.0)
+
+
+def _real_axis_crossing(query: RadiusQuery, c: float, tol: float,
+                        singularity: float, grid: np.ndarray, vals: list[float]
+                        ) -> tuple[float, tuple[float, float], FunctionalValue]:
+    """radius_real_axis's crossing of c on its grid: the radius, the bracket
+    and the point functional at the root, or the error it raises."""
     for i, g in enumerate(grid):
         if i == len(vals):
             vals.append(_functional_real(query, float(g)))
@@ -450,8 +476,8 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
             break
     else:
         raise ConvergenceError(
-            f"real-axis functional stays above c = {c:.9g} up to hi = {hi:.9g}, "
-            f"below the singularity at {singularity:.9g}")
+            f"real-axis functional stays above c = {c:.9g} up to hi = "
+            f"{grid[-1]:.9g}, below the singularity at {singularity:.9g}")
 
     # the functionals equal 1 at r = 0
     a, fa = (float(grid[i - 1]), vals[i - 1] - c) if i > 0 else (0.0, 1.0 - c)
@@ -480,8 +506,7 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
         raise ConvergenceError(
             f"real-axis root r = {radius:.9g} not resolved to tol {tol:.3e}: "
             f"bracket width {b - a:.3e}, error bound {err:.3e}")
-    return RadiusResult(radius=radius, bracket=(a, b), method="real_axis",
-                        sup_at_radius=_region_at(query, at_root), argmax_angle=0.0)
+    return radius, (a, b), at_root
 
 
 # ----------------------------------------------------------------------------
@@ -510,11 +535,15 @@ def _other_axis_crossing(query: RadiusQuery, tol: float) -> float | None:
 
     There v is real, starts at 1 and increases, and the region condition
     reads v < level: sqrt(2) for the lemniscate, (1 + A)/(1 + B) for
-    Janowski B > 0.  The condition thus fails at r_up, which bounds the
+    Janowski B > -1.  The condition thus fails at r_up, which bounds the
     radius from above.  None when v stays below level up to _certify's
-    search end hi, or when the point functional raises.
+    search end hi, or when the point functional raises; None too for
+    Janowski B = -1, whose target is the half-plane Re v > (1 - A)/2 with
+    no right end.
     """
     jp = query.janowski
+    if jp is not None and jp.B == -1.0:
+        return None
     level = math.sqrt(2.0) if jp is None else (1.0 + jp.A) / (1.0 + jp.B)
     axis = -1.0 if query.kind is NormalizedKind.H else 1j
 
@@ -583,8 +612,8 @@ def halfplane_starlike_radius(kind: NormalizedKind, p: WrightParams,
 
     def max_minus_re(r: float, stop_at: float = math.inf) -> tuple[float, float]:
         """-min Re w on |z| = r and its angle: the excess of Re w > 0."""
-        def values_at(theta: np.ndarray) -> np.ndarray:
-            return -starlike_on_circle(kind, p, r, _phases_of(theta)).real
+        def values_at(grid: _AngleGrid) -> np.ndarray:
+            return -starlike_on_circle(kind, p, r, grid).real
 
         return _sup_scan(values_at, 1e-12, stop_at)
 
@@ -610,9 +639,9 @@ def rescaled_boundary_sup(query: RadiusQuery, scale: float,
     if not scale > 0:
         raise ParameterError("scale must be > 0")
 
-    def values_at(theta: np.ndarray) -> np.ndarray:
+    def values_at(grid: _AngleGrid) -> np.ndarray:
         return np.array([region_functional(
-            query, scale * complex(math.cos(t), math.sin(t))) for t in theta])
+            query, scale * complex(math.cos(t), math.sin(t))) for t in grid.theta])
 
     sup, _ = _sup_scan(values_at, tol_theta)
     return sup

@@ -23,9 +23,9 @@ from wright_radii import (
     wright_eval,
 )
 from wright_radii import family
-from wright_radii.family import convex_on_circle, starlike_on_circle
+from wright_radii.family import (_GRID0, _refinement_grid, convex_on_circle,
+                                 starlike_on_circle)
 from wright_radii.kernel import _PhasePowers, circle_eval
-from wright_radii.radii import _PHASES0
 
 # First positive zero of J0, halved: the first zero of g(r) = r J0(2r).
 FIRST_G_ZERO_11 = 1.2024127788478864
@@ -198,16 +198,32 @@ def test_circle_routes_match_scalar(bessel_params):
 
 
 def test_circle_routes_on_the_fixed_grid_are_bit_identical(grid_params):
-    # The level-0 sweep grid reads its Wright arguments and power tables
-    # from the kept copies; a fresh array of the same phases forms them per
-    # call, and both routes must agree bit for bit.
-    fresh = _PHASES0.copy()
-    for p in grid_params[::5]:
-        for kind in NormalizedKind:
-            for on_circle in (starlike_on_circle, convex_on_circle):
-                for r in (0.2, 0.6):
-                    assert np.array_equal(on_circle(kind, p, r, _PHASES0),
-                                          on_circle(kind, p, r, fresh))
+    # The sweep grids, level 0 and the kept refinement grids, read their
+    # Wright arguments and power tables from the kept copies; a fresh array
+    # of the same phases forms them per call, and both routes must agree bit
+    # for bit, also once a larger radius has grown the kept tables.  The
+    # refinement grids: those about theta = 0, pi/2 and pi, where most
+    # sweeps refine, one interior grid, and one grid of the next level.
+    theta = _GRID0.theta
+    ends = [(theta[0], theta[1]), (theta[127], theta[129]),
+            (theta[255], theta[256]), (theta[40], theta[42])]
+    first = _refinement_grid(float(theta[0]), float(theta[1]))
+    ends.append((first.theta[0], first.theta[1]))
+    grids = [_GRID0]
+    for lo, hi in ends:
+        grid = _refinement_grid(float(lo), float(hi))
+        assert grid is _refinement_grid(float(lo), float(hi))
+        assert np.array_equal(grid.theta, np.linspace(lo, hi, 21))
+        assert np.array_equal(grid.phases, np.exp(1j * np.linspace(lo, hi, 21)))
+        grids.append(grid)
+    for grid in grids:
+        fresh = grid.phases.copy()
+        for p in grid_params[::5]:
+            for kind in NormalizedKind:
+                for on_circle in (starlike_on_circle, convex_on_circle):
+                    for r in (0.2, 0.6, 0.2):
+                        assert np.array_equal(on_circle(kind, p, r, grid),
+                                              on_circle(kind, p, r, fresh))
 
 
 @given(st.floats(min_value=0.05, max_value=0.55),
@@ -333,8 +349,9 @@ def test_circle_functionals_equal_the_formulas(grid_params, star):
         exact = not (star and math.log2(2.0 / p.beta) % 1.0)
         for kind in NormalizedKind:
             for r in (0.2, 0.45, 0.7):
-                for phases in (_PHASES0, _PHASES0[::7].copy()):
-                    got = on_circle(kind, p, r, phases)
+                sub = _GRID0.phases[::7].copy()
+                for grid, phases in ((_GRID0, _GRID0.phases), (sub, sub)):
+                    got = on_circle(kind, p, r, grid)
                     want = _oracle_circle(star, kind, p, r, phases)
                     if exact or kind is not NormalizedKind.F:
                         assert np.array_equal(got, want), (kind, p, r)

@@ -33,6 +33,7 @@ from wright_radii import (
     WrightRadiiError,
 )
 from wright_radii import radii, zeros
+from wright_radii.family import _refinement_grid
 from wright_radii.radii import (LEM_CONSTANT, RADIUS_KINDS, _real_axis_grid,
                                 default_constant)
 
@@ -179,6 +180,25 @@ def test_early_exit_predicate_agrees_with_full_sup():
                     assert early == full
 
 
+def test_boundary_sup_same_from_cold_and_kept_grids():
+    # Each sweep's refinement grids built afresh, the grid cache cleared
+    # before every call, and read back from the cache, with their phase
+    # tables grown by other radii and kinds, give the same sup and angle.
+    cases = []
+    for kind in NormalizedKind:
+        for what, A, B in (("lem_star", None, None), ("lem_convex", None, None),
+                           ("jan_star", 1.0, -1.0), ("jan_convex", 0.5, 0.25)):
+            q = _q(kind, WrightParams(0.5, 1.5), what, A, B)
+            cases += [(q, t * domain_bound(q)) for t in (0.3, 0.6, 0.9)]
+    cold = []
+    for q, r in cases:
+        _refinement_grid.cache_clear()
+        cold.append(boundary_sup(q, r))
+    warm = [boundary_sup(q, r) for q, r in cases]
+    assert _refinement_grid.cache_info().hits >= len(cases)
+    assert warm == cold
+
+
 def test_early_exit_skips_refinement(monkeypatch):
     levels = []
     circle = radii._functional_circle
@@ -202,9 +222,9 @@ def test_real_axis_grid_shared_within_group(monkeypatch):
     stored = []
 
     def spy(*args):
-        grid, vals = _real_axis_grid(*args)
+        grid, vals, crossings = _real_axis_grid(*args)
         stored.append(vals)
-        return grid, vals
+        return grid, vals, crossings
 
     monkeypatch.setattr(radii, "_real_axis_grid", spy)
     for what, A, B in (("lem_star", None, None), ("jan_star", 1.0, -1.0),
@@ -217,6 +237,50 @@ def test_real_axis_grid_shared_within_group(monkeypatch):
     assert (info.misses, info.hits) == (1, 3)
     assert 0 < info.maxsize <= 1024
     assert all(vals is stored[0] for vals in stored)
+
+
+def test_real_axis_crossing_solved_once_per_constant(monkeypatch):
+    # Janowski (1, -1) and (1, 0) share c = 0: the second query reads the
+    # first one's crossing, radius and bracket bit for bit, with no
+    # functional evaluation, and forms its own sup_at_radius at the root.
+    _real_axis_grid.cache_clear()
+    calls = []
+    real = radii._functional_real
+
+    def counted(query, r):
+        calls.append(r)
+        return real(query, r)
+
+    monkeypatch.setattr(radii, "_functional_real", counted)
+    p = WrightParams(2.0, 1.5)
+    queries = [_q(NormalizedKind.H, p, "jan_star", 1.0, B) for B in (-1.0, 0.0)]
+    first = radius_real_axis(queries[0])
+    solved = len(calls)
+    second = radius_real_axis(queries[1])
+    assert len(calls) == solved > 0
+    assert (second.radius, second.bracket) == (first.radius, first.bracket)
+    for q, res in zip(queries, (first, second)):
+        assert res.sup_at_radius == region_functional(q, res.radius)
+    assert first.sup_at_radius != second.sup_at_radius
+    # a star grid ends below the singularity whatever tol: another tol
+    # shares the grid but solves its own crossing
+    coarse = radius_real_axis(queries[1], 1e-6)
+    assert len(calls) > solved
+    _real_axis_grid.cache_clear()                       # solved afresh
+    assert radius_real_axis(queries[1]) == second
+    assert radius_real_axis(queries[1], 1e-6) == coarse
+
+
+def test_real_axis_crossing_that_raises_is_not_kept():
+    # G(1, 10) jan_star (1, -1) is refused by the accuracy rule; the refusal
+    # is not kept, so every query of c = 0 solves and raises again.
+    tol = 1e-9
+    q = _q(NormalizedKind.G, WrightParams(1.0, 10.0), "jan_star", 1.0, -1.0)
+    for B in (-1.0, 0.0, -1.0):
+        with pytest.raises(ConvergenceError, match="not resolved"):
+            radius_real_axis(_q(q.kind, q.params, "jan_star", 1.0, B), tol)
+    hi = domain_bound(q, tol) * (1.0 - 1e-9)
+    assert _real_axis_grid(q.kind, q.params, True, hi)[2] == {}
 
 
 # Janowski (1, -1) queries by name: (kind, rho, beta, target, the error
@@ -442,10 +506,12 @@ def _certifier_sweeps(monkeypatch, query: RadiusQuery) -> int:
 
 
 def test_seeded_cross_validate_sweep_count(monkeypatch):
-    # Two sweeps check the seed's ends, about three close the bracket, one
-    # sweeps the radius; unseeded this query took 17.
+    # The real-axis crossing seeds a cell the radius lies in: two sweeps
+    # probe the cell's ends, they decide every replayed midpoint, so no
+    # solve runs, and the third sweeps the radius; unseeded this query
+    # took 17.
     q = _q(NormalizedKind.G, P11, "jan_star", 1.0, -1.0)
-    assert _certifier_sweeps(monkeypatch, q) <= 6
+    assert _certifier_sweeps(monkeypatch, q) == 3
 
 
 def test_off_seeds_cost_at_most_six_sweeps(monkeypatch):
@@ -569,6 +635,15 @@ def test_other_axis_seed_keeps_the_unseeded_radius(rho, beta, kind, target):
         patch.setattr(radii, "_functional_scalar", off_axis_fails)
         assert radii._other_axis_crossing(q, tol) is None
         assert cross_validate(q, tol).certifier == want
+
+
+@pytest.mark.parametrize("what, A", (("jan_star", 0.5), ("jan_star", 1.0),
+                                     ("jan_convex", 0.5)))
+def test_other_axis_crossing_refuses_the_half_plane(what, A):
+    # For B = -1 the target is the half-plane Re v > (1 - A)/2, which has
+    # no right end, so there is no crossing on the other axis.
+    for kind in NormalizedKind:
+        assert radii._other_axis_crossing(_q(kind, P11, what, A, -1.0), 1e-9) is None
 
 
 @pytest.mark.parametrize("tol", (1e-15, 1e-12))
