@@ -11,7 +11,6 @@ starts cold):
   - the boundary sweeps the certifier takes on each of those two sets
     (radii.boundary_sup calls), printed per side but not compared, as a
     change to the sweep schedule moves them with every output kept;
-  - the 36 half-plane radii;
   - the point, real-axis and circle functionals on the grid and on one
     non-dyadic pair, NON_DYADIC, where rho*n + beta + s*rho and
     rho*n + (beta + s*rho) round apart, so reading the wrong lgamma table
@@ -167,10 +166,6 @@ def emit() -> dict:
                     _attempt(W.region_functional, q, z))
         out["certifier_sweeps"][prefix] = len(sweeps)
     radii.boundary_sup = sup
-    for kind in KINDS:
-        for p in params:
-            _result(out, "halfplane", W.halfplane_starlike_radius(
-                W.NormalizedKind.from_string(kind), p))
 
     fresh = np.exp(1j * np.linspace(0.0, math.pi, 33))
     theta0 = np.linspace(0.0, math.pi, 257)

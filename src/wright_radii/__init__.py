@@ -13,9 +13,8 @@ from .kernel import (EvalResult, WrightParams, log_gamma, wright_derivative,
                      wright_eval)
 from .radii import (CrossCheckResult, JanowskiParams, RadiusQuery,
                     RadiusResult, boundary_sup, cross_validate, domain_bound,
-                    halfplane_starlike_radius, radius_by_certification,
-                    radius_real_axis, region_functional,
-                    rescaled_boundary_sup)
+                    radius_by_certification, radius_real_axis,
+                    region_functional)
 from .zeros import (ZeroTable, base_residual, count_zeros_in_disk,
                     derivative_positive_zeros, hadamard_partial_product,
                     positive_zeros, reciprocal_square_sum)
@@ -30,9 +29,8 @@ __all__ = [
     "WrightParams", "WrightRadiiError", "ZeroTable", "base_eval",
     "base_residual", "boundary_sup", "convex_functional", "convex_real",
     "count_zeros_in_disk", "cross_validate", "derivative_positive_zeros",
-    "domain_bound", "hadamard_partial_product", "halfplane_starlike_radius",
-    "log_gamma", "positive_zeros", "radius_by_certification",
-    "radius_real_axis", "reciprocal_square_sum", "region_functional",
-    "rescaled_boundary_sup", "starlike_functional", "starlike_real",
-    "wright_derivative", "wright_eval", "__version__",
+    "domain_bound", "hadamard_partial_product", "log_gamma",
+    "positive_zeros", "radius_by_certification", "radius_real_axis",
+    "reciprocal_square_sum", "region_functional", "starlike_functional",
+    "starlike_real", "wright_derivative", "wright_eval", "__version__",
 ]

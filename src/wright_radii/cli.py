@@ -86,6 +86,8 @@ def _build_query(kind_token: str, rho: float, beta: float, what_token: str,
         if A is None or B is None:
             raise ParameterError(f"{what_token} requires -A and -B")
         jp = JanowskiParams(A, B)
+    elif A is not None or B is not None:
+        raise ParameterError(f"{what_token} takes no -A or -B")
     return RadiusQuery(kind=NormalizedKind.from_string(kind_token),
                        params=WrightParams(rho, beta),
                        radius_kind=radius_kind, janowski=jp)

@@ -50,6 +50,12 @@ class NormalizedKind(enum.Enum):
             raise ParameterError(f"unknown kind {s!r}; expected f, g, or h") from None
 
 
+def _check_kind(kind) -> None:
+    """Refuse a kind that is not a NormalizedKind, such as its string name."""
+    if not isinstance(kind, NormalizedKind):
+        raise ParameterError(f"kind must be a NormalizedKind, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class FunctionalValue:
     """A functional value with a first-order propagated error bound."""
@@ -163,6 +169,7 @@ def _at_point(functional, kind: NormalizedKind, p: WrightParams,
               z: complex | float, n: int) -> _Bounded:
     """functional at z from its first n Wright values, with bounds; for a
     float z in floats, which give the real parts of the complex route."""
+    _check_kind(kind)
     real = isinstance(z, float)
     u = -z if kind is NormalizedKind.H else -(z * z)
     W = [_Bounded(value.real if real else value, tail)
@@ -221,6 +228,7 @@ def _on_circle(functional, kind: NormalizedKind, p: WrightParams, r: float,
                phases: np.ndarray | _AngleGrid, n: int) -> np.ndarray:
     """functional at r * phases from one circle_eval of its n Wright rows:
     a kept grid's tables, or fresh ones for an array of phases."""
+    _check_kind(kind)
     if isinstance(phases, _AngleGrid):
         powers, phases = phases.powers(kind), phases.phases
     else:

@@ -29,17 +29,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConvergenceError, MonotonicityError, ParameterError,
                      PoleProximityError, WrightRadiiError)
 from .family import (_GRID0, FunctionalValue, NormalizedKind, _AngleGrid,
-                     _refinement_grid, convex_functional, convex_on_circle,
-                     convex_real, starlike_functional, starlike_on_circle,
-                     starlike_real)
+                     _check_kind, _refinement_grid, convex_functional,
+                     convex_on_circle, convex_real, starlike_functional,
+                     starlike_on_circle, starlike_real)
 from .kernel import WrightParams, _check_tol, _store_real
 from .zeros import _refine_bracket, derivative_positive_zeros, positive_zeros
 
@@ -78,6 +77,9 @@ class RadiusQuery:
     janowski: JanowskiParams | None = None
 
     def __post_init__(self) -> None:
+        _check_kind(self.kind)
+        if not isinstance(self.params, WrightParams):
+            raise ParameterError(f"params must be WrightParams, got {self.params!r}")
         if self.radius_kind not in RADIUS_KINDS:
             raise ParameterError(
                 f"radius_kind must be one of {RADIUS_KINDS}, got {self.radius_kind!r}")
@@ -179,32 +181,34 @@ def _region_at(query: RadiusQuery, fv: FunctionalValue) -> float:
 # boundary sweep
 # ----------------------------------------------------------------------------
 
-def _sup_scan(values_at: Callable[[_AngleGrid], np.ndarray], tol_theta: float,
-              stop_at: float = math.inf) -> tuple[float, float]:
-    """Max of values_at over [0, pi]: coarse grid plus local 10x refinements.
+def boundary_sup(query: RadiusQuery, r: float, *,
+                 _stop_at: float = math.inf) -> tuple[float, float]:
+    """sup over theta in [0, pi] of the region modulus at z = r e^{i theta},
+    with its angle: a coarse grid plus local 10x refinements.
 
-    values_at takes a kept angle grid: the level-0 grid, then the cached
+    Conjugate symmetry of the functionals halves the circle.  The sweep
+    evaluates the kept angle grids: the level-0 grid, then the cached
     21-point grid between the argmax's neighbours, so a refinement that
     recurs, as those about theta = 0, pi/2 and pi do, reuses its phases and
     phase powers.  Refinement stops when the triangle bound on the
     missed-peak excess (half the largest adjacent difference near the
-    argmax) falls below tol_theta.
-    Both boundary-sup routes share this exact schedule so that they sample
-    identical angle sequences and differ only by evaluation noise.  The scan
-    also stops at the first level whose running max reaches stop_at: the
-    running max only grows, so the full scan's max would reach it too.
+    argmax) falls below 1e-10.  The sweep also stops at the first level
+    whose running max reaches _stop_at: the running max only grows, so the
+    full sweep's max would reach it too.
     """
+    if not 0.0 < r < math.inf:
+        raise ParameterError(f"r must be finite and > 0, got {r}")
     grid = _GRID0
     best_sup = -math.inf
     best_angle = 0.0
     for _level in range(12):
         theta = grid.theta
-        vals = values_at(grid)
+        vals = _region(query, _functional_circle(query, r, grid), 1e-13)
         i = int(np.argmax(vals))
         if vals[i] > best_sup:
             best_sup = float(vals[i])
             best_angle = float(theta[i])
-        if best_sup >= stop_at:
+        if best_sup >= _stop_at:
             break
         lo = theta[max(i - 1, 0)]
         hi = theta[min(i + 1, len(theta) - 1)]
@@ -214,25 +218,10 @@ def _sup_scan(values_at: Callable[[_AngleGrid], np.ndarray], tol_theta: float,
             neighbor_jump = max(neighbor_jump, abs(float(vals[i] - vals[i - 1])))
         if i < len(vals) - 1:
             neighbor_jump = max(neighbor_jump, abs(float(vals[i] - vals[i + 1])))
-        if neighbor_jump * 0.5 < tol_theta or step <= 1e-15:
+        if neighbor_jump * 0.5 < 1e-10 or step <= 1e-15:
             break
         grid = _refinement_grid(float(lo), float(hi))
     return best_sup, best_angle
-
-
-def boundary_sup(query: RadiusQuery, r: float, tol_theta: float = 1e-10, *,
-                 _stop_at: float = math.inf) -> tuple[float, float]:
-    """sup over theta in [0, pi] of the region modulus at z = r e^{i theta}.
-
-    Conjugate symmetry of the functionals halves the circle.
-    """
-    if not (r > 0):
-        raise ParameterError(f"r must be > 0, got {r}")
-
-    def values_at(grid: _AngleGrid) -> np.ndarray:
-        return _region(query, _functional_circle(query, r, grid), 1e-13)
-
-    return _sup_scan(values_at, tol_theta, _stop_at)
 
 
 # ----------------------------------------------------------------------------
@@ -295,36 +284,35 @@ def _bisection_walk(lo: float, hi: float, a: float, b: float,
     return lo, hi, None
 
 
-def _certify(query: RadiusQuery,
-             sweep: Callable[..., tuple[float, float]], level: float,
-             tol: float, seed: float | None = None) -> RadiusResult:
-    """The radius of the condition sweep(r)[0] < level, bracketed to width tol.
+def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
+                            _seed: float | None = None) -> RadiusResult:
+    """Largest r with sup_{|z|=r} |expression| < 1, bracketed to width tol.
 
-    sweep(r, stop_at) is a boundary sweep: the sup over |z| = r of a modulus
-    nondecreasing in r, with its angle; it may stop once its running max
-    reaches stop_at.  The condition holds as r -> 0, where every excess
-    sweep(r)[0] - level here equals -1 (the functionals start at 1).  A
-    sweep that meets a Janowski pole counts as a failure and sets
-    pole_truncated.  The search runs on (0, hi), hi below the functional's
-    pole at the domain bound by 10 tol, or by 1% of the pole where that is
-    less, so that a coarse tol still reaches a radius near the pole.  The
-    condition must fail before the pole, so a hold at hi is no radius: it
-    raises ConvergenceError.
+    Sound because the sup, boundary_sup(query, r), is continuous and
+    nondecreasing in r and tends to 0 as r -> 0, where the excess sup - 1
+    is -1 (the functionals start at 1).  A sweep may stop once its running
+    max reaches 1, which decides the sign.  A sweep that meets a Janowski
+    pole counts as a failure and sets pole_truncated.  The search runs on
+    (0, hi), hi below the functional's pole at the domain bound by 10 tol,
+    or by 1% of the pole where that is less, so that a coarse tol still
+    reaches a radius near the pole.  The condition must fail before the
+    pole, so a hold at hi is no radius: it raises ConvergenceError.
 
     The bracket is exactly that of bisecting from (0, hi) to width tol, found
-    in fewer sweeps.  The sign-known ends (a, b) start at (0, hi).  A seed
-    names a cell of that bisection, the one it would end in were the seed the
-    radius; two probes at the cell's ends narrow (a, b) by their signs, a
-    probe outside the current (a, b) skipped.  The bisection is then
-    replayed: a midpoint at or below a holds and one at or above b fails, by
-    monotonicity, so only a midpoint strictly inside (a, b) needs a sweep.
-    The first such midpoint first runs an Anderson-Bjorck solve that narrows
-    (a, b) to a quarter of tol; the rest are swept.  A seed in the radius's
-    cell thus leaves no midpoint inside (a, b) and no solve: three sweeps,
-    the two probes and the one at the radius.  Unseeded, hi/2 lies inside
-    (0, hi), so the solve runs first.  The probes and the solve only move
-    an end to a point whose sign they read, and the replayed midpoints are
-    the bisection's own with its verdicts, so the bracket is the
+    in fewer sweeps.  The sign-known ends (a, b) start at (0, hi).  _seed, a
+    guess of the radius, names a cell of that bisection, the one it would
+    end in were the seed the radius; two probes at the cell's ends narrow
+    (a, b) by their signs, a probe outside the current (a, b) skipped.  The
+    bisection is then replayed: a midpoint at or below a holds and one at or
+    above b fails, by monotonicity, so only a midpoint strictly inside
+    (a, b) needs a sweep.  The first such midpoint first runs an
+    Anderson-Bjorck solve that narrows (a, b) to a quarter of tol; the rest
+    are swept.  A seed in the radius's cell thus leaves no midpoint inside
+    (a, b) and no solve: three sweeps, the two probes and the one at the
+    radius.  Unseeded, hi/2 lies inside (0, hi), so the solve runs first.
+    The probes and the solve only move an end to a point whose sign they
+    read, and the replayed midpoints are the bisection's own with its
+    verdicts, so the bracket, and every output bit, is the unseeded
     bisection's whatever the seed.  sup_at_radius is the sweep at the
     radius, or at the bracket's lower end when a pole lies between them.
     """
@@ -332,19 +320,19 @@ def _certify(query: RadiusQuery,
     pole_seen = False
 
     def excess(r: float) -> float:
-        # A failing sweep stops once its running max reaches level, so its
+        # A failing sweep stops once its running max reaches 1, so its
         # excess is truncated: the bracket is correct by the signs alone, but
         # the solve's steps read the truncated values.
         nonlocal pole_seen
         try:
-            return sweep(r, level)[0] - level
+            return boundary_sup(query, r, _stop_at=1.0)[0] - 1.0
         except PoleProximityError:
             pole_seen = True
             return 1e300
 
     a, fa, b, fb = 0.0, -1.0, hi, None
-    if seed is not None:
-        for x in _bisection_walk(0.0, hi, seed, seed, tol)[:2]:
+    if _seed is not None:
+        for x in _bisection_walk(0.0, hi, _seed, _seed, tol)[:2]:
             if a < x < b:
                 fx = excess(x)
                 if fx < 0.0:
@@ -375,28 +363,13 @@ def _certify(query: RadiusQuery,
             b = mid
     radius = 0.5 * (lo + hi)
     try:
-        swept_at = sweep(max(radius, tol))
+        swept_at = boundary_sup(query, max(radius, tol))
     except PoleProximityError:         # inside the bracket; lo held, so saw none
         pole_seen = True
-        swept_at = sweep(max(lo, tol))
+        swept_at = boundary_sup(query, max(lo, tol))
     return RadiusResult(radius=radius, bracket=(lo, hi), method="certifier",
                         sup_at_radius=swept_at[0], argmax_angle=swept_at[1],
                         pole_truncated=pole_seen)
-
-
-def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
-                            _seed: float | None = None) -> RadiusResult:
-    """Largest r with sup_{|z|=r} |expression| < 1, bracketed to width tol.
-
-    Sound because the sup is 0 at r -> 0, continuous, and nondecreasing in r;
-    the bracket is the bisection's, found by _certify, which refuses a
-    condition that holds at its search end below the pole.  _seed is
-    a guess of the radius that only narrows the start bracket after sweeps
-    check it (see _certify); every output bit is the unseeded one.
-    """
-    return _certify(
-        query, lambda r, stop_at=math.inf: boundary_sup(query, r, _stop_at=stop_at),
-        1.0, tol, _seed)
 
 
 # ----------------------------------------------------------------------------
@@ -436,7 +409,7 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
     the functional strictly decreases from 1 there, all the smallest root
     needs.  The grid ends just below the domain bound for star kinds and,
     for convex ones, below it by 10 tol or by 1% of it where that is less,
-    as _certify's search does.  Raises ConvergenceError if no grid point
+    as the certifier's search does.  Raises ConvergenceError if no grid point
     reaches c, if the regula falsi stalls wider than tol, or if the
     functional's error bound at the root plus its rounding, 2 eps max(|c|, 1),
     exceeds tol times the smaller of the crossing cell's slope and the final
@@ -536,7 +509,7 @@ def _other_axis_crossing(query: RadiusQuery, tol: float) -> float | None:
     There v is real, starts at 1 and increases, and the region condition
     reads v < level: sqrt(2) for the lemniscate, (1 + A)/(1 + B) for
     Janowski B > -1.  The condition thus fails at r_up, which bounds the
-    radius from above.  None when v stays below level up to _certify's
+    radius from above.  None when v stays below level up to the certifier's
     search end hi, or when the point functional raises; None too for
     Janowski B = -1, whose target is the half-plane Re v > (1 - A)/2 with
     no right end.
@@ -593,55 +566,3 @@ def cross_validate(query: RadiusQuery, tol: float = 1e-9) -> CrossCheckResult:
                    f"off the real axis, {why}")
     return CrossCheckResult(certifier=cert, real_axis=real, delta=delta,
                             finding=finding)
-
-
-# ----------------------------------------------------------------------------
-# half-plane specialization (independent check of jan_star A=1, B=-1)
-# ----------------------------------------------------------------------------
-
-def halfplane_starlike_radius(kind: NormalizedKind, p: WrightParams,
-                              tol: float = 1e-9) -> RadiusResult:
-    """Largest r with Re w > 0 on |z| = r, by the harmonic minimum of Re w.
-
-    |(w-1)/(1+w)| < 1 is equivalent to Re w > 0, so this is an independent
-    certifier for jan_star with (A, B) = (1, -1): it never forms the Janowski
-    modulus; _certify brackets the crossing of min Re w instead of a sup.
-    """
-    query = RadiusQuery(kind=kind, params=p, radius_kind="jan_star",
-                        janowski=JanowskiParams(1.0, -1.0))
-
-    def max_minus_re(r: float, stop_at: float = math.inf) -> tuple[float, float]:
-        """-min Re w on |z| = r and its angle: the excess of Re w > 0."""
-        def values_at(grid: _AngleGrid) -> np.ndarray:
-            return -starlike_on_circle(kind, p, r, grid).real
-
-        return _sup_scan(values_at, 1e-12, stop_at)
-
-    res = _certify(query, max_minus_re, 0.0, tol)
-    return replace(res, sup_at_radius=1.0 + res.sup_at_radius)
-
-
-# ----------------------------------------------------------------------------
-# rescaling semantics
-# ----------------------------------------------------------------------------
-
-def rescaled_boundary_sup(query: RadiusQuery, scale: float,
-                          tol_theta: float = 1e-10) -> float:
-    """Boundary sup of the rescaled function f_s(z) = f(s z)/s on |z| = 1.
-
-    Both functionals are invariant under the rescaling substitution:
-    z f_s'(z)/f_s(z) = w_f(s z) and 1 + z f_s''(z)/f_s'(z) = C_f(s z).  This
-    path evaluates the functional point by point through the scalar family
-    route (same angle schedule as boundary_sup, different evaluation route),
-    so agreement with boundary_sup(query, s) exercises the full plumbing
-    rather than restating it.
-    """
-    if not scale > 0:
-        raise ParameterError("scale must be > 0")
-
-    def values_at(grid: _AngleGrid) -> np.ndarray:
-        return np.array([region_functional(
-            query, scale * complex(math.cos(t), math.sin(t))) for t in grid.theta])
-
-    sup, _ = _sup_scan(values_at, tol_theta)
-    return sup

@@ -24,11 +24,11 @@ from wright_radii import (
     count_zeros_in_disk,
     cross_validate,
     hadamard_partial_product,
-    halfplane_starlike_radius,
     positive_zeros,
     radius_by_certification,
+    radius_real_axis,
     reciprocal_square_sum,
-    rescaled_boundary_sup,
+    region_functional,
     starlike_functional,
     wright_derivative,
     wright_eval,
@@ -212,15 +212,16 @@ def test_radius_cross_validation(headline):
 
 
 def test_halfplane_specialization(headline):
-    # jan_star at (A,B) = (1,-1) equals the independent min Re w > 0
-    # certifier to 1e-8 on the grid, all three normalizations.
+    # jan_star at (A,B) = (1,-1), the half-plane Re w > 0, equals the
+    # real-axis crossing of w = 0, a route sharing none of the certifier's
+    # sweep, to 1e-8 on the grid, all three normalizations.
     results, _ = headline
     worst = 0.0
     for kind in NormalizedKind:
         for p in GRID:
             q = RadiusQuery(kind, p, "jan_star", JanowskiParams(1.0, -1.0))
             via_jan = results[q].certifier.radius
-            direct = halfplane_starlike_radius(kind, p, tol=1e-9).radius
+            direct = radius_real_axis(q, tol=1e-9).radius
             worst = max(worst, abs(via_jan - direct))
             assert abs(via_jan - direct) <= 1e-8, (kind, p)
     print(f"\nhalfplane specialization: worst gap {worst:.2e}")
@@ -252,8 +253,9 @@ def test_radius_orderings(headline):
 
 def test_rescaled_boundary_semantics(headline):
     # The class-membership radius talks about f_r(z) = f(rz)/r on the unit
-    # circle: its boundary sup at 1 must equal the original boundary sup at
-    # r, to 1e-10, on 6 sampled queries.
+    # circle: its functional at e^{i theta} is that of f at r e^{i theta}, so
+    # the circle sweep's sup at r must equal the point route's modulus at
+    # the sweep's argmax angle, to 1e-10, on 6 sampled queries.
     results, _ = headline
     samples = [
         RadiusQuery(NormalizedKind.G, WrightParams(1.0, 1.0), "lem_star"),
@@ -269,8 +271,8 @@ def test_rescaled_boundary_semantics(headline):
     worst = 0.0
     for q in samples:
         r = results[q].certifier.radius
-        direct, _ = boundary_sup(q, r, tol_theta=1e-12)
-        scaled = rescaled_boundary_sup(q, scale=r, tol_theta=1e-12)
+        direct, angle = boundary_sup(q, r)
+        scaled = region_functional(q, r * complex(math.cos(angle), math.sin(angle)))
         worst = max(worst, abs(direct - scaled))
         assert abs(direct - scaled) <= 1e-10, (q, direct, scaled)
     print(f"\nrescaled boundary: worst gap {worst:.2e} on 6 queries")

@@ -291,6 +291,19 @@ def test_sweep_check_reproduces_reference_bytes(tmp_path):
     assert proc.stdout == (root / "perfbench" / "reference_sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("demo", sorted(
+    (Path(__file__).resolve().parents[1] / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(demo):
+    # Each demo in a fresh interpreter, as a user runs it, exits 0.
+    root = demo.parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(demo)], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_plain_sweep_matches_the_reference_columns(tmp_path, capsys):
     # Plain sweep certifies unseeded, --check seeds the certifier from an
     # axis crossing; every certifier column must agree on all 288 rows.
@@ -387,6 +400,11 @@ def test_sweep_jan_without_ab_exits_2(tmp_path, capsys):
                    "rho=1\nbeta=1\nwhat=lem-star\n",
                    "tol must be finite and > 0", id=f"sweep--tol={tol}")
       for tol in ("inf", "nan", "0")),
+    # a lemniscate query takes no Janowski parameters
+    (("radius", "--what", "lem-star", "-A", "1", "-B", "0"), None,
+     "lem-star takes no -A or -B"),
+    (("radius", "--what", "lem-convex", "-B", "0"), None,
+     "lem-convex takes no -A or -B"),
 ))
 def test_usage_errors_exit_2(tmp_path, capsys, argv, grid, message):
     if grid is not None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wright_radii import (
     NearZeroDenominatorError,
     NormalizedKind,
+    ParameterError,
     RadiusQuery,
     WrightParams,
     base_eval,
@@ -36,6 +37,20 @@ def test_kind_from_string():
     assert NormalizedKind.from_string("F") is NormalizedKind.F
     with pytest.raises(Exception):
         NormalizedKind.from_string("q")
+
+
+def test_functionals_refuse_a_kind_name():
+    # A kind's string name was once taken as kind G: starlike_functional
+    # ("h", (1, 1), 0.3) gave G's 0.81138, not H's 0.64366.
+    p = WrightParams(1.0, 1.0)
+    for point in (starlike_functional, convex_functional, starlike_real, convex_real):
+        with pytest.raises(ParameterError, match="kind must be a NormalizedKind"):
+            point("h", p, 0.3)
+    for circle in (starlike_on_circle, convex_on_circle):
+        with pytest.raises(ParameterError, match="kind must be a NormalizedKind"):
+            circle("h", p, 0.3, _GRID0)
+    assert starlike_functional(NormalizedKind.H, p, 0.3).value.real == pytest.approx(
+        0.64366, abs=1e-5)
 
 
 # ----------------------------------------------------------------------------

@@ -23,12 +23,10 @@ from wright_radii import (
     boundary_sup,
     cross_validate,
     domain_bound,
-    halfplane_starlike_radius,
     positive_zeros,
     radius_by_certification,
     radius_real_axis,
     region_functional,
-    rescaled_boundary_sup,
     starlike_real,
     WrightRadiiError,
 )
@@ -88,6 +86,18 @@ def test_query_validation():
     with pytest.raises(ParameterError):
         RadiusQuery(NormalizedKind.G, P11, "circle_star", None)
     assert RADIUS_KINDS == ("lem_star", "lem_convex", "jan_star", "jan_convex")
+
+
+def test_query_refuses_a_kind_or_params_of_the_wrong_type():
+    # "h" was once taken as kind G: lem_star certified G's radius
+    # 0.4796529767500324, not H's 0.47827877460268975.
+    with pytest.raises(ParameterError, match="kind must be a NormalizedKind"):
+        RadiusQuery("h", P11, "lem_star")
+    with pytest.raises(ParameterError, match="params must be WrightParams"):
+        RadiusQuery(NormalizedKind.H, (1.0, 1.0), "lem_star")
+    q = RadiusQuery(NormalizedKind.H, P11, "lem_star")
+    assert radius_by_certification(q).radius == pytest.approx(0.47827877460268975,
+                                                              abs=1e-9)
 
 
 def test_lem_constant():
@@ -162,6 +172,14 @@ def test_boundary_sup_monotone_in_radius():
     q = _q(NormalizedKind.G, P11, "lem_star")
     sups = [boundary_sup(q, r)[0] for r in (0.15, 0.3, 0.45)]
     assert sups[0] < sups[1] < sups[2]
+
+
+@pytest.mark.parametrize("r", (0.0, -0.3, math.inf, math.nan))
+def test_boundary_sup_refuses_a_radius_not_finite_and_positive(r):
+    # r = inf once ran the series and raised ConvergenceError, a numeric
+    # failure, for what is bad input.
+    with pytest.raises(ParameterError, match="r must be finite and > 0"):
+        boundary_sup(_q(NormalizedKind.G, P11, "lem_star"), r)
 
 
 def test_early_exit_predicate_agrees_with_full_sup():
@@ -656,12 +674,10 @@ def test_certifier_equals_bisection_at_tight_tol(tol):
 def test_certifier_stops_below_one_ulp(tol):
     # Below the spacing of doubles near the radius the bisection midpoint
     # rounds to an endpoint; the bracket then stops at adjacent doubles.
-    q = _q(NormalizedKind.G, P11, "lem_star")
-    for res in (radius_by_certification(q, tol),
-                halfplane_starlike_radius(NormalizedKind.G, P11, tol)):
-        lo, hi = res.bracket
-        assert lo < hi <= math.nextafter(lo, math.inf)
-        assert res.radius in (lo, hi)
+    res = radius_by_certification(_q(NormalizedKind.G, P11, "lem_star"), tol)
+    lo, hi = res.bracket
+    assert lo < hi <= math.nextafter(lo, math.inf)
+    assert res.radius in (lo, hi)
 
 
 @pytest.mark.parametrize("tol", (0.0, -1e-9, math.inf, math.nan))
@@ -670,12 +686,10 @@ def test_radius_routes_reject_bad_tol(tol):
     for route in (domain_bound, radius_by_certification, radius_real_axis):
         with pytest.raises(ParameterError, match="tol must be finite and > 0"):
             route(q, tol=tol)
-    with pytest.raises(ParameterError, match="tol must be finite and > 0"):
-        halfplane_starlike_radius(NormalizedKind.G, P11, tol)
 
 
 @pytest.mark.parametrize("what", ("jan_star", "jan_convex"))
-def test_certify_reports_the_domain_bound(what):
+def test_certify_reports_the_domain_bound(monkeypatch, what):
     # The functional has a pole 10 tol above hi, so the condition must fail
     # below it: a stub sweep that holds on (0, bound] is refused, and the
     # message names hi and the singularity.
@@ -684,11 +698,12 @@ def test_certify_reports_the_domain_bound(what):
     bound = domain_bound(q, tol)
     hi = bound - 10.0 * tol
 
-    def sweep(r, stop_at=math.inf):
+    def sweep(query, r, *, _stop_at=math.inf):
         return 0.25 * r, 1.5
 
+    monkeypatch.setattr(radii, "boundary_sup", sweep)
     with pytest.raises(ConvergenceError) as refused:
-        radii._certify(q, sweep, 1.0, tol)
+        radius_by_certification(q, tol)
     assert f"hi = {hi:.9g}" in str(refused.value)
     assert f"pole at {bound:.9g}" in str(refused.value)
 
@@ -878,23 +893,25 @@ def test_real_axis_constants():
 
 
 def test_halfplane_certifier_is_independent_route():
-    # min Re w > 0 on circles versus the (1,-1) Janowski sup: two different
-    # functionals certifying the same radius.
+    # The (1,-1) Janowski target is the half-plane Re w > 0.  The certifier's
+    # circle sweep and the real-axis crossing of w = 0, which shares none of
+    # its sweep, give the same radius.
     for kind in NormalizedKind:
-        direct = halfplane_starlike_radius(kind, P11, tol=1e-9)
         q = _q(kind, P11, "jan_star", 1.0, -1.0)
+        direct = radius_real_axis(q, tol=1e-9)
         via_jan = radius_by_certification(q, tol=1e-9)
         assert direct.radius == pytest.approx(via_jan.radius, abs=1e-8)
 
 
 def test_rescaled_boundary_sup_identity():
-    # sup of the functional of f(scale * z) on |z| = 1 equals the sup of the
-    # functional of f on |z| = scale.
+    # The functional of f(scale * z) at e^{i theta} is that of f at
+    # scale e^{i theta}: the circle sweep's sup on |z| = scale equals the
+    # point route's modulus at the sweep's argmax angle.
     for what, A, B in (("lem_star", None, None), ("jan_convex", 0.5, 0.0)):
         q = _q(NormalizedKind.G, P11, what, A, B)
         r = 0.35
-        direct, _ = boundary_sup(q, r, tol_theta=1e-12)
-        scaled = rescaled_boundary_sup(q, scale=r, tol_theta=1e-12)
+        direct, angle = boundary_sup(q, r)
+        scaled = region_functional(q, r * complex(math.cos(angle), math.sin(angle)))
         assert scaled == pytest.approx(direct, abs=1e-11)
 
 
