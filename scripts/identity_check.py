@@ -16,8 +16,8 @@ starts cold):
     rho*n + (beta + s*rho) round apart, so reading the wrong lgamma table
     shows up; the region modulus on the grid;
   - the circle functionals on the kept sweep grids, level 0 and the
-    refinement grids REFINED_CELLS, each next to the same phases in a fresh
-    array (a checkout without kept grids passes the fresh phases twice);
+    refinement grids REFINED_CELLS, each next to a fresh grid of the same
+    angles, built per call;
   - the 12 cold 80-zero tables, 5-zero derivative tables and winding counts,
     plus one winding count for (0.3, 1.1) that needs the mpmath rescue, and
     the number of certified evaluations (_ComboSeries.certified calls) that
@@ -113,15 +113,9 @@ def emit() -> dict:
 
     import wright_radii as W
     from wright_radii import radii
-    from wright_radii.family import convex_on_circle, starlike_on_circle
+    from wright_radii.family import (_GRID0, _AngleGrid, _refinement_grid,
+                                     convex_on_circle, starlike_on_circle)
     from wright_radii.zeros import _ComboSeries
-    try:
-        from wright_radii.family import _GRID0, _refinement_grid
-    except ImportError:             # a checkout without kept grids
-        from wright_radii.radii import _PHASES0 as _GRID0
-
-        def _refinement_grid(lo, hi):
-            return np.exp(1j * np.linspace(lo, hi, 21))
 
     out: dict[str, list] = {}
     params = [W.WrightParams(rho, beta) for rho, beta in GRID]
@@ -167,10 +161,10 @@ def emit() -> dict:
         out["certifier_sweeps"][prefix] = len(sweeps)
     radii.boundary_sup = sup
 
-    fresh = np.exp(1j * np.linspace(0.0, math.pi, 33))
+    fresh = np.linspace(0.0, math.pi, 33)
     theta0 = np.linspace(0.0, math.pi, 257)
     refined = [(_refinement_grid(float(theta0[i]), float(theta0[j])),
-                np.exp(1j * np.linspace(theta0[i], theta0[j], 21)))
+                np.linspace(theta0[i], theta0[j], 21))
                for i, j in REFINED_CELLS]
     for kind in W.NormalizedKind:
         for name, point, real, circle in (
@@ -189,13 +183,13 @@ def emit() -> dict:
                         out.setdefault(f"point.{key}.bound", []).append(
                             fv.abs_error_bound if ok else fv)
                 for r in CIRCLE_RADII:
-                    for phases in (_GRID0, fresh):
-                        vals = circle(kind, p, r, phases)
+                    for grid in (_GRID0, _AngleGrid(fresh.copy())):
+                        vals = circle(kind, p, r, grid)
                         out.setdefault(f"circle.{key}", []).append(
                             [x for v in vals for x in _c(v)])
-                    for kept, new in refined:
-                        for phases in (kept, new):
-                            vals = circle(kind, p, r, phases)
+                    for kept, theta in refined:
+                        for grid in (kept, _AngleGrid(theta.copy())):
+                            vals = circle(kind, p, r, grid)
                             out.setdefault(f"circle_refined.{key}", []).append(
                                 [x for v in vals for x in _c(v)])
 

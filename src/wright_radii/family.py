@@ -16,17 +16,17 @@ All identities reduce to ratios of W(rho, beta + k*rho; .) for k = 0, 1, 2
 via the shift identity; see the kernel module.  Each functional is written
 once, in _starlike and _convex, and evaluated by two routes: at one point
 with a first-order error bound (starlike_functional, convex_functional and
-the *_real wrappers) and on a circle of points without (the *_on_circle
-functions the boundary sweeps use).  The sweeps pass kept angle grids, the
-level-0 grid and a bounded cache of refinement grids, each holding its
-phases and the phase powers of its Wright arguments once formed.
+the *_real wrappers), whose arithmetic FunctionalValue carries, and on a
+circle of points without (the *_on_circle functions the boundary sweeps
+use).  A circle is always a kept angle grid, _AngleGrid: the level-0 grid or
+one of a bounded cache of refinement grids, each holding its phases and the
+phase powers of its Wright arguments once formed.
 """
 from __future__ import annotations
 
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,19 +56,11 @@ def _check_kind(kind) -> None:
         raise ParameterError(f"kind must be a NormalizedKind, got {kind!r}")
 
 
-@dataclass(frozen=True)
-class FunctionalValue:
-    """A functional value with a first-order propagated error bound."""
-
-    value: complex
-    abs_error_bound: float
-
-
 # ----------------------------------------------------------------------------
 # first-order error arithmetic
 # ----------------------------------------------------------------------------
 
-class _Bounded:
+class FunctionalValue:
     """A complex or real value with a first-order propagated error bound.
 
     The operators keep CPython's operation order on the values, so a formula
@@ -78,41 +70,44 @@ class _Bounded:
     than its own bound.
     """
 
-    __slots__ = ("value", "bound")
+    __slots__ = ("value", "abs_error_bound")
 
-    def __init__(self, value: complex, bound: float):
+    def __init__(self, value: complex, abs_error_bound: float):
         self.value = value
-        self.bound = bound
+        self.abs_error_bound = abs_error_bound
 
-    def __add__(self, other: "_Bounded") -> "_Bounded":
-        return _Bounded(self.value + other.value, self.bound + other.bound)
+    def __add__(self, other: "FunctionalValue") -> "FunctionalValue":
+        return FunctionalValue(self.value + other.value,
+                               self.abs_error_bound + other.abs_error_bound)
 
-    def __sub__(self, other: "_Bounded") -> "_Bounded":
-        return _Bounded(self.value - other.value, self.bound + other.bound)
+    def __sub__(self, other: "FunctionalValue") -> "FunctionalValue":
+        return FunctionalValue(self.value - other.value,
+                               self.abs_error_bound + other.abs_error_bound)
 
-    def __mul__(self, other: "_Bounded") -> "_Bounded":
-        return _Bounded(self.value * other.value, abs(self.value) * other.bound
-                        + abs(other.value) * self.bound)
+    def __mul__(self, other: "FunctionalValue") -> "FunctionalValue":
+        return FunctionalValue(self.value * other.value,
+                               abs(self.value) * other.abs_error_bound
+                               + abs(other.value) * self.abs_error_bound)
 
-    def __radd__(self, other: complex) -> "_Bounded":
-        return _Bounded(other + self.value, self.bound)
+    def __radd__(self, other: complex) -> "FunctionalValue":
+        return FunctionalValue(other + self.value, self.abs_error_bound)
 
-    def __rsub__(self, other: complex) -> "_Bounded":
-        return _Bounded(other - self.value, self.bound)
+    def __rsub__(self, other: complex) -> "FunctionalValue":
+        return FunctionalValue(other - self.value, self.abs_error_bound)
 
-    def __rmul__(self, other: complex) -> "_Bounded":
-        return _Bounded(other * self.value, abs(other) * self.bound)
+    def __rmul__(self, other: complex) -> "FunctionalValue":
+        return FunctionalValue(other * self.value, abs(other) * self.abs_error_bound)
 
-    def __truediv__(self, other: "_Bounded | float") -> "_Bounded":
-        den, den_bound = ((other.value, other.bound) if isinstance(other, _Bounded)
-                          else (other, 0.0))
+    def __truediv__(self, other: "FunctionalValue | float") -> "FunctionalValue":
+        den, den_bound = ((other.value, other.abs_error_bound)
+                          if isinstance(other, FunctionalValue) else (other, 0.0))
         ad = abs(den)
         if ad <= den_bound:
             raise NearZeroDenominatorError(
                 f"denominator {ad:.3e} below its propagated error bound "
                 f"{den_bound:.3e}")
         val = self.value / den
-        return _Bounded(val, (self.bound + abs(val) * den_bound) / ad)
+        return FunctionalValue(val, (self.abs_error_bound + abs(val) * den_bound) / ad)
 
 
 # ----------------------------------------------------------------------------
@@ -130,8 +125,8 @@ def base_eval(p: WrightParams, z: complex, tol: float = 1e-12) -> EvalResult:
 # the two shape functionals, written once
 # ----------------------------------------------------------------------------
 # W[k] = W(rho, beta + k*rho; u) with u = -z^2 (kinds F, G) or u = -z (kind
-# H).  At a point, z is a complex or a float and W holds _Bounded values; on
-# a circle, z is an array of points and W the rows of circle_eval.
+# H).  At a point, z is a complex or a float and W holds FunctionalValues;
+# on a circle, z is an array of points and W the rows of circle_eval.
 
 def _starlike(kind: NormalizedKind, beta: float, z, W):
     """w = z f'/f.  G: 1 - 2 z^2 W1/W,  F: 1 - (2/beta) z^2 W1/W,
@@ -166,13 +161,13 @@ def _convex(kind: NormalizedKind, beta: float, z, W):
 
 
 def _at_point(functional, kind: NormalizedKind, p: WrightParams,
-              z: complex | float, n: int) -> _Bounded:
+              z: complex | float, n: int) -> FunctionalValue:
     """functional at z from its first n Wright values, with bounds; for a
     float z in floats, which give the real parts of the complex route."""
     _check_kind(kind)
     real = isinstance(z, float)
     u = -z if kind is NormalizedKind.H else -(z * z)
-    W = [_Bounded(value.real if real else value, tail)
+    W = [FunctionalValue(value.real if real else value, tail)
          for value, tail, _ in _wright_shifts(p, u, n, 1e-12)]
     return functional(kind, p.beta, z, W)
 
@@ -184,18 +179,12 @@ def _at_point(functional, kind: NormalizedKind, p: WrightParams,
 # bisection margins dominate double-precision evaluation noise in the shallow
 # region where radii live.
 
-def _phase_powers(kind: NormalizedKind, phases: np.ndarray) -> _PhasePowers:
-    """The power table of the Wright argument's phases at unit phases:
-    -phases for kind H, -phases**2 for kinds F and G."""
-    return _PhasePowers(-phases if kind is NormalizedKind.H
-                        else -(phases * phases))
-
-
 class _AngleGrid:
     """A kept sweep grid: read-only angles theta, their phases e^{i theta},
-    and the _phase_powers tables of kind H and of kinds F and G, which grow
-    in place, so a sweep that passes the grid again forms no row twice.
-    Their rows are bit for bit those of a fresh table."""
+    and the power tables of the Wright argument's unit phases, -phases**2
+    for kinds F and G and -phases for kind H.  The tables grow in place, so
+    a sweep that passes the grid again forms no row twice; their rows are
+    bit for bit those of a fresh table."""
 
     __slots__ = ("theta", "phases", "_powers")
 
@@ -204,8 +193,8 @@ class _AngleGrid:
         self.phases = np.exp(1j * theta)
         theta.setflags(write=False)
         self.phases.setflags(write=False)
-        self._powers = (_phase_powers(NormalizedKind.G, self.phases),
-                        _phase_powers(NormalizedKind.H, self.phases))
+        self._powers = (_PhasePowers(-(self.phases * self.phases)),
+                        _PhasePowers(-self.phases))
 
     def powers(self, kind: NormalizedKind) -> _PhasePowers:
         """The phase-power table of kind's Wright argument."""
@@ -225,17 +214,13 @@ def _refinement_grid(lo: float, hi: float) -> _AngleGrid:
 
 
 def _on_circle(functional, kind: NormalizedKind, p: WrightParams, r: float,
-               phases: np.ndarray | _AngleGrid, n: int) -> np.ndarray:
-    """functional at r * phases from one circle_eval of its n Wright rows:
-    a kept grid's tables, or fresh ones for an array of phases."""
+               grid: _AngleGrid, n: int) -> np.ndarray:
+    """functional at r * grid.phases from one circle_eval of its n Wright
+    rows over the grid's power table."""
     _check_kind(kind)
-    if isinstance(phases, _AngleGrid):
-        powers, phases = phases.powers(kind), phases.phases
-    else:
-        powers = _phase_powers(kind, phases)
     modulus = r if kind is NormalizedKind.H else r * r
-    W = circle_eval(p, modulus, powers, shifts=(0, 1, 2)[:n])
-    return functional(kind, p.beta, r * phases, W)
+    W = circle_eval(p, modulus, grid.powers(kind), shifts=(0, 1, 2)[:n])
+    return functional(kind, p.beta, r * grid.phases, W)
 
 
 # ----------------------------------------------------------------------------
@@ -245,27 +230,25 @@ def _on_circle(functional, kind: NormalizedKind, p: WrightParams, r: float,
 def starlike_functional(kind: NormalizedKind, p: WrightParams,
                         z: complex) -> FunctionalValue:
     """w(z) = z f'(z)/f(z) for the requested kind, with its error bound."""
-    v = _at_point(_starlike, kind, p, complex(z), 2)
-    return FunctionalValue(v.value, v.bound)
+    return _at_point(_starlike, kind, p, complex(z), 2)
 
 
 def convex_functional(kind: NormalizedKind, p: WrightParams,
                       z: complex) -> FunctionalValue:
     """C(z) = 1 + z f''(z)/f'(z) for the requested kind, with its error bound."""
-    v = _at_point(_convex, kind, p, complex(z), 3)
-    return FunctionalValue(v.value, v.bound)
+    return _at_point(_convex, kind, p, complex(z), 3)
 
 
 def starlike_on_circle(kind: NormalizedKind, p: WrightParams, r: float,
-                       phases: np.ndarray | _AngleGrid) -> np.ndarray:
-    """w(r * phases) for unit-modulus phases or a kept grid's phases."""
-    return _on_circle(_starlike, kind, p, r, phases, 2)
+                       grid: _AngleGrid) -> np.ndarray:
+    """w(r * grid.phases) on a kept grid."""
+    return _on_circle(_starlike, kind, p, r, grid, 2)
 
 
 def convex_on_circle(kind: NormalizedKind, p: WrightParams, r: float,
-                     phases: np.ndarray | _AngleGrid) -> np.ndarray:
-    """C(r * phases) for unit-modulus phases or a kept grid's phases."""
-    return _on_circle(_convex, kind, p, r, phases, 3)
+                     grid: _AngleGrid) -> np.ndarray:
+    """C(r * grid.phases) on a kept grid."""
+    return _on_circle(_convex, kind, p, r, grid, 3)
 
 
 def starlike_real(kind: NormalizedKind, p: WrightParams, r: float) -> float:

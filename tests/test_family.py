@@ -24,8 +24,8 @@ from wright_radii import (
     wright_eval,
 )
 from wright_radii import family
-from wright_radii.family import (_GRID0, _refinement_grid, convex_on_circle,
-                                 starlike_on_circle)
+from wright_radii.family import (_GRID0, _AngleGrid, _refinement_grid,
+                                 convex_on_circle, starlike_on_circle)
 from wright_radii.kernel import _PhasePowers, circle_eval
 
 # First positive zero of J0, halved: the first zero of g(r) = r J0(2r).
@@ -198,14 +198,13 @@ def test_real_routes_match_scalar(grid_params):
 
 
 def test_circle_routes_match_scalar(bessel_params):
-    thetas = np.linspace(0.0, math.pi, 9)
-    phases = np.exp(1j * thetas)
+    grid = _AngleGrid(np.linspace(0.0, math.pi, 9))
     r = 0.45
     for kind in NormalizedKind:
-        ws = starlike_on_circle(kind, bessel_params, r, phases)
-        cs = convex_on_circle(kind, bessel_params, r, phases)
-        for k, th in enumerate(thetas):
-            z = r * phases[k]
+        ws = starlike_on_circle(kind, bessel_params, r, grid)
+        cs = convex_on_circle(kind, bessel_params, r, grid)
+        for k in range(len(grid.theta)):
+            z = r * grid.phases[k]
             assert ws[k] == pytest.approx(
                 starlike_functional(kind, bessel_params, z).value, rel=1e-12)
             assert cs[k] == pytest.approx(
@@ -214,9 +213,9 @@ def test_circle_routes_match_scalar(bessel_params):
 
 def test_circle_routes_on_the_fixed_grid_are_bit_identical(grid_params):
     # The sweep grids, level 0 and the kept refinement grids, read their
-    # Wright arguments and power tables from the kept copies; a fresh array
-    # of the same phases forms them per call, and both routes must agree bit
-    # for bit, also once a larger radius has grown the kept tables.  The
+    # Wright arguments and power tables from the kept copies; a fresh grid
+    # of the same angles forms them anew, and both must agree bit for bit,
+    # also once a larger radius has grown the kept tables.  The
     # refinement grids: those about theta = 0, pi/2 and pi, where most
     # sweeps refine, one interior grid, and one grid of the next level.
     theta = _GRID0.theta
@@ -232,11 +231,12 @@ def test_circle_routes_on_the_fixed_grid_are_bit_identical(grid_params):
         assert np.array_equal(grid.phases, np.exp(1j * np.linspace(lo, hi, 21)))
         grids.append(grid)
     for grid in grids:
-        fresh = grid.phases.copy()
+        assert np.array_equal(_AngleGrid(grid.theta.copy()).phases, grid.phases)
         for p in grid_params[::5]:
             for kind in NormalizedKind:
                 for on_circle in (starlike_on_circle, convex_on_circle):
                     for r in (0.2, 0.6, 0.2):
+                        fresh = _AngleGrid(grid.theta.copy())
                         assert np.array_equal(on_circle(kind, p, r, grid),
                                               on_circle(kind, p, r, fresh))
 
@@ -364,10 +364,11 @@ def test_circle_functionals_equal_the_formulas(grid_params, star):
         exact = not (star and math.log2(2.0 / p.beta) % 1.0)
         for kind in NormalizedKind:
             for r in (0.2, 0.45, 0.7):
-                sub = _GRID0.phases[::7].copy()
-                for grid, phases in ((_GRID0, _GRID0.phases), (sub, sub)):
+                sub = _AngleGrid(_GRID0.theta[::7].copy())
+                assert np.array_equal(sub.phases, _GRID0.phases[::7])
+                for grid in (_GRID0, sub):
                     got = on_circle(kind, p, r, grid)
-                    want = _oracle_circle(star, kind, p, r, phases)
+                    want = _oracle_circle(star, kind, p, r, grid.phases)
                     if exact or kind is not NormalizedKind.F:
                         assert np.array_equal(got, want), (kind, p, r)
                     else:
