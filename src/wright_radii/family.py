@@ -31,8 +31,8 @@ import math
 import numpy as np
 
 from .errors import NearZeroDenominatorError, ParameterError
-from .kernel import (EvalResult, WrightParams, _PhasePowers, _wright_shifts,
-                     circle_eval, log_gamma, wright_eval)
+from .kernel import (EvalResult, WrightParams, _check_params, _gamma,
+                     _PhasePowers, _wright_shifts, circle_eval, wright_eval)
 
 
 class NormalizedKind(enum.Enum):
@@ -116,7 +116,8 @@ class FunctionalValue:
 
 def base_eval(p: WrightParams, z: complex, tol: float = 1e-12) -> EvalResult:
     """Phi(z) = Gamma(beta) * W(rho, beta; -z^2), the even base of F and G."""
-    gb = math.exp(log_gamma(p.beta))
+    _check_params(p)
+    gb = _gamma(p.beta)
     r = wright_eval(p, -(complex(z) ** 2), tol / gb if tol > 0 else tol)
     return EvalResult(gb * r.value, gb * r.abs_error_bound, r.terms_used)
 
@@ -165,6 +166,7 @@ def _at_point(functional, kind: NormalizedKind, p: WrightParams,
     """functional at z from its first n Wright values, with bounds; for a
     float z in floats, which give the real parts of the complex route."""
     _check_kind(kind)
+    _check_params(p)
     real = isinstance(z, float)
     u = -z if kind is NormalizedKind.H else -(z * z)
     W = [FunctionalValue(value.real if real else value, tail)
@@ -218,6 +220,7 @@ def _on_circle(functional, kind: NormalizedKind, p: WrightParams, r: float,
     """functional at r * grid.phases from one circle_eval of its n Wright
     rows over the grid's power table."""
     _check_kind(kind)
+    _check_params(p)
     modulus = r if kind is NormalizedKind.H else r * r
     W = circle_eval(p, modulus, grid.powers(kind), shifts=(0, 1, 2)[:n])
     return functional(kind, p.beta, r * grid.phases, W)

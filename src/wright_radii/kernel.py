@@ -101,6 +101,12 @@ class EvalResult:
             raise ParameterError("terms_used must be >= 1")
 
 
+def _check_params(p) -> None:
+    """Refuse a params argument that is not a WrightParams, such as a tuple."""
+    if not isinstance(p, WrightParams):
+        raise ParameterError(f"params must be WrightParams, got {p!r}")
+
+
 def _check_tol(tol: float) -> None:
     """Reject a tolerance that is not a finite positive number."""
     if not (0.0 < tol < math.inf):
@@ -121,6 +127,25 @@ def log_gamma(x: float) -> float:
     if x <= 0:
         raise ParameterError(f"log_gamma domain is x > 0, got {x}")
     return math.lgamma(x)
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for real x > 0, or ConvergenceError past the double range."""
+    try:
+        return math.exp(log_gamma(x))
+    except OverflowError:
+        raise ConvergenceError(
+            f"Gamma({x}) exceeds double-precision range") from None
+
+
+def _recip_gamma(x: float, a: float = 1.0) -> float:
+    """a/Gamma(x) for real x > 0, the series' term at the origin: a/exp(lgamma)
+    while exp(lgamma) is a double, a*exp(-lgamma) beyond, which may be 0."""
+    lg = log_gamma(x)
+    try:
+        return a / math.exp(lg)
+    except OverflowError:
+        return a * math.exp(-lg)
 
 
 # ----------------------------------------------------------------------------
@@ -161,6 +186,7 @@ def wright_eval(p: WrightParams, z: complex, tol: float = 1e-12) -> EvalResult:
     Raises ConvergenceError if the geometric-ratio regime with tail <= tol is
     not reached within the term cap.
     """
+    _check_params(p)
     return EvalResult(*_wright_shifts(p, z, 1, tol)[0])
 
 
@@ -179,8 +205,9 @@ def _wright_shifts(p: WrightParams, u: complex, count: int,
     rho, beta = p.rho, p.beta
     au = abs(u)
     if au == 0.0:
-        return [(complex(1.0 / math.exp(log_gamma(beta + s * rho))), 0.0, 1)
-                for s in range(count)]
+        # a value under the double range keeps the loop's sub-subnormal bound
+        return [(complex(v), 0.0 if v else 5e-324, 1)
+                for v in (_recip_gamma(beta + s * rho) for s in range(count))]
 
     log_au = math.log(au)
     # For real u every imaginary part would be a signed zero: sum in floats.
@@ -244,6 +271,7 @@ def wright_derivative(p: WrightParams, z: complex, order: int,
     Differentiating the series termwise gives W'(rho, beta; z) =
     W(rho, beta+rho; z), and likewise order 2 shifts beta by 2*rho.
     """
+    _check_params(p)
     if order not in (1, 2):
         raise ParameterError(f"order must be 1 or 2, got {order}")
     return wright_eval(p.shifted(order), z, tol)
@@ -349,7 +377,7 @@ def circle_eval(p: WrightParams, modulus: float, powers: _PhasePowers,
     if modulus == 0.0:
         out = np.zeros((len(shifts), len(powers.phases)), dtype=complex)
         for k, s in enumerate(shifts):
-            out[k, :] = 1.0 / math.exp(log_gamma(beta + s * rho))
+            out[k, :] = _recip_gamma(beta + s * rho)
         return out
 
     # Magnitude sequences are independent of the phases: the cached rows fix
@@ -382,7 +410,7 @@ def combo_neg_axis(p: WrightParams, x: float, a: float = 1.0,
         raise ParameterError("combo_neg_axis requires x >= 0")
     rho, beta = p.rho, p.beta
     if x == 0.0:
-        return a / math.exp(log_gamma(beta)), 2.3e-16 * abs(a)
+        return _recip_gamma(beta, a), 2.3e-16 * abs(a)
     log_x = math.log(x)
     lf, lg = _LOG_FACT, _lgammas(rho, beta, 0)
     known = len(lg)

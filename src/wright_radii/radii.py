@@ -39,7 +39,7 @@ from .family import (_GRID0, FunctionalValue, NormalizedKind, _AngleGrid,
                      _check_kind, _refinement_grid, convex_functional,
                      convex_on_circle, convex_real, starlike_functional,
                      starlike_on_circle, starlike_real)
-from .kernel import WrightParams, _check_tol, _store_real
+from .kernel import WrightParams, _check_params, _check_tol, _store_real
 from .zeros import _refine_bracket, derivative_positive_zeros, positive_zeros
 
 RADIUS_KINDS = ("lem_star", "lem_convex", "jan_star", "jan_convex")
@@ -78,8 +78,7 @@ class RadiusQuery:
 
     def __post_init__(self) -> None:
         _check_kind(self.kind)
-        if not isinstance(self.params, WrightParams):
-            raise ParameterError(f"params must be WrightParams, got {self.params!r}")
+        _check_params(self.params)
         if self.radius_kind not in RADIUS_KINDS:
             raise ParameterError(
                 f"radius_kind must be one of {RADIUS_KINDS}, got {self.radius_kind!r}")

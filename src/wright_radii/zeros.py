@@ -47,9 +47,9 @@ from mpmath import mp
 from .errors import (ConvergenceError, NonIntegerWindingError, ParameterError,
                      ScanExhaustedError)
 from .family import NormalizedKind
-from .kernel import (WrightParams, _check_tol, _PhasePowers, circle_eval,
-                     combo_neg_axis, envelope_exponent, log_gamma,
-                     term_exponent_max)
+from .kernel import (WrightParams, _check_params, _check_tol, _gamma,
+                     _PhasePowers, circle_eval, combo_neg_axis,
+                     envelope_exponent, term_exponent_max)
 
 _LN10 = math.log(10.0)
 _FORMS = ("minus_z_squared", "minus_z")
@@ -509,6 +509,7 @@ def positive_zeros(p: WrightParams, form: str, count: int,
     form minus_z:         zeros of r -> Gamma(beta) W(rho,beta; -r).
     The two tables describe the same x-axis sign changes, related by r -> r^2.
     """
+    _check_params(p)
     if form not in _FORMS:
         raise ParameterError(f"form must be one of {_FORMS}, got {form!r}")
     return _table(p, form, 1.0, 0.0, count, tol)
@@ -530,6 +531,7 @@ def derivative_positive_zeros(kind: NormalizedKind, p: WrightParams, count: int,
     kind F: f'(r) vanishes exactly where v(r) = beta*Phi(r) + r*Phi'(r) does
     (f' = Phi^(1/beta) * v / (beta*Phi), and Phi > 0 before its first zero).
     """
+    _check_params(p)
     if kind not in _DERIV_COMBO:
         raise ParameterError(f"unknown kind {kind!r}")
     form, combo = _DERIV_COMBO[kind]
@@ -542,9 +544,10 @@ def derivative_positive_zeros(kind: NormalizedKind, p: WrightParams, count: int,
 
 def base_residual(p: WrightParams, form: str, r: float) -> float:
     """|Gamma(beta) W(-r^2)| resp. |Gamma(beta) W(-r)| with certified sign path."""
+    _check_params(p)
     x = r * r if form == "minus_z_squared" else r
     ev = _ComboSeries(p, 1.0, 0.0)
-    return abs(float(ev.certified(x))) * math.exp(log_gamma(p.beta))
+    return abs(float(ev.certified(x))) * _gamma(p.beta)
 
 
 # ----------------------------------------------------------------------------
@@ -575,6 +578,7 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
     minus_z_squared form counts on the minus_z contour |x| = R^2 and doubles
     the count: Phi(z) = Psi(z^2), so each zero x of Psi gives the zeros +-sqrt(x).
     """
+    _check_params(p)
     if form not in _FORMS:
         raise ParameterError(f"form must be one of {_FORMS}, got {form!r}")
     if not (R > 0 and math.isfinite(R)):

@@ -41,6 +41,15 @@ def test_eval_at_origin(capsys):
     assert int(row["terms_used"]) == 1
 
 
+def test_eval_at_origin_past_the_gamma_overflow(capsys):
+    # 1/Gamma(200) underflows to 0; its evaluation once overflowed
+    code, out, err = run(capsys, "eval", "--rho", "1", "--beta", "200", "--z", "0")
+    assert (code, err) == (0, "")
+    row = rows_of(out)[0]
+    assert float(row["value_re"]) == 0.0
+    assert float(row["abs_error_bound"]) == 5e-324
+
+
 def test_eval_bessel_value(capsys):
     code, out, _ = run(capsys, "eval", "--rho", "1", "--beta", "1",
                        "--z", "-1")

@@ -9,24 +9,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wright_radii import (
+    ConvergenceError,
+    EvalResult,
     NearZeroDenominatorError,
     NormalizedKind,
     ParameterError,
     RadiusQuery,
     WrightParams,
     base_eval,
+    base_residual,
     convex_functional,
     convex_real,
+    count_zeros_in_disk,
+    derivative_positive_zeros,
     domain_bound,
     log_gamma,
+    positive_zeros,
     starlike_functional,
     starlike_real,
+    wright_derivative,
     wright_eval,
 )
 from wright_radii import family
 from wright_radii.family import (_GRID0, _AngleGrid, _refinement_grid,
                                  convex_on_circle, starlike_on_circle)
-from wright_radii.kernel import _PhasePowers, circle_eval
+from wright_radii.kernel import _PhasePowers, circle_eval, combo_neg_axis
 
 # First positive zero of J0, halved: the first zero of g(r) = r J0(2r).
 FIRST_G_ZERO_11 = 1.2024127788478864
@@ -51,6 +58,62 @@ def test_functionals_refuse_a_kind_name():
             circle("h", p, 0.3, _GRID0)
     assert starlike_functional(NormalizedKind.H, p, 0.3).value.real == pytest.approx(
         0.64366, abs=1e-5)
+
+
+# A tuple once reached p.rho or p.beta and raised AttributeError, which a
+# caller catching WrightRadiiError misses.
+@pytest.mark.parametrize("call", (
+    lambda p: wright_eval(p, 0.3),
+    lambda p: wright_derivative(p, 0.3, 1),
+    lambda p: base_eval(p, 0.3),
+    lambda p: starlike_functional(NormalizedKind.H, p, 0.3),
+    lambda p: convex_real(NormalizedKind.H, p, 0.3),
+    lambda p: starlike_on_circle(NormalizedKind.H, p, 0.3, _GRID0),
+    lambda p: positive_zeros(p, "minus_z", 2),
+    lambda p: derivative_positive_zeros(NormalizedKind.G, p, 2),
+    lambda p: count_zeros_in_disk(p, "minus_z", 1.0),
+    lambda p: base_residual(p, "minus_z", 0.3),
+), ids=("wright_eval", "wright_derivative", "base_eval", "starlike_functional",
+        "convex_real", "starlike_on_circle", "positive_zeros",
+        "derivative_positive_zeros", "count_zeros_in_disk", "base_residual"))
+def test_entry_points_refuse_params_of_another_type(call):
+    with pytest.raises(ParameterError, match="params must be WrightParams"):
+        call((1.0, 1.0))
+    call(WrightParams(1.0, 1.0))
+
+
+# Gamma(200) overflows a double and 1/Gamma(200) underflows to 0: the
+# origin's term, once 1.0/exp(lgamma(beta)), raised OverflowError there.
+# The underflowed value carries the series loop's sub-subnormal bound, so a
+# quotient by it refuses, and base_eval and base_residual refuse a
+# Gamma(beta) they cannot scale by (at beta = 172 base_residual certifies
+# its sum, which at 200 it cannot).
+P200 = WrightParams(1.0, 200.0)
+
+
+@pytest.mark.parametrize("call, want", (
+    (lambda: wright_eval(P200, 0.0), EvalResult(0j, 5e-324, 1)),
+    (lambda: wright_derivative(P200, 0.0, 2), EvalResult(0j, 5e-324, 1)),
+    (lambda: circle_eval(P200, 0.0, _GRID0.powers(NormalizedKind.G),
+                         (0, 1, 2)).tolist(), [[0j] * 257] * 3),
+    (lambda: combo_neg_axis(P200, 0.0, 2.0, -1.0), (0.0, 4.6e-16)),
+    (lambda: starlike_functional(NormalizedKind.H, P200, 0.0),
+     NearZeroDenominatorError),
+    (lambda: convex_functional(NormalizedKind.F, P200, 0.0),
+     NearZeroDenominatorError),
+    (lambda: base_eval(P200, 0.0), ConvergenceError),
+    (lambda: base_eval(P200, 0.3), ConvergenceError),
+    (lambda: base_residual(WrightParams(1.0, 172.0), "minus_z", 0.3),
+     ConvergenceError),
+), ids=("wright_eval", "wright_derivative", "circle_eval", "combo_neg_axis",
+        "starlike_functional", "convex_functional", "base_eval_origin",
+        "base_eval", "base_residual"))
+def test_origin_past_the_gamma_overflow(call, want):
+    if isinstance(want, type):
+        with pytest.raises(want):
+            call()
+    else:
+        assert call() == want
 
 
 # ----------------------------------------------------------------------------

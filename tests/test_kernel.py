@@ -127,6 +127,16 @@ def test_value_at_origin_is_reciprocal_gamma():
         assert res.abs_error_bound == 0.0
 
 
+def test_value_at_origin_keeps_its_bits_up_to_the_gamma_overflow():
+    # 1.0/exp(lgamma(beta)) while exp(lgamma(beta)) is a double; past
+    # beta ~ 171.6, exp(-lgamma(beta)), here subnormal but not 0
+    below = wright_eval(WrightParams(1.0, 171.0), 0.0)
+    past = wright_eval(WrightParams(1.0, 172.0), 0.0)
+    assert below.value == 1.0 / math.exp(log_gamma(171.0))
+    assert past.value == math.exp(-log_gamma(172.0)) > 0.0
+    assert below.abs_error_bound == past.abs_error_bound == 0.0
+
+
 def test_bessel_j0_reduction(bessel_params):
     # W(1,1; -r^2) = J0(2r); r = 1 here.
     res = wright_eval(bessel_params, -1.0)

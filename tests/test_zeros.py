@@ -189,6 +189,11 @@ def test_count_in_disk_validation(bessel_params):
         count_zeros_in_disk(bessel_params, "minus_z_squared", math.inf)
 
 
+def test_count_in_disk_on_a_contour_whose_modulus_underflows(bessel_params):
+    # R * R underflows to 0, so the contour is circle_eval's modulus-0 circle
+    assert count_zeros_in_disk(bessel_params, "minus_z_squared", 1e-200) == 0
+
+
 @pytest.mark.parametrize("R", (1e160, 1e300))
 def test_count_in_disk_refuses_an_overflowing_contour(bessel_params, R):
     # R * R overflows, so the contour's exponent reads nan: still too deep
