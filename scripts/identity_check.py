@@ -21,7 +21,9 @@ starts cold):
   - the 12 cold 80-zero tables, 5-zero derivative tables and winding counts,
     plus one winding count for (0.3, 1.1) that needs the mpmath rescue, and
     the number of certified evaluations (_ComboSeries.certified calls) that
-    building those tables takes;
+    building those tables takes; the cancellation-depth searches
+    (zeros.term_exponent_max calls) of that section are printed per side
+    but not compared, as the sweeps are;
   - radius_real_axis and the unseeded radius_by_certification on the
     336-query Janowski (1, -1) probe (rho in PROBE_RHO, beta in PROBE_BETA,
     every kind, star and convex): the radius or the name of the error it
@@ -112,7 +114,7 @@ def emit() -> dict:
     import numpy as np
 
     import wright_radii as W
-    from wright_radii import radii
+    from wright_radii import radii, zeros
     from wright_radii.family import (_GRID0, _AngleGrid, _refinement_grid,
                                      convex_on_circle, starlike_on_circle)
     from wright_radii.zeros import _ComboSeries
@@ -140,7 +142,8 @@ def emit() -> dict:
         return sup(*args, **kwargs)
 
     radii.boundary_sup = counted_sup
-    out["certifier_sweeps"] = {}
+    # work counts, printed per side but not compared
+    out["counts"] = {}
     for prefix, queries in (("surface", surface), ("b_positive", b_positive)):
         sweeps.clear()
         for q in queries:
@@ -158,7 +161,7 @@ def emit() -> dict:
                 z = 0.5 * chk.certifier.radius * cmath.exp(1j * theta)
                 out.setdefault(f"{prefix}.region_functional", []).append(
                     _attempt(W.region_functional, q, z))
-        out["certifier_sweeps"][prefix] = len(sweeps)
+        out["counts"][f"certifier sweeps on {prefix}"] = len(sweeps)
     radii.boundary_sup = sup
 
     fresh = np.linspace(0.0, math.pi, 33)
@@ -194,15 +197,22 @@ def emit() -> dict:
                                 [x for v in vals for x in _c(v)])
 
     # count the scan's work as well as its outputs
-    evals = 0
+    evals = searches = 0
     certified = _ComboSeries.certified
+    depth = zeros.term_exponent_max
 
     def counted(self, x, *args):
         nonlocal evals
         evals += 1
         return certified(self, x, *args)
 
+    def counted_depth(*args):
+        nonlocal searches
+        searches += 1
+        return depth(*args)
+
     _ComboSeries.certified = counted
+    zeros.term_exponent_max = counted_depth
     for p in params:
         table = W.positive_zeros(p, "minus_z_squared", 80).zeros
         out.setdefault("zeros.table", []).append(list(table))
@@ -220,7 +230,9 @@ def emit() -> dict:
     out["zeros.winding.rescued"] = [
         W.count_zeros_in_disk(p, "minus_z_squared", 0.5 * (lam[3] + lam[4]))]
     _ComboSeries.certified = certified
+    zeros.term_exponent_max = depth
     out["zeros.evals"] = [evals]
+    out["counts"]["depth searches in the zero tables"] = searches
 
     for kind in KINDS:
         for rho in PROBE_RHO:
@@ -328,10 +340,10 @@ def main() -> int:
         if proc.returncode != 0:
             raise SystemExit(f"{name} side exited {proc.returncode}")
         sides[name] = json.loads(text)
-    sweeps = {name: side.pop("certifier_sweeps") for name, side in sides.items()}
+    counts = {name: side.pop("counts") for name, side in sides.items()}
     lines, ok = compare(sides["parent"], sides["change"], allow)
-    for prefix, n in sweeps["change"].items():
-        lines.append(f"certifier sweeps on {prefix}: parent {sweeps['parent'][prefix]}, "
+    for what, n in counts["change"].items():
+        lines.append(f"{what}: parent {counts['parent'][what]}, "
                      f"change {n} (not compared)")
     reference = (ROOT / "perfbench" / "reference_sweep.csv").read_text().split("\n")
     same = sides["change"]["sweep_check.lines"] == reference

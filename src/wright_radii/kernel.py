@@ -418,6 +418,7 @@ def combo_neg_axis(p: WrightParams, x: float, a: float = 1.0,
     max_mag = 0.0
     max_log = 1.0
     last_mag = None
+    prev_log = 0.0
     decays = 0
     n = 0
     while n < 100_000:
@@ -434,11 +435,14 @@ def combo_neg_axis(p: WrightParams, x: float, a: float = 1.0,
         if mag > max_mag:
             max_mag = mag
             max_log = max(abs(log_mag), abs(log_fact), 1.0)
-        if emag == 0.0 and max_mag > 0.0 and n > 1:
+        if emag == 0.0 and n > 1 and (max_mag > 0.0 or log_mag < prev_log):
             # The exp factor is log-concave in n: an exact underflow after
-            # positive terms can only happen on the falling side, so every
-            # remaining term rounds below the subnormal floor.
+            # positive terms, or one past the peak when every term so far
+            # underflowed (1/Gamma(beta) below the double range), lies on
+            # the falling side, so every remaining term rounds below the
+            # subnormal floor.
             break
+        prev_log = log_mag
         if last_mag is not None and last_mag > 0.0:
             q = mag / last_mag
             decays = decays + 1 if q < _Q0 else 0

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, MonotonicityError, ParameterError,
+from .errors import (ConvergenceError, MonotonicityError,
+                     NearZeroDenominatorError, ParameterError,
                      PoleProximityError, WrightRadiiError)
 from .family import (_GRID0, FunctionalValue, NormalizedKind, _AngleGrid,
                      _check_kind, _refinement_grid, convex_functional,
@@ -193,7 +194,9 @@ def boundary_sup(query: RadiusQuery, r: float, *,
     missed-peak excess (half the largest adjacent difference near the
     argmax) falls below 1e-10.  The sweep also stops at the first level
     whose running max reaches _stop_at: the running max only grows, so the
-    full sweep's max would reach it too.
+    full sweep's max would reach it too.  A level whose argmax is nan, as
+    where every Wright value on the circle underflows and the functional
+    reads 0/0, raises NearZeroDenominatorError, as the point route does.
     """
     if not 0.0 < r < math.inf:
         raise ParameterError(f"r must be finite and > 0, got {r}")
@@ -203,7 +206,11 @@ def boundary_sup(query: RadiusQuery, r: float, *,
     for _level in range(12):
         theta = grid.theta
         vals = _region(query, _functional_circle(query, r, grid), 1e-13)
-        i = int(np.argmax(vals))
+        i = int(np.argmax(vals))          # the first nan, if any
+        if math.isnan(vals[i]):
+            raise NearZeroDenominatorError(
+                f"region modulus on |z| = {r!r} has no value at theta = "
+                f"{float(theta[i]):.6g}: its denominator vanishes")
         if vals[i] > best_sup:
             best_sup = float(vals[i])
             best_angle = float(theta[i])

@@ -25,6 +25,10 @@ The mpmath sum has three rungs, 40 digits apart; the scan tells it the |s|
 it must resolve (the last secant slope times a quarter of the refinement
 width or of the prediction bracket), and it starts on the first rung whose
 sign floor lies below that, so a point costs one evaluation, not a retry.
+The scan also tells it the upper end of the bracket the point lies in, and
+every point of that bracket shares the depth there: E_max(x) is
+nondecreasing in x, so the one search and the one set of floors it serves
+bound each point's own, and the stepping scan alone searches per point.
 For rational rho = p/q the series splits by n mod q into q hypergeometric
 series that mpmath sums in fixed point; irrational rho is summed term by
 term.  A sign that the last rung cannot certify raises ConvergenceError; the
@@ -36,6 +40,7 @@ shorter tables were asked for first.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -105,8 +110,13 @@ class _ComboSeries:
         fr = Fraction(p.rho).limit_denominator(64)
         exact = abs(fr.numerator / fr.denominator - p.rho) < 1e-15
         self._rho = fr if exact else None
-        self._hyp_params: dict = {}        # beta -> per-j hypsum parameters
-        self._hyp_scales: dict = {}        # (beta, j, mp.prec) -> j! Gamma(c)
+        if exact:                          # _sum_hyper's per-series constants
+            beta, P, Q = Fraction(p.beta), fr.numerator, fr.denominator
+            self._betas = (beta, beta + fr)
+            self._hyp_norm = Q ** Q * P ** P
+        self._hyp_params: dict = {}        # beta -> per-j hypsum rows
+        self._depth = (None, 0.0)          # (cap, term_exponent_max(p, cap))
+        self._floors = (None, None, ())    # (dps, e_max, the three rung floors)
 
     # -- mpmath path ---------------------------------------------------------
 
@@ -122,11 +132,11 @@ class _ComboSeries:
 
     def _sum_hyper(self, x: float, dps: int):
         """s(x) = a W(rho, beta; -x) + b x W(rho, beta + rho; -x), rho rational."""
-        beta = Fraction(self.p.beta)
+        beta, beta1 = self._betas
         with mp.workdps(dps + 10):
             total = self.a * self._wright_hyper(beta, x)
             if self.b != 0.0:
-                total += self.b * x * self._wright_hyper(beta + self._rho, x)
+                total += self.b * x * self._wright_hyper(beta1, x)
             return total
 
     def _wright_hyper(self, beta: Fraction, x: float):
@@ -144,26 +154,28 @@ class _ComboSeries:
         caller's floor check certifies the sign.
         """
         P, Q = self._rho.numerator, self._rho.denominator
-        if beta not in self._hyp_params:
+        rows = self._hyp_params.get(beta)
+        if rows is None:
             rows = []
             for j in range(Q):
                 c = self._rho * j + beta
                 params = [Fraction(j + i, Q) for i in range(1, Q + 1) if i != Q - j]
                 params += [(c + i) / P for i in range(P)]
                 coeffs, flags = zip(*map(_hyp_param, params))
-                rows.append((j, c, coeffs, flags))
+                rows.append((j, c, coeffs, flags, {}))  # {mp.prec: j! Gamma(c)}
             self._hyp_params[beta] = rows
         mx = -mp.mpmathify(x)
-        z = mx ** Q / (Q ** Q * P ** P)
+        z = mx ** Q / self._hyp_norm
         total = mp.mpf(0)
-        for j, c, coeffs, flags in self._hyp_params[beta]:
-            key = (beta, j, mp.prec)
-            if key not in self._hyp_scales:
-                self._hyp_scales[key] = (mp.factorial(j)
-                                         * mp.gamma(mp.mpf(c.numerator) / c.denominator))
+        prec = mp.prec
+        for j, c, coeffs, flags, scales in rows:
+            scale = scales.get(prec)
+            if scale is None:
+                scale = scales[prec] = (mp.factorial(j)
+                                        * mp.gamma(mp.mpf(c.numerator) / c.denominator))
             series = mp.hypsum(0, len(coeffs), flags, coeffs, z,
                                accurate_small=False)
-            total += series * mx ** j / self._hyp_scales[key]
+            total += series * mx ** j / scale
         return total
 
     def _sum_terms(self, x: float, dps: int):
@@ -208,8 +220,18 @@ class _ComboSeries:
 
     # -- certified evaluation --------------------------------------------------
 
-    def certified(self, x: float, need=math.inf):
-        """Value of s(x) whose sign is trustworthy; float or mpf (see _certified_mp)."""
+    def certified(self, x: float, need=math.inf, cap: float | None = None):
+        """Value of s(x) whose sign is trustworthy; float or mpf (see _certified_mp).
+
+        cap >= x, the upper end of the bracket x lies in, gives the mpmath
+        sum the depth e_max = term_exponent_max(p, cap), searched once per
+        bracket, in place of the depth at x.  E_max(x) = max_t [t ln x -
+        lnGamma(t+1) - lnGamma(rho t + beta)] is nondecreasing in x, as its
+        x-derivative is t*/x >= 0, so the cap's depth bounds the point's: the
+        point is summed at no less than its own budget, and its floor keeps
+        its 10^18 margin over the rounding at that precision.  Without cap
+        the depth is searched at x.
+        """
         if x < 0:
             raise ParameterError("negative x in zero scan")
         if not _doomed(self.p, x):
@@ -218,21 +240,32 @@ class _ComboSeries:
                 v, noise = res
                 if abs(v) > 30.0 * noise:
                     return v
-        return self._certified_mp(x, term_exponent_max(self.p, x), need)
+        if cap is None:
+            return self._certified_mp(x, term_exponent_max(self.p, x), need)
+        depth = self._depth                # read once: scans may share a series
+        if depth[0] != cap:
+            depth = self._depth = (cap, term_exponent_max(self.p, cap))
+        return self._certified_mp(x, depth[1], need)
 
     def _certified_mp(self, x, e_max: float, need=math.inf):
         """s(x), real or complex x, above the floor 10^-(dps-8) exp(e_max).
 
-        e_max = term_exponent_max(p, |x|).  The rungs are dps (_dps_budget),
-        dps + 40 and dps + 80 digits, each with its own floor.  The first
-        tried is the first whose floor lies below need, the |s(x)| the caller
-        expects (else the last), then each later one while the value stays
-        under its floor.  Raises ConvergenceError when the last rung does.
+        e_max >= term_exponent_max(p, |x|).  The rungs are dps (_dps_budget),
+        dps + 40 and dps + 80 digits, each with its own floor; the floors are
+        formed once per (dps, e_max), so a bracket or a contour that shares
+        its depth forms them once.  The first tried is the first whose floor
+        lies below need, the |s(x)| the caller expects (else the last), then
+        each later one while the value stays under its floor.  Raises
+        ConvergenceError when the last rung does.
         """
         dps = self._dps_budget(abs(x), e_max)
-        with mp.workdps(30):
-            scale = mp.exp(e_max)
-            floors = [mp.mpf(10) ** (8 - dps - k) * scale for k in (0, 40, 80)]
+        memo = self._floors
+        if memo[0] != dps or memo[1] != e_max:
+            with mp.workdps(30):
+                scale = mp.exp(e_max)
+                memo = self._floors = (dps, e_max, [_pow10(8 - dps - k) * scale
+                                                    for k in (0, 40, 80)])
+        floors = memo[2]
         start = sum(floor >= need for floor in floors[:2])
         for k in range(start, 3):
             v = self._eval_mp(x, dps + 40 * k)
@@ -241,6 +274,13 @@ class _ComboSeries:
         raise ConvergenceError(
             f"s({x!r}) for rho={self.p.rho}, beta={self.p.beta}, "
             f"(a, b)=({self.a}, {self.b}) under its floor at {dps + 80} digits")
+
+
+@functools.lru_cache(maxsize=None)
+def _pow10(m: int):
+    """10^m as mpmath forms it at 30 digits, the precision of the floors."""
+    with mp.workdps(30):
+        return mp.mpf(10) ** m
 
 
 # Past this cancellation depth, about ln 1e16, a double sum's rounding noise
@@ -401,7 +441,8 @@ class _Scan:
             xtol = _xtol_for(hi, self.tol, self.form)
             slope = abs(fhi - flo) / (hi - lo)
             need = slope * (0.25 * xtol)  # |s| a quarter width from the zero
-            a, b = _refine_bracket(lambda x: ev.certified(x, need),
+            # every refinement point lies under hi: one depth search
+            a, b = _refine_bracket(lambda x: ev.certified(x, need, hi),
                                    lo, hi, flo, fhi, xtol)
             zeros.append(0.5 * (a + b))
             if preds:
@@ -420,15 +461,14 @@ class _Scan:
                 pred = preds[min(errors, key=errors.get)]
                 gap = zeros[-1] - zeros[-2]
                 h = 0.06 * gap if half is None else min(half, 0.06 * gap)
-                lo = pred - h
+                lo, hi = pred - h, pred + h
                 if lo > x:
                     need = slope * (0.25 * h)  # a quarter bracket from the zero
-                    flo = ev.certified(lo, need)
+                    flo = ev.certified(lo, need, hi)
                     steps += 1
                     step = 0.12 * gap
                     if (flo < 0) == (fx < 0):
-                        hi = pred + h
-                        fhi = ev.certified(hi, need)
+                        fhi = ev.certified(hi, need, hi)
                         steps += 1
                         x, fx = hi, fhi        # if short, stepping resumes here
                         if (fhi < 0) != (flo < 0):

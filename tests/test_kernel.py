@@ -555,6 +555,16 @@ def test_combo_neg_axis_rejects_negative_x(bessel_params):
         combo_neg_axis(bessel_params, -1.0)
 
 
+def test_combo_neg_axis_stops_once_every_term_underflows(fresh_tables):
+    # 1/Gamma(191.25) lies below the double range, so every term underflows
+    # and no term is ever positive: the loop must stop on the falling side,
+    # not run its 100,000-term cap and grow the tables that far.
+    p = WrightParams(1.0, 191.25)
+    assert combo_neg_axis(p, 0.3) == (0.0, 0.0)
+    assert len(kernel._lgammas(1.0, 191.25, 0)) < 10
+    assert len(kernel._LOG_FACT) < 10
+
+
 # ----------------------------------------------------------------------------
 # exponent envelopes
 # ----------------------------------------------------------------------------

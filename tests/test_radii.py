@@ -182,6 +182,22 @@ def test_boundary_sup_refuses_a_radius_not_finite_and_positive(r):
         boundary_sup(_q(NormalizedKind.G, P11, "lem_star"), r)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("kind, beta, what, jp", (
+    ("g", 200.0, "lem_star", None),
+    ("h", 180.0, "jan_star", (1.0, -1.0)),
+))
+def test_boundary_sup_refuses_a_circle_of_nan(kind, beta, what, jp):
+    # Every Wright value on |z| = 0.3 underflows to 0, so the functional is
+    # 0/0 all round: no sup, an error naming r, as the point route raises.
+    q = RadiusQuery(NormalizedKind.from_string(kind), WrightParams(1.0, beta), what,
+                    JanowskiParams(*jp) if jp else None)
+    with pytest.raises(NearZeroDenominatorError, match=r"\|z\| = 0\.3 "):
+        boundary_sup(q, 0.3)
+    with pytest.raises(NearZeroDenominatorError):
+        region_functional(q, 0.3)
+
+
 def test_early_exit_predicate_agrees_with_full_sup():
     # The certifier's scan stops once its running max reaches 1; the verdict
     # sup < 1 must be the full scan's, and a scan that never reaches 1 must

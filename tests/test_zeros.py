@@ -466,6 +466,41 @@ def test_cancellation_depth_only_on_the_mpmath_path(monkeypatch):
     assert calls == [400.0]
 
 
+def test_one_depth_search_per_zero_on_a_deep_scan(monkeypatch):
+    # Every point of a prediction bracket or a refinement shares the depth
+    # at the bracket's upper end, so a cold 80-zero scan searches at most
+    # once per zero.
+    calls = []
+
+    def spy(p, x):
+        calls.append(x)
+        return term_exponent_max(p, x)
+
+    monkeypatch.setattr(zeros, "term_exponent_max", spy)
+    _Scan(_ComboSeries(WrightParams(1.0, 1.0), 1.0, 0.0), 1e-12,
+          "minus_z_squared").zeros(80)
+    assert 0 < len(calls) <= 80
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho=st.floats(0.25, 4.0), beta=st.floats(0.25, 4.0),
+       cap=st.floats(1e-6, 1e7), frac=st.floats(0.0, 1.0 - 1e-9))
+def test_the_depth_at_a_bracket_cap_bounds_its_points(rho, beta, cap, frac):
+    # E_max is nondecreasing in x, so the depth and the working precision a
+    # bracket's points take from its upper end are at least their own.  The
+    # search's value may fall short of that by rounding where the peak sits
+    # at t ~ 0 and E_max is flat in x: (1, 1.5) reads 0.1207822376352449 at
+    # x = 0.5 and 0.12078223763524543 at x = 0.125, 5e-16 apart, far inside
+    # the floors' 10^18 margin; the working digits never fall short.
+    p = WrightParams(rho, beta)
+    x = cap * frac
+    ev = _ComboSeries(p, 1.0, 0.0)
+    e_cap, e_x = term_exponent_max(p, cap), term_exponent_max(p, x)
+    assert e_cap >= e_x - 64 * math.ulp(max(1.0, e_x))
+    assert ev._dps_budget(x, e_cap) >= ev._dps_budget(x, e_x)
+    assert ev._dps_budget(cap, e_cap) >= ev._dps_budget(x, e_x)
+
+
 # ----------------------------------------------------------------------------
 # evaluation policy on deep scans: rung start and skipped double sums
 # ----------------------------------------------------------------------------
