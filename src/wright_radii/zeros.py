@@ -28,7 +28,9 @@ sign floor lies below that, so a point costs one evaluation, not a retry.
 The scan also tells it the upper end of the bracket the point lies in, and
 every point of that bracket shares the depth there: E_max(x) is
 nondecreasing in x, so the one search and the one set of floors it serves
-bound each point's own, and the stepping scan alone searches per point.
+bound each point's own, up to a few ulp of rounding in the search that the
+floors' 10^18 margin absorbs.  A stepping point is its own bracket, and the
+refinement that follows it reuses its search.
 For rational rho = p/q the series splits by n mod q into q hypergeometric
 series that mpmath sums in fixed point; irrational rho is summed term by
 term.  A sign that the last rung cannot certify raises ConvergenceError; the
@@ -223,14 +225,16 @@ class _ComboSeries:
     def certified(self, x: float, need=math.inf, cap: float | None = None):
         """Value of s(x) whose sign is trustworthy; float or mpf (see _certified_mp).
 
-        cap >= x, the upper end of the bracket x lies in, gives the mpmath
-        sum the depth e_max = term_exponent_max(p, cap), searched once per
-        bracket, in place of the depth at x.  E_max(x) = max_t [t ln x -
-        lnGamma(t+1) - lnGamma(rho t + beta)] is nondecreasing in x, as its
-        x-derivative is t*/x >= 0, so the cap's depth bounds the point's: the
-        point is summed at no less than its own budget, and its floor keeps
-        its 10^18 margin over the rounding at that precision.  Without cap
-        the depth is searched at x.
+        The mpmath sum takes the depth e_max = term_exponent_max(p, cap) at
+        cap >= x, the upper end of the bracket x lies in (x itself when
+        cap is None), searched once per bracket: the last cap and its depth
+        are kept.  E_max(x) = max_t [t ln x - lnGamma(t+1) - lnGamma(rho t +
+        beta)] is nondecreasing in x, as its x-derivative is t*/x >= 0, so
+        the cap's depth bounds the point's.  The computed search can fall
+        short of that by rounding, a few ulp where E_max is flat in x; the
+        point is still summed at no less than its own budget, and its floor
+        keeps almost all of its 10^18 margin over the rounding at that
+        precision.
         """
         if x < 0:
             raise ParameterError("negative x in zero scan")
@@ -240,8 +244,7 @@ class _ComboSeries:
                 v, noise = res
                 if abs(v) > 30.0 * noise:
                     return v
-        if cap is None:
-            return self._certified_mp(x, term_exponent_max(self.p, x), need)
+        cap = x if cap is None else cap
         depth = self._depth                # read once: scans may share a series
         if depth[0] != cap:
             depth = self._depth = (cap, term_exponent_max(self.p, cap))
