@@ -42,7 +42,6 @@ shorter tables were asked for first.
 """
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -253,7 +252,8 @@ class _ComboSeries:
     def _certified_mp(self, x, e_max: float, need=math.inf):
         """s(x), real or complex x, above the floor 10^-(dps-8) exp(e_max).
 
-        e_max >= term_exponent_max(p, |x|).  The rungs are dps (_dps_budget),
+        e_max >= term_exponent_max(p, |x|), up to the search's rounding
+        (see certified).  The rungs are dps (_dps_budget),
         dps + 40 and dps + 80 digits, each with its own floor; the floors are
         formed once per (dps, e_max), so a bracket or a contour that shares
         its depth forms them once.  The first tried is the first whose floor
@@ -266,8 +266,8 @@ class _ComboSeries:
         if memo[0] != dps or memo[1] != e_max:
             with mp.workdps(30):
                 scale = mp.exp(e_max)
-                memo = self._floors = (dps, e_max, [_pow10(8 - dps - k) * scale
-                                                    for k in (0, 40, 80)])
+                memo = self._floors = (dps, e_max, [
+                    mp.mpf(10) ** (8 - dps - k) * scale for k in (0, 40, 80)])
         floors = memo[2]
         start = sum(floor >= need for floor in floors[:2])
         for k in range(start, 3):
@@ -277,13 +277,6 @@ class _ComboSeries:
         raise ConvergenceError(
             f"s({x!r}) for rho={self.p.rho}, beta={self.p.beta}, "
             f"(a, b)=({self.a}, {self.b}) under its floor at {dps + 80} digits")
-
-
-@functools.lru_cache(maxsize=None)
-def _pow10(m: int):
-    """10^m as mpmath forms it at 30 digits, the precision of the floors."""
-    with mp.workdps(30):
-        return mp.mpf(10) ** m
 
 
 # Past this cancellation depth, about ln 1e16, a double sum's rounding noise
