@@ -9,8 +9,10 @@ starts cold):
 
   - the 288 surface and 216 Janowski B > 0 cross_validate results;
   - the boundary sweeps the certifier takes on each of those two sets
-    (radii.boundary_sup calls), printed per side but not compared, as a
-    change to the sweep schedule moves them with every output kept;
+    (radii.boundary_sup calls) and the real-axis functional's evaluations
+    there (radii._functional_real calls), printed per side but not
+    compared, as a change to the sweep schedule or to what the real-axis
+    route keeps moves them with every output kept;
   - the point, real-axis and circle functionals on the grid and on one
     non-dyadic pair, NON_DYADIC, where rho*n + beta + s*rho and
     rho*n + (beta + s*rho) round apart, so reading the wrong lgamma table
@@ -141,11 +143,21 @@ def emit() -> dict:
         sweeps.append(args[1])
         return sup(*args, **kwargs)
 
+    real_calls = 0
+    real = radii._functional_real
+
+    def counted_real(*args):
+        nonlocal real_calls
+        real_calls += 1
+        return real(*args)
+
     radii.boundary_sup = counted_sup
+    radii._functional_real = counted_real
     # work counts, printed per side but not compared
     out["counts"] = {}
     for prefix, queries in (("surface", surface), ("b_positive", b_positive)):
         sweeps.clear()
+        real_calls = 0
         for q in queries:
             chk = W.cross_validate(q)
             _result(out, f"{prefix}.certifier", chk.certifier)
@@ -162,7 +174,9 @@ def emit() -> dict:
                 out.setdefault(f"{prefix}.region_functional", []).append(
                     _attempt(W.region_functional, q, z))
         out["counts"][f"certifier sweeps on {prefix}"] = len(sweeps)
+        out["counts"][f"real-axis functional calls on {prefix}"] = real_calls
     radii.boundary_sup = sup
+    radii._functional_real = real
 
     fresh = np.linspace(0.0, math.pi, 33)
     theta0 = np.linspace(0.0, math.pi, 257)

@@ -177,7 +177,7 @@ def _parse_grid(path: str) -> dict[str, list[str]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read grid file {path!r}: {exc}") from exc
     grid: dict[str, list[str]] = {}
     line_of: dict[str, int] = {}

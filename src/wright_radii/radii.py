@@ -94,6 +94,12 @@ class RadiusQuery:
         return self.radius_kind.endswith("_star")
 
 
+def _check_query(query) -> None:
+    """Refuse a query argument that is not a RadiusQuery."""
+    if not isinstance(query, RadiusQuery):
+        raise ParameterError(f"query must be a RadiusQuery, got {query!r}")
+
+
 @dataclass(frozen=True)
 class RadiusResult:
     """A computed radius with its certificate.
@@ -167,6 +173,7 @@ def region_functional(query: RadiusQuery, z: complex) -> float:
     """The modulus on the left of the region condition at one point.
 
     A Janowski denominator within 10x its propagated error bound raises."""
+    _check_query(query)
     return _region_at(query, _functional_scalar(query, z))
 
 
@@ -181,6 +188,7 @@ def _region_at(query: RadiusQuery, fv: FunctionalValue) -> float:
 # boundary sweep
 # ----------------------------------------------------------------------------
 
+@np.errstate(divide="ignore", invalid="ignore")   # a 0/0 raises below, unwarned
 def boundary_sup(query: RadiusQuery, r: float, *,
                  _stop_at: float = math.inf) -> tuple[float, float]:
     """sup over theta in [0, pi] of the region modulus at z = r e^{i theta},
@@ -198,6 +206,7 @@ def boundary_sup(query: RadiusQuery, r: float, *,
     where every Wright value on the circle underflows and the functional
     reads 0/0, raises NearZeroDenominatorError, as the point route does.
     """
+    _check_query(query)
     if not 0.0 < r < math.inf:
         raise ParameterError(f"r must be finite and > 0, got {r}")
     grid = _GRID0
@@ -244,6 +253,7 @@ def domain_bound(query: RadiusQuery, tol: float = 1e-9) -> float:
     not finite and positive, or with 10 tol at or above the singularity,
     raises ParameterError.
     """
+    _check_query(query)
     _check_tol(tol)
     p, kind = query.params, query.kind
     if query.is_star:
@@ -322,7 +332,7 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
     bisection's whatever the seed.  sup_at_radius is the sweep at the
     radius, or at the bracket's lower end when a pole lies between them.
     """
-    singularity, hi = _search_end(query, tol)
+    singularity, hi = _search_end(query, tol)   # checks query and tol
     pole_seen = False
 
     def excess(r: float) -> float:
@@ -353,15 +363,13 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
             f"condition holds at hi = {hi:.9g}, below the functional's pole "
             f"at {singularity:.9g}, so the radius lies above hi or the sweep "
             f"there is inaccurate")
-    # below a few ulps of hi the solve could no longer shrink its bracket
-    xtol = max(0.25 * tol, 4.0 * math.ulp(hi))
     lo, solved = 0.0, False
     while True:
         lo, hi, mid = _bisection_walk(lo, hi, a, b, tol)
         if mid is None:
             break
         if not solved:
-            a, b = _refine_bracket(excess, a, b, fa, fb, xtol)
+            a, b = _refine_bracket(excess, a, b, fa, fb, 0.25 * tol)
             solved = True
         elif excess(mid) < 0.0:
             a = mid
@@ -392,75 +400,55 @@ def default_constant(query: RadiusQuery) -> float:
 
 @functools.lru_cache(maxsize=128)
 def _real_axis_grid(kind: NormalizedKind, params: WrightParams, is_star: bool,
-                    hi: float) -> tuple[np.ndarray, list[float], dict]:
-    """The 50-point grid on (0, hi], the real-axis functional on a prefix,
-    and the crossings solved on it.
-
-    The functional depends on (kind, params, star/convex) alone, so the
-    lemniscate and Janowski queries of one group share the prefix, each
-    extending it only as far as its own constant needs.  The crossings map
-    (c, tol) to the radius, the bracket and the point functional at the
-    root: Janowski (1, -1) and (1, 0) share c = 0, and the second reads the
-    first's crossing.  A crossing that raised is not kept.
-    """
-    grid = np.linspace(hi / 50.0, hi, 50)
-    grid.setflags(write=False)
-    return grid, [], {}
+                    hi: float) -> tuple[tuple[float, ...], dict, dict]:
+    """The 50-point grid on (0, hi], the real-axis functional's values by r,
+    and the point functional, with its bound, by root.  The functional
+    depends on (kind, params, star/convex) alone, so the queries of one group
+    share both, each evaluating only the points no earlier query reached."""
+    return tuple(np.linspace(hi / 50.0, hi, 50).tolist()), {}, {}
 
 
 def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
     """Smallest r in (0, domain bound) with functional(r) = c = default_constant.
 
-    One pass over the grid, up to its first point at or below c, checks that
-    the functional strictly decreases from 1 there, all the smallest root
-    needs.  The grid ends just below the domain bound for star kinds and,
-    for convex ones, below it by 10 tol or by 1% of it where that is less,
-    as the certifier's search does.  Raises ConvergenceError if no grid point
+    One pass over a 50-point grid, up to its first point at or below c,
+    checks that the functional strictly decreases from 1 there, all the
+    smallest root needs; a regula falsi then solves the crossing cell.  The
+    grid ends just below the domain bound for star kinds and, for convex
+    ones, below it by 10 tol or by 1% of it where that is less, as the
+    certifier's search does.  Raises ConvergenceError if no grid point
     reaches c, if the regula falsi stalls wider than tol, or if the
     functional's error bound at the root plus its rounding, 2 eps max(|c|, 1),
     exceeds tol times the smaller of the crossing cell's slope and the final
-    bracket's.  The crossing is solved once per functional, c and tol and
-    kept with the grid (see _real_axis_grid); sup_at_radius, which depends
-    on the query's target, is formed per query.
+    bracket's.  Each query solves from the kept values (_real_axis_grid),
+    so one that retraces another's path, as Janowski (1, 0) does (1, -1)'s,
+    evaluates nothing new and gets the same bits; sup_at_radius, which
+    depends on the query's target, is formed per query.
     """
+    singularity, hi = _search_end(query, tol)   # checks query and tol
     c = default_constant(query)
-    singularity, hi = _search_end(query, tol)
     if query.is_star:
         hi = singularity * (1.0 - 1e-9)
-
-    grid, vals, crossings = _real_axis_grid(query.kind, query.params,
-                                            query.is_star, hi)
-    crossing = crossings.get((c, tol))
-    if crossing is None:
-        crossing = _real_axis_crossing(query, c, tol, singularity, grid, vals)
-        crossings[c, tol] = crossing
-    radius, bracket, at_root = crossing
-    return RadiusResult(radius=radius, bracket=bracket, method="real_axis",
-                        sup_at_radius=_region_at(query, at_root), argmax_angle=0.0)
-
-
-def _real_axis_crossing(query: RadiusQuery, c: float, tol: float,
-                        singularity: float, grid: np.ndarray, vals: list[float]
-                        ) -> tuple[float, tuple[float, float], FunctionalValue]:
-    """radius_real_axis's crossing of c on its grid: the radius, the bracket
-    and the point functional at the root, or the error it raises."""
-    for i, g in enumerate(grid):
-        if i == len(vals):
-            vals.append(_functional_real(query, float(g)))
-        if i > 0 and vals[i] >= vals[i - 1] + 1e-12:
+    grid, values, at_roots = _real_axis_grid(query.kind, query.params, query.is_star, hi)
+    prev = 1.0                          # the functionals equal 1 at r = 0
+    for i, r in enumerate(grid):
+        v = values.get(r)
+        if v is None:
+            v = values[r] = _functional_real(query, r)
+        if i > 0 and v >= prev + 1e-12:
             raise MonotonicityError(
                 f"real-axis functional is not strictly decreasing on (0, "
-                f"{g:.6g}) for {query.radius_kind} of kind {query.kind.value}")
-        if vals[i] <= c:
+                f"{r:.6g}) for {query.radius_kind} of kind {query.kind.value}")
+        if v <= c:
             break
+        prev = v
     else:
         raise ConvergenceError(
             f"real-axis functional stays above c = {c:.9g} up to hi = "
             f"{grid[-1]:.9g}, below the singularity at {singularity:.9g}")
 
-    # the functionals equal 1 at r = 0
-    a, fa = (float(grid[i - 1]), vals[i - 1] - c) if i > 0 else (0.0, 1.0 - c)
-    b, fb = float(grid[i]), vals[i] - c
+    a, fa = (grid[i - 1] if i > 0 else 0.0), prev - c
+    b, fb = grid[i], v - c
     slope = (fa - fb) / (b - a)
     for _ in range(200):
         if b - a <= tol:
@@ -471,7 +459,10 @@ def _real_axis_crossing(query: RadiusQuery, c: float, tol: float,
                 mid = 0.5 * (a + b)
         else:
             mid = 0.5 * (a + b)
-        fm = _functional_real(query, mid) - c
+        fm = values.get(mid)
+        if fm is None:
+            fm = values[mid] = _functional_real(query, mid)
+        fm -= c
         if (fm < 0) == (fa < 0):
             a, fa = mid, fm
         else:
@@ -479,13 +470,16 @@ def _real_axis_crossing(query: RadiusQuery, c: float, tol: float,
     radius = 0.5 * (a + b)
     # a secant over the whole cell can miss a flat stretch next to the root
     slope = min(slope, (fa - fb) / (b - a))
-    at_root = _functional_scalar(query, complex(radius))
+    at_root = at_roots.get(radius)
+    if at_root is None:
+        at_root = at_roots[radius] = _functional_scalar(query, complex(radius))
     err = at_root.abs_error_bound + 2.0 * math.ulp(1.0) * max(abs(c), 1.0)
     if b - a > tol or err > tol * slope:
         raise ConvergenceError(
             f"real-axis root r = {radius:.9g} not resolved to tol {tol:.3e}: "
             f"bracket width {b - a:.3e}, error bound {err:.3e}")
-    return radius, (a, b), at_root
+    return RadiusResult(radius=radius, bracket=(a, b), method="real_axis",
+                        sup_at_radius=_region_at(query, at_root), argmax_angle=0.0)
 
 
 # ----------------------------------------------------------------------------

@@ -42,6 +42,7 @@ shorter tables were asked for first.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -76,8 +77,7 @@ class ZeroTable:
     tol: float
 
     def __post_init__(self) -> None:
-        if self.form not in _FORMS:
-            raise ParameterError(f"form must be one of {_FORMS}, got {self.form!r}")
+        _check_form(self.form)
         if len(self.zeros) == 0:
             raise ParameterError("zero table may not be empty")
         if self.zeros[0] <= 0:
@@ -88,6 +88,18 @@ class ZeroTable:
 
     def __len__(self) -> int:
         return len(self.zeros)
+
+
+def _check_form(form: str) -> None:
+    """Refuse a form that is not one of _FORMS."""
+    if form not in _FORMS:
+        raise ParameterError(f"form must be one of {_FORMS}, got {form!r}")
+
+
+def _check_table(table) -> None:
+    """Refuse a table argument that is not a ZeroTable."""
+    if not isinstance(table, ZeroTable):
+        raise ParameterError(f"table must be a ZeroTable, got {table!r}")
 
 
 # ----------------------------------------------------------------------------
@@ -313,7 +325,8 @@ def _ab_scale(fm, f_replaced) -> float:
 
 
 def _refine_bracket(f, a: float, b: float, fa, fb, xtol: float) -> tuple[float, float]:
-    """Shrink a sign-change bracket to width <= xtol.
+    """Shrink a sign-change bracket to width <= xtol, or to 4 ulp(b) where
+    that is more: below a few ulps the bracket can no longer shrink.
 
     Anderson-Bjorck-weighted false position, with a forced midpoint whenever
     a 4-iteration block fails to shrink the bracket to a quarter; keeps the
@@ -321,6 +334,7 @@ def _refine_bracket(f, a: float, b: float, fa, fb, xtol: float) -> tuple[float, 
     spending far fewer of the expensive high-precision evaluations on deep
     zeros.
     """
+    xtol = max(xtol, 4.0 * math.ulp(b))
     side = 0
     checkpoint = b - a
     use_mid = False
@@ -546,8 +560,7 @@ def positive_zeros(p: WrightParams, form: str, count: int,
     The two tables describe the same x-axis sign changes, related by r -> r^2.
     """
     _check_params(p)
-    if form not in _FORMS:
-        raise ParameterError(f"form must be one of {_FORMS}, got {form!r}")
+    _check_form(form)
     return _table(p, form, 1.0, 0.0, count, tol)
 
 
@@ -581,6 +594,7 @@ def derivative_positive_zeros(kind: NormalizedKind, p: WrightParams, count: int,
 def base_residual(p: WrightParams, form: str, r: float) -> float:
     """|Gamma(beta) W(-r^2)| resp. |Gamma(beta) W(-r)| with certified sign path."""
     _check_params(p)
+    _check_form(form)
     x = r * r if form == "minus_z_squared" else r
     ev = _ComboSeries(p, 1.0, 0.0)
     return abs(float(ev.certified(x))) * _gamma(p.beta)
@@ -615,8 +629,7 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
     the count: Phi(z) = Psi(z^2), so each zero x of Psi gives the zeros +-sqrt(x).
     """
     _check_params(p)
-    if form not in _FORMS:
-        raise ParameterError(f"form must be one of {_FORMS}, got {form!r}")
+    _check_form(form)
     if not (R > 0 and math.isfinite(R)):
         raise ParameterError(f"R must be finite and > 0, got {R}")
 
@@ -668,8 +681,11 @@ def hadamard_partial_product(table: ZeroTable, z: complex, N: int) -> complex:
 
     form minus_z_squared: prod (1 - z^2/lambda_n^2); minus_z: prod (1 - z/lambda_n).
     """
+    _check_table(table)
     N = _check_count(N, len(table.zeros))
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ParameterError(f"z must be finite, got {z!r}")
     lam = np.asarray(table.zeros[:N], dtype=float)
     if table.form == "minus_z_squared":
         factors = 1.0 - (z * z) / (lam * lam)
@@ -686,6 +702,7 @@ def reciprocal_square_sum(table: ZeroTable, N: int | None = None) -> float:
     of the first nontrivial series coefficient of the base function.  N
     defaults to the whole table.
     """
+    _check_table(table)
     if N is None:
         N = len(table.zeros)
     N = _check_count(N, len(table.zeros))

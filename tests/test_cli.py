@@ -230,6 +230,18 @@ def test_radius_real_axis_method(capsys):
     assert 0.0 < float(row["radius"]) < 1.5
 
 
+def test_radius_numeric_failure_exits_1(capsys):
+    # F(0.5, 30) jan_star (1, -1): the real-axis denominator lies below its
+    # own rounding bound, a numeric failure of good input, so exit 1 and no row.
+    code, out, err = run(capsys, "radius", "--kind", "f", "--rho", "0.5",
+                         "--beta", "30", "--what", "jan-star", "-A", "1",
+                         "-B", "-1", "--method", "real-axis")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: denominator ")
+    assert "below its propagated error bound" in err
+
+
 def test_radius_unknown_method_exits_2(capsys):
     # no paper method: real-axis solves the paper's equation, and both
     # reports where its root is not the radius
@@ -390,6 +402,16 @@ def test_sweep_jan_without_ab_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_sweep_grid_file_not_utf8_exits_2(tmp_path, capsys):
+    # a UnicodeDecodeError once escaped main with a traceback and exit 1
+    grid = tmp_path / "grid.txt"
+    grid.write_bytes(b"rho = 1\nbeta = 1\nwhat = lem-star\n\xff\xfe\n")
+    code, out, err = run(capsys, "sweep", str(grid))
+    assert code == 2
+    assert out == ""
+    assert f"cannot read grid file {str(grid)!r}" in err
+
+
 @pytest.mark.parametrize("argv, grid, message", (
     (("radius", "--what", "bogus"), None, "--what must be one of"),
     (("radius", "--what", "jan-star", "-A", "1"), None, "requires -A and -B"),
@@ -414,6 +436,8 @@ def test_sweep_jan_without_ab_exits_2(tmp_path, capsys):
      "lem-star takes no -A or -B"),
     (("radius", "--what", "lem-convex", "-B", "0"), None,
      "lem-convex takes no -A or -B"),
+    (("sweep", "grid.txt"), "rho = 1, x\nbeta=1\nwhat=lem-star\n",
+     "grid key 'rho': could not convert string to float: 'x'"),
 ))
 def test_usage_errors_exit_2(tmp_path, capsys, argv, grid, message):
     if grid is not None:

@@ -20,12 +20,17 @@ from wright_radii import (
     PoleProximityError,
     RadiusQuery,
     WrightParams,
+    ZeroTable,
+    base_residual,
     boundary_sup,
+    count_zeros_in_disk,
     cross_validate,
     domain_bound,
+    hadamard_partial_product,
     positive_zeros,
     radius_by_certification,
     radius_real_axis,
+    reciprocal_square_sum,
     region_functional,
     starlike_real,
     WrightRadiiError,
@@ -47,6 +52,43 @@ def _q(kind: NormalizedKind, p: WrightParams, what: str,
 # ----------------------------------------------------------------------------
 # query validation
 # ----------------------------------------------------------------------------
+
+# A form that is neither was once read as minus_z (base_residual gave the
+# minus_z value), a query or table of another type reached an attribute and
+# raised AttributeError, which a caller catching WrightRadiiError misses,
+# and a product at z = nan returned nan.
+G11_LEM = RadiusQuery(NormalizedKind.G, P11, "lem_star")
+TABLE = ZeroTable(P11, "minus_z", (1.0, 2.0), 1e-12)
+
+
+@pytest.mark.parametrize("call, bad, good, message", (
+    *(pytest.param(call, "bogus", "minus_z", "form must be one of", id=name)
+      for name, call in (
+          ("base_residual", lambda form: base_residual(P11, form, 0.3)),
+          ("count_zeros_in_disk", lambda form: count_zeros_in_disk(P11, form, 1.0)),
+          ("positive_zeros", lambda form: positive_zeros(P11, form, 2)),
+          ("ZeroTable", lambda form: ZeroTable(P11, form, (1.0,), 1e-12)))),
+    *(pytest.param(call, ("g", P11, "lem_star"), G11_LEM,
+                   "query must be a RadiusQuery", id=call.__name__)
+      for call in (radius_by_certification, radius_real_axis, cross_validate,
+                   domain_bound)),
+    pytest.param(lambda q: boundary_sup(q, 0.3), ("g", P11, "lem_star"), G11_LEM,
+                 "query must be a RadiusQuery", id="boundary_sup"),
+    pytest.param(lambda q: region_functional(q, 0.3), ("g", P11, "lem_star"),
+                 G11_LEM, "query must be a RadiusQuery", id="region_functional"),
+    pytest.param(lambda t: hadamard_partial_product(t, 0.3, 2), (1.0, 2.0), TABLE,
+                 "table must be a ZeroTable", id="hadamard_partial_product"),
+    pytest.param(reciprocal_square_sum, (1.0, 2.0), TABLE,
+                 "table must be a ZeroTable", id="reciprocal_square_sum"),
+    *(pytest.param(lambda z: hadamard_partial_product(TABLE, z, 2), z, 0.3,
+                   "z must be finite", id=f"hadamard_partial_product-z={z}")
+      for z in (math.nan, complex(0.0, math.inf))),
+))
+def test_entry_points_refuse_arguments_of_another_type(call, bad, good, message):
+    with pytest.raises(ParameterError, match=message):
+        call(bad)
+    call(good)
+
 
 def test_janowski_validation():
     with pytest.raises(ParameterError, match="-1 <= B < A <= 1"):
@@ -182,7 +224,6 @@ def test_boundary_sup_refuses_a_radius_not_finite_and_positive(r):
         boundary_sup(_q(NormalizedKind.G, P11, "lem_star"), r)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("kind, beta, what, jp", (
     ("g", 200.0, "lem_star", None),
     ("h", 180.0, "jan_star", (1.0, -1.0)),
@@ -251,14 +292,31 @@ def test_early_exit_skips_refinement(monkeypatch):
     assert len(levels) == 1 < full
 
 
+def test_other_axis_solve_stops_at_its_floor(monkeypatch):
+    # Below 4 ulp of r_up the bracket can no longer shrink; asked for a
+    # quarter of tol 1e-20, the solve once ran its 300-step cap.
+    calls = []
+    point = radii._functional_scalar
+
+    def counted(query, z):
+        calls.append(z)
+        return point(query, z)
+
+    q = _q(NormalizedKind.G, P11, "lem_star")
+    expected = radii._other_axis_crossing(q, 1e-15)
+    monkeypatch.setattr(radii, "_functional_scalar", counted)
+    assert radii._other_axis_crossing(q, 1e-20) == pytest.approx(expected, abs=1e-14)
+    assert 0 < len(calls) <= 20
+
+
 def test_real_axis_grid_shared_within_group(monkeypatch):
     _real_axis_grid.cache_clear()
     stored = []
 
     def spy(*args):
-        grid, vals, crossings = _real_axis_grid(*args)
-        stored.append(vals)
-        return grid, vals, crossings
+        kept = _real_axis_grid(*args)
+        stored.append(kept)
+        return kept
 
     monkeypatch.setattr(radii, "_real_axis_grid", spy)
     for what, A, B in (("lem_star", None, None), ("jan_star", 1.0, -1.0),
@@ -266,18 +324,16 @@ def test_real_axis_grid_shared_within_group(monkeypatch):
         radius_real_axis(_q(NormalizedKind.H, WrightParams(2.0, 1.5), what, A, B))
         if what == "lem_star":
             # the lemniscate query evaluates the grid only to its crossing
-            assert 0 < len(stored[0]) < 50
+            grid, values, _ = stored[0]
+            assert 0 < sum(r in values for r in grid) < 50
     info = _real_axis_grid.cache_info()
     assert (info.misses, info.hits) == (1, 3)
     assert 0 < info.maxsize <= 1024
-    assert all(vals is stored[0] for vals in stored)
+    assert all(kept is stored[0] for kept in stored)
 
 
-def test_real_axis_crossing_solved_once_per_constant(monkeypatch):
-    # Janowski (1, -1) and (1, 0) share c = 0: the second query reads the
-    # first one's crossing, radius and bracket bit for bit, with no
-    # functional evaluation, and forms its own sup_at_radius at the root.
-    _real_axis_grid.cache_clear()
+def _count_real_calls(monkeypatch) -> list[float]:
+    """The radii at which radius_real_axis evaluates its functional from now on."""
     calls = []
     real = radii._functional_real
 
@@ -286,6 +342,16 @@ def test_real_axis_crossing_solved_once_per_constant(monkeypatch):
         return real(query, r)
 
     monkeypatch.setattr(radii, "_functional_real", counted)
+    return calls
+
+
+def test_real_axis_crossing_solved_once_per_constant(monkeypatch):
+    # Janowski (1, -1) and (1, 0) share c = 0: the second query retraces the
+    # first one's crossing on its kept values, radius and bracket bit for
+    # bit, with no functional evaluation, and forms its own sup_at_radius at
+    # the root.
+    _real_axis_grid.cache_clear()
+    calls = _count_real_calls(monkeypatch)
     p = WrightParams(2.0, 1.5)
     queries = [_q(NormalizedKind.H, p, "jan_star", 1.0, B) for B in (-1.0, 0.0)]
     first = radius_real_axis(queries[0])
@@ -296,25 +362,28 @@ def test_real_axis_crossing_solved_once_per_constant(monkeypatch):
     for q, res in zip(queries, (first, second)):
         assert res.sup_at_radius == region_functional(q, res.radius)
     assert first.sup_at_radius != second.sup_at_radius
-    # a star grid ends below the singularity whatever tol: another tol
-    # shares the grid but solves its own crossing
+    # a star grid ends below the singularity whatever tol: a coarser tol
+    # retraces the same regula falsi and stops no later, on kept values
     coarse = radius_real_axis(queries[1], 1e-6)
-    assert len(calls) > solved
+    assert len(calls) == solved
     _real_axis_grid.cache_clear()                       # solved afresh
     assert radius_real_axis(queries[1]) == second
     assert radius_real_axis(queries[1], 1e-6) == coarse
 
 
-def test_real_axis_crossing_that_raises_is_not_kept():
-    # G(1, 10) jan_star (1, -1) is refused by the accuracy rule; the refusal
-    # is not kept, so every query of c = 0 solves and raises again.
-    tol = 1e-9
-    q = _q(NormalizedKind.G, WrightParams(1.0, 10.0), "jan_star", 1.0, -1.0)
+def test_real_axis_crossing_that_raises_is_not_kept(monkeypatch):
+    # G(1, 10) jan_star (1, -1) is refused by the accuracy rule.  Only the
+    # functional's values are kept, not the refusal, so every query of c = 0
+    # solves and raises again, the second and third on kept values alone.
+    _real_axis_grid.cache_clear()
+    calls = _count_real_calls(monkeypatch)
+    counts = []
     for B in (-1.0, 0.0, -1.0):
+        q = _q(NormalizedKind.G, WrightParams(1.0, 10.0), "jan_star", 1.0, B)
         with pytest.raises(ConvergenceError, match="not resolved"):
-            radius_real_axis(_q(q.kind, q.params, "jan_star", 1.0, B), tol)
-    hi = domain_bound(q, tol) * (1.0 - 1e-9)
-    assert _real_axis_grid(q.kind, q.params, True, hi)[2] == {}
+            radius_real_axis(q, 1e-9)
+        counts.append(len(calls))
+    assert 0 < counts[0] == counts[1] == counts[2]
 
 
 # Janowski (1, -1) queries by name: (kind, rho, beta, target, the error

@@ -15,8 +15,10 @@ from mpmath import mp
 
 from wright_radii import (
     ConvergenceError,
+    NonIntegerWindingError,
     NormalizedKind,
     ParameterError,
+    ScanExhaustedError,
     WrightParams,
     ZeroTable,
     base_residual,
@@ -192,6 +194,13 @@ def test_count_in_disk_validation(bessel_params):
 def test_count_in_disk_on_a_contour_whose_modulus_underflows(bessel_params):
     # R * R underflows to 0, so the contour is circle_eval's modulus-0 circle
     assert count_zeros_in_disk(bessel_params, "minus_z_squared", 1e-200) == 0
+
+
+def test_count_in_disk_refuses_a_contour_through_a_zero(bessel_params):
+    # |x| = 1.4457964907..., the first zero of W(1, 1; -x) (j_{0,1}^2 / 4):
+    # the winding integral settles on no integer at any node count.
+    with pytest.raises(NonIntegerWindingError, match="did not stabilize"):
+        count_zeros_in_disk(bessel_params, "minus_z", 1.445796490736472)
 
 
 @pytest.mark.parametrize("R", (1e160, 1e300))
@@ -434,6 +443,16 @@ def test_failed_extension_leaves_the_scan_resumable(monkeypatch):
     warm = positive_zeros(p, "minus_z_squared", 10)
     cold = _Scan(_ComboSeries(p, 1.0, 0.0), 1e-12, "minus_z_squared").zeros(10)
     assert warm.zeros == tuple(math.sqrt(x) for x in cold)
+
+
+def test_exhausted_scan_raises_and_is_not_kept(monkeypatch):
+    # Two scan steps per zero cannot reach the third zero of (0.7, 1.3); the
+    # scan that ran out is not kept for the next request.
+    monkeypatch.setattr(zeros, "_SCAN_CAP_PER_ZERO", 2)
+    monkeypatch.setattr(zeros, "_x_zero_cache", {})
+    with pytest.raises(ScanExhaustedError, match="within 6 scan steps"):
+        positive_zeros(WrightParams(0.7, 1.3), "minus_z", 3)
+    assert zeros._x_zero_cache == {}
 
 
 def test_uncertified_sign_raises(monkeypatch):
