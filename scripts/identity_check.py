@@ -75,7 +75,7 @@ COARSE_TOLS = (0.02, 0.03, 0.05)
 # theta = 0, pi/2 and pi, where most sweeps refine, and an interior one
 REFINED_CELLS = ((0, 1), (127, 129), (255, 256), (40, 42))
 RESULT_FIELDS = ("radius", "bracket", "method", "sup_at_radius", "argmax_angle",
-                 "clamped", "pole_truncated")
+                 "clamped")
 SWEEP_GRID = """rho = 0.5, 1, 2
 beta = 0.5, 1, 1.5, 2
 kind = f, g, h

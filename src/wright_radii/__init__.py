@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from .errors import (ConvergenceError, MonotonicityError,
                      NearZeroDenominatorError, NonIntegerWindingError,
-                     ParameterError, PoleProximityError, ScanExhaustedError,
-                     WrightRadiiError)
+                     ParameterError, ScanExhaustedError, WrightRadiiError)
 from .family import (FunctionalValue, NormalizedKind, base_eval,
                      convex_functional, convex_real, starlike_functional,
                      starlike_real)
@@ -25,7 +24,7 @@ __all__ = [
     "ConvergenceError", "CrossCheckResult", "EvalResult", "FunctionalValue",
     "JanowskiParams", "MonotonicityError", "NearZeroDenominatorError",
     "NonIntegerWindingError", "NormalizedKind", "ParameterError",
-    "PoleProximityError", "RadiusQuery", "RadiusResult", "ScanExhaustedError",
+    "RadiusQuery", "RadiusResult", "ScanExhaustedError",
     "WrightParams", "WrightRadiiError", "ZeroTable", "base_eval",
     "base_residual", "boundary_sup", "convex_functional", "convex_real",
     "count_zeros_in_disk", "cross_validate", "derivative_positive_zeros",

@@ -25,11 +25,8 @@ class ConvergenceError(WrightRadiiError):
 
 
 class NearZeroDenominatorError(WrightRadiiError):
-    """A functional's denominator is smaller than its propagated error bound."""
-
-
-class PoleProximityError(WrightRadiiError):
-    """Janowski denominator A - B*w(z) too close to zero to evaluate safely."""
+    """A functional's denominator, or the Janowski map's A - B v, is smaller
+    than its propagated error bound."""
 
 
 class ScanExhaustedError(WrightRadiiError):

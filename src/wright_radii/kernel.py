@@ -47,19 +47,22 @@ _CIRCLE_TOL = 1e-14
 # domain types
 # ----------------------------------------------------------------------------
 
-def _store_real(obj, name: str) -> None:
-    """Store the field name of the frozen dataclass obj as a Python float:
-    any finite real scalar but bool, else ParameterError."""
-    value = getattr(obj, name)
+def _finite_real(value, name: str) -> float:
+    """value as a Python float: any finite real scalar but bool, else
+    ParameterError naming the argument name."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             x = float(value)
         except OverflowError:           # an integer beyond the double range
             x = math.inf
         if math.isfinite(x):
-            object.__setattr__(obj, name, x)
-            return
+            return x
     raise ParameterError(f"{name} must be a finite real, got {value!r}")
+
+
+def _store_real(obj, name: str) -> None:
+    """Store the field name of the frozen dataclass obj as a Python float."""
+    object.__setattr__(obj, name, _finite_real(getattr(obj, name), name))
 
 
 @dataclass(frozen=True)

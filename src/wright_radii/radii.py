@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, MonotonicityError,
                      NearZeroDenominatorError, ParameterError,
-                     PoleProximityError, WrightRadiiError)
+                     WrightRadiiError)
 from .family import (_GRID0, FunctionalValue, NormalizedKind, _AngleGrid,
                      _check_kind, _refinement_grid, convex_functional,
                      convex_on_circle, convex_real, starlike_functional,
@@ -102,10 +102,8 @@ def _check_query(query) -> None:
 
 @dataclass(frozen=True)
 class RadiusResult:
-    """A computed radius with its certificate.
-
-    pole_truncated marks Janowski searches truncated by a vanishing
-    denominator.
+    """A computed radius with its certificate: the bracket it lies in, the
+    method that found it, and the boundary sup at the radius with its angle.
     """
 
     radius: float
@@ -113,7 +111,6 @@ class RadiusResult:
     method: str
     sup_at_radius: float
     argmax_angle: float
-    pole_truncated: bool = False
 
     @property
     def clamped(self) -> float:
@@ -155,24 +152,21 @@ def _functional_real(query: RadiusQuery, r: float) -> float:
     return convex_real(query.kind, query.params, r)
 
 
-def _region(query: RadiusQuery, v, floor: float):
+def _region(query: RadiusQuery, v):
     """|left side| of the region condition at functional values v, one value
-    or an array; a Janowski denominator below floor raises."""
+    or an array."""
     if query.radius_kind.startswith("lem"):
         return abs(v * v - 1.0)
     jp = query.janowski
-    den = jp.A - jp.B * v
-    if np.min(abs(den)) < floor:
-        raise PoleProximityError(
-            f"Janowski denominator {np.min(abs(den)):.3e} below {floor:.3e} "
-            f"(A={jp.A}, B={jp.B})")
-    return abs((v - 1.0) / den)
+    return abs((v - 1.0) / (jp.A - jp.B * v))
 
 
 def region_functional(query: RadiusQuery, z: complex) -> float:
     """The modulus on the left of the region condition at one point.
 
-    A Janowski denominator within 10x its propagated error bound raises."""
+    A Janowski denominator A - B v within 10x its propagated error bound
+    raises NearZeroDenominatorError, as a drowned denominator of the
+    functional itself does."""
     _check_query(query)
     return _region_at(query, _functional_scalar(query, z))
 
@@ -180,15 +174,22 @@ def region_functional(query: RadiusQuery, z: complex) -> float:
 def _region_at(query: RadiusQuery, fv: FunctionalValue) -> float:
     """region_functional from the point functional's value and bound."""
     jp = query.janowski
-    floor = 10.0 * abs(jp.B) * fv.abs_error_bound + 1e-300 if jp else 0.0
-    return float(_region(query, fv.value, floor))
+    if jp is not None:
+        den = abs(jp.A - jp.B * fv.value)
+        floor = 10.0 * abs(jp.B) * fv.abs_error_bound + 1e-300
+        if den < floor:
+            raise NearZeroDenominatorError(
+                f"Janowski denominator {den:.3e} below {floor:.3e} "
+                f"(A={jp.A}, B={jp.B})")
+    return float(_region(query, fv.value))
 
 
 # ----------------------------------------------------------------------------
 # boundary sweep
 # ----------------------------------------------------------------------------
 
-@np.errstate(divide="ignore", invalid="ignore")   # a 0/0 raises below, unwarned
+# a nan raises below, unwarned; a Janowski pole reads as inf
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def boundary_sup(query: RadiusQuery, r: float, *,
                  _stop_at: float = math.inf) -> tuple[float, float]:
     """sup over theta in [0, pi] of the region modulus at z = r e^{i theta},
@@ -214,7 +215,7 @@ def boundary_sup(query: RadiusQuery, r: float, *,
     best_angle = 0.0
     for _level in range(12):
         theta = grid.theta
-        vals = _region(query, _functional_circle(query, r, grid), 1e-13)
+        vals = _region(query, _functional_circle(query, r, grid))
         i = int(np.argmax(vals))          # the first nan, if any
         if math.isnan(vals[i]):
             raise NearZeroDenominatorError(
@@ -307,8 +308,10 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
     Sound because the sup, boundary_sup(query, r), is continuous and
     nondecreasing in r and tends to 0 as r -> 0, where the excess sup - 1
     is -1 (the functionals start at 1).  A sweep may stop once its running
-    max reaches 1, which decides the sign.  A sweep that meets a Janowski
-    pole counts as a failure and sets pole_truncated.  The search runs on
+    max reaches 1, which decides the sign.  A sweep needs no guard at the
+    Janowski pole v = A/B: where d = |A - B v| < 1e-13, |v - 1| >= (|A - B|
+    - d)/|B|, so the modulus |v - 1|/d exceeds 1 once A - B >= 2e-13, and
+    such a sweep already reads as a failure.  The search runs on
     (0, hi), hi below the functional's pole at the domain bound by 10 tol,
     or by 1% of the pole where that is less, so that a coarse tol still
     reaches a radius near the pole.  The condition must fail before the
@@ -330,21 +333,15 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
     read, and the replayed midpoints are the bisection's own with its
     verdicts, so the bracket, and every output bit, is the unseeded
     bisection's whatever the seed.  sup_at_radius is the sweep at the
-    radius, or at the bracket's lower end when a pole lies between them.
+    radius.
     """
     singularity, hi = _search_end(query, tol)   # checks query and tol
-    pole_seen = False
 
     def excess(r: float) -> float:
         # A failing sweep stops once its running max reaches 1, so its
         # excess is truncated: the bracket is correct by the signs alone, but
         # the solve's steps read the truncated values.
-        nonlocal pole_seen
-        try:
-            return boundary_sup(query, r, _stop_at=1.0)[0] - 1.0
-        except PoleProximityError:
-            pole_seen = True
-            return 1e300
+        return boundary_sup(query, r, _stop_at=1.0)[0] - 1.0
 
     a, fa, b, fb = 0.0, -1.0, hi, None
     if _seed is not None:
@@ -376,14 +373,9 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
         else:
             b = mid
     radius = 0.5 * (lo + hi)
-    try:
-        swept_at = boundary_sup(query, max(radius, tol))
-    except PoleProximityError:         # inside the bracket; lo held, so saw none
-        pole_seen = True
-        swept_at = boundary_sup(query, max(lo, tol))
+    sup, angle = boundary_sup(query, max(radius, tol))
     return RadiusResult(radius=radius, bracket=(lo, hi), method="certifier",
-                        sup_at_radius=swept_at[0], argmax_angle=swept_at[1],
-                        pole_truncated=pole_seen)
+                        sup_at_radius=sup, argmax_angle=angle)
 
 
 # ----------------------------------------------------------------------------

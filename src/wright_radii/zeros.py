@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,8 +55,8 @@ from mpmath import mp
 from .errors import (ConvergenceError, NonIntegerWindingError, ParameterError,
                      ScanExhaustedError)
 from .family import NormalizedKind
-from .kernel import (WrightParams, _check_params, _check_tol, _gamma,
-                     _PhasePowers, circle_eval, combo_neg_axis,
+from .kernel import (WrightParams, _check_params, _check_tol, _finite_real,
+                     _gamma, _PhasePowers, circle_eval, combo_neg_axis,
                      envelope_exponent, term_exponent_max)
 
 _LN10 = math.log(10.0)
@@ -595,6 +596,7 @@ def base_residual(p: WrightParams, form: str, r: float) -> float:
     """|Gamma(beta) W(-r^2)| resp. |Gamma(beta) W(-r)| with certified sign path."""
     _check_params(p)
     _check_form(form)
+    r = _finite_real(r, "r")
     x = r * r if form == "minus_z_squared" else r
     ev = _ComboSeries(p, 1.0, 0.0)
     return abs(float(ev.certified(x))) * _gamma(p.beta)
@@ -683,9 +685,10 @@ def hadamard_partial_product(table: ZeroTable, z: complex, N: int) -> complex:
     """
     _check_table(table)
     N = _check_count(N, len(table.zeros))
+    if not (isinstance(z, numbers.Complex) and not isinstance(z, bool)
+            and cmath.isfinite(z)):
+        raise ParameterError(f"z must be a finite number, got {z!r}")
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise ParameterError(f"z must be finite, got {z!r}")
     lam = np.asarray(table.zeros[:N], dtype=float)
     if table.form == "minus_z_squared":
         factors = 1.0 - (z * z) / (lam * lam)

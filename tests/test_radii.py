@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -17,7 +18,6 @@ from wright_radii import (
     NearZeroDenominatorError,
     NormalizedKind,
     ParameterError,
-    PoleProximityError,
     RadiusQuery,
     WrightParams,
     ZeroTable,
@@ -81,8 +81,11 @@ TABLE = ZeroTable(P11, "minus_z", (1.0, 2.0), 1e-12)
     pytest.param(reciprocal_square_sum, (1.0, 2.0), TABLE,
                  "table must be a ZeroTable", id="reciprocal_square_sum"),
     *(pytest.param(lambda z: hadamard_partial_product(TABLE, z, 2), z, 0.3,
-                   "z must be finite", id=f"hadamard_partial_product-z={z}")
-      for z in (math.nan, complex(0.0, math.inf))),
+                   "z must be a finite number", id=f"hadamard_partial_product-z={z!r}")
+      for z in (math.nan, complex(0.0, math.inf), "abc", None, [1], "1")),
+    *(pytest.param(lambda r: base_residual(P11, "minus_z", r), r, 0.3,
+                   "r must be a finite real", id=f"base_residual-r={r!r}")
+      for r in (math.nan, math.inf, "0.3")),
 ))
 def test_entry_points_refuse_arguments_of_another_type(call, bad, good, message):
     with pytest.raises(ParameterError, match=message):
@@ -459,6 +462,8 @@ def test_real_axis_refuses_a_constant_that_rounds_to_one(t):
        kind=st.sampled_from(list(NormalizedKind)),
        what=st.sampled_from(("jan_star", "jan_convex")),
        B=st.floats(-1.0, 0.0), t=st.floats(0.0, 1.0, exclude_min=True))
+@example(rho=1.0, beta=1.0, kind=NormalizedKind.F, what="jan_star", B=0.0,
+         t=5e-324)
 def test_real_axis_answers_within_tol_or_raises(rho, beta, kind, what, B, t):
     # For B <= 0 the real-axis crossing is the radius: where the certifier
     # answers, the route answers within 2 tol of it or raises a typed error.
@@ -469,8 +474,8 @@ def test_real_axis_answers_within_tol_or_raises(rho, beta, kind, what, B, t):
     tol = 1e-9
     try:
         want = radius_by_certification(q, tol).radius
-    except PoleProximityError:
-        return              # A - B under the region map's floor of 1e-13
+    except NearZeroDenominatorError:
+        return              # A - B subnormal: the sweep's modulus reads nan
     try:
         got = radius_real_axis(q, tol).radius
     except WrightRadiiError:
@@ -499,16 +504,9 @@ def _bisection_oracle(query: RadiusQuery, tol: float = 1e-9) -> radii.RadiusResu
     # reference its bracket solve must reproduce bit for bit.
     bound = domain_bound(query, tol)
     hi = bound - min(10.0 * tol, 0.01 * bound)
-    pole_seen = False
 
     def holds(r: float) -> bool:
-        nonlocal pole_seen
-        try:
-            s, _ = boundary_sup(query, r, _stop_at=1.0)
-        except PoleProximityError:
-            pole_seen = True
-            return False
-        return s < 1.0
+        return boundary_sup(query, r, _stop_at=1.0)[0] < 1.0
 
     if holds(hi):
         raise ConvergenceError("condition holds at hi, below the pole")
@@ -522,8 +520,7 @@ def _bisection_oracle(query: RadiusQuery, tol: float = 1e-9) -> radii.RadiusResu
     radius = 0.5 * (lo + hi)
     sup, ang = boundary_sup(query, max(radius, tol))
     return radii.RadiusResult(radius=radius, bracket=(lo, hi), method="certifier",
-                              sup_at_radius=sup, argmax_angle=ang,
-                              pole_truncated=pole_seen)
+                              sup_at_radius=sup, argmax_angle=ang)
 
 
 # Janowski pairs with B < 0, B = 0 and B > 0
@@ -863,7 +860,9 @@ def test_radius_clamps_at_unit_disk():
 
 def test_pole_guard_raises_near_janowski_pole():
     # For (A,B) = (1,-1) the region map blows up where w = -1; localize that
-    # point on the axis with our own bisection and probe it.
+    # point on the axis with our own bisection and probe it.  The point route
+    # refuses the drowned denominator; the sweep there needs no guard, as
+    # its modulus already reads far past 1.
     q = _q(NormalizedKind.G, P11, "jan_star", 1.0, -1.0)
     lo, hi = 0.7, 1.2    # w(lo) > -1 > w(hi) on the axis
     for _ in range(80):
@@ -872,49 +871,29 @@ def test_pole_guard_raises_near_janowski_pole():
             lo = mid
         else:
             hi = mid
-    with pytest.raises(PoleProximityError):
-        region_functional(q, 0.5 * (lo + hi))
-
-
-def test_certifier_brackets_a_pole_on_the_circle(monkeypatch):
-    # A sweep that meets a pole counts as a failure: the certifier brackets
-    # the first radius where one appears and reports it as truncated.
-    q = _q(NormalizedKind.G, P11, "jan_star", 0.5, -0.5)
-    tol = 1e-9
-    assert radius_by_certification(q, tol).pole_truncated is False
-    sup = radii.boundary_sup
-
-    def pole_beyond(query, r, **kwargs):
-        if r > 0.3:
-            raise PoleProximityError("stub pole beyond r = 0.3")
-        return sup(query, r, **kwargs)
-
-    monkeypatch.setattr(radii, "boundary_sup", pole_beyond)
-    res = radius_by_certification(q, tol)
-    lo, hi = res.bracket
-    assert res.pole_truncated is True
-    assert lo <= 0.3 < hi and hi - lo <= tol
+    r = 0.5 * (lo + hi)
+    with pytest.raises(NearZeroDenominatorError):
+        region_functional(q, r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sup, _ = boundary_sup(q, r)
+    assert sup >= 1.0
 
 
 def test_certifier_final_sweep_survives_a_pole_in_the_bracket(monkeypatch):
-    # Wherever the stub pole falls in the final bracket, the certifier
-    # reports the sweep at the bracket's lower end, which held, instead of
-    # raising from the sweep at the radius.
+    # A sweep past a pole reads as a failure, an infinite modulus: wherever
+    # the stub pole falls, the certifier brackets the first radius where it
+    # appears, to width tol.
     q = _q(NormalizedKind.G, P11, "jan_star", 0.5, -0.5)
     tol = 1e-9
     sup = radii.boundary_sup
     for t in np.linspace(0.2, 0.5, 40):
         def pole_beyond(query, r, **kwargs):
-            if r > t:
-                raise PoleProximityError(f"stub pole beyond r = {t}")
-            return sup(query, r, **kwargs)
+            return (math.inf, 0.0) if r > t else sup(query, r, **kwargs)
 
         monkeypatch.setattr(radii, "boundary_sup", pole_beyond)
-        res = radius_by_certification(q, tol)
-        lo, hi = res.bracket
-        assert res.pole_truncated is True
+        lo, hi = radius_by_certification(q, tol).bracket
         assert lo <= t < hi and hi - lo <= tol, t
-        assert res.sup_at_radius < 1.0
 
 
 def test_certifier_refuses_the_domain_bound_at_beta_10():
