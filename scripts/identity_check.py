@@ -24,8 +24,9 @@ starts cold):
     plus one winding count for (0.3, 1.1) that needs the mpmath rescue, and
     the number of certified evaluations (_ComboSeries.certified calls) that
     building those tables takes; the cancellation-depth searches
-    (zeros.term_exponent_max calls) of that section are printed per side
-    but not compared, as the sweeps are;
+    (zeros.term_exponent_max calls) and the mpmath sums
+    (_ComboSeries._eval_mp calls) of that section are printed per side but
+    not compared, as the sweeps are;
   - radius_real_axis and the unseeded radius_by_certification on the
     336-query Janowski (1, -1) probe (rho in PROBE_RHO, beta in PROBE_BETA,
     every kind, star and convex): the radius or the name of the error it
@@ -211,9 +212,10 @@ def emit() -> dict:
                                 [x for v in vals for x in _c(v)])
 
     # count the scan's work as well as its outputs
-    evals = searches = 0
+    evals = searches = mp_sums = 0
     certified = _ComboSeries.certified
     depth = zeros.term_exponent_max
+    eval_mp = _ComboSeries._eval_mp
 
     def counted(self, x, *args):
         nonlocal evals
@@ -225,8 +227,14 @@ def emit() -> dict:
         searches += 1
         return depth(*args)
 
+    def counted_mp(self, *args):
+        nonlocal mp_sums
+        mp_sums += 1
+        return eval_mp(self, *args)
+
     _ComboSeries.certified = counted
     zeros.term_exponent_max = counted_depth
+    _ComboSeries._eval_mp = counted_mp
     for p in params:
         table = W.positive_zeros(p, "minus_z_squared", 80).zeros
         out.setdefault("zeros.table", []).append(list(table))
@@ -245,8 +253,10 @@ def emit() -> dict:
         W.count_zeros_in_disk(p, "minus_z_squared", 0.5 * (lam[3] + lam[4]))]
     _ComboSeries.certified = certified
     zeros.term_exponent_max = depth
+    _ComboSeries._eval_mp = eval_mp
     out["zeros.evals"] = [evals]
     out["counts"]["depth searches in the zero tables"] = searches
+    out["counts"]["mpmath sums in the zero tables"] = mp_sums
 
     for kind in KINDS:
         for rho in PROBE_RHO:

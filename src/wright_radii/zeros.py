@@ -21,20 +21,25 @@ zeros.  The evaluator degrades gracefully: double precision while the value
 clears 30x its accumulated-rounding noise, otherwise mpmath at a working
 precision budgeted from the cancellation depth.  The double sum is not even
 tried where a one-point lower bound on that depth exceeds 37 (about ln 1e16).
-The mpmath sum has three rungs, 40 digits apart; the scan tells it the |s|
-it must resolve (the last secant slope times a quarter of the refinement
-width or of the prediction bracket), and it starts on the first rung whose
-sign floor lies below that, so a point costs one evaluation, not a retry.
+The scan tells the mpmath sum the |s| it must resolve (the last secant slope
+times a quarter of the refinement width or of the prediction bracket), and
+the sum starts at the fewest digits d, between the budget and 80 more, whose
+sign floor 10^(8-d) exp(E_max) lies five digits under that, so a point costs
+one evaluation, not a retry; each retry adds 40 digits.
 The scan also tells it the upper end of the bracket the point lies in, and
 every point of that bracket shares the depth there: E_max(x) is
-nondecreasing in x, so the one search and the one set of floors it serves
-bound each point's own, up to a few ulp of rounding in the search that the
-floors' 10^18 margin absorbs.  A stepping point is its own bracket, and the
+nondecreasing in x, so the one search and the floors it serves bound each
+point's own, up to a few ulp of rounding in the search that the floors'
+10^18 margin absorbs.  A stepping point is its own bracket, and the
 refinement that follows it reuses its search.
+Past the first five zeros, once the extrapolation is sharp, a zero costs three
+evaluations: s at the predicted zero, then s on either side of the Newton
+step from there, whose slope is extrapolated from the last five zeros.
 For rational rho = p/q the series splits by n mod q into q hypergeometric
 series that mpmath sums in fixed point; irrational rho is summed term by
-term.  A sign that the last rung cannot certify raises ConvergenceError; the
-winding count's rescue runs the same rungs at complex argument.
+term.  A sign that budget + 80 digits cannot certify raises
+ConvergenceError; the winding count's rescue runs the same ladder from the
+budget at complex argument.
 
 Zero tables are cached per parameter set as the scan that made them, and
 extended on demand by resuming that scan, so a table is the same whichever
@@ -60,8 +65,12 @@ from .kernel import (WrightParams, _check_params, _check_tol, _finite_real,
                      envelope_exponent, term_exponent_max)
 
 _LN10 = math.log(10.0)
+_LN2 = math.log(2.0)
 _FORMS = ("minus_z_squared", "minus_z")
 _SCAN_CAP_PER_ZERO = 10_000
+# An mpmath sum's first try puts its sign floor this many digits under the
+# |s| its caller expects, so a point a little nearer the zero needs no retry.
+_NEED_MARGIN = 5
 
 
 # ----------------------------------------------------------------------------
@@ -107,6 +116,14 @@ def _check_table(table) -> None:
 # high-precision combo evaluation
 # ----------------------------------------------------------------------------
 
+def _ln(v) -> float:
+    """ln v for a float or an mpf v > 0; an mpf may lie below the double
+    range, so its log is taken from its integer mantissa and exponent."""
+    if isinstance(v, float):
+        return math.log(v)
+    return math.log(v.man) + v.exp * _LN2
+
+
 def _hyp_param(c: Fraction):
     # (coefficient, type flag) as mpmath's hypsum takes a rational parameter
     if c.denominator == 1:
@@ -130,7 +147,7 @@ class _ComboSeries:
             self._hyp_norm = Q ** Q * P ** P
         self._hyp_params: dict = {}        # beta -> per-j hypsum rows
         self._depth = (None, 0.0)          # (cap, term_exponent_max(p, cap))
-        self._floors = (None, None, ())    # (dps, e_max, the three rung floors)
+        self._floors = (None, None, {})    # (e_max, exp(e_max), {digits: floor})
 
     # -- mpmath path ---------------------------------------------------------
 
@@ -237,10 +254,11 @@ class _ComboSeries:
     def certified(self, x: float, need=math.inf, cap: float | None = None):
         """Value of s(x) whose sign is trustworthy; float or mpf (see _certified_mp).
 
-        The mpmath sum takes the depth e_max = term_exponent_max(p, cap) at
-        cap >= x, the upper end of the bracket x lies in (x itself when
-        cap is None), searched once per bracket: the last cap and its depth
-        are kept.  E_max(x) = max_t [t ln x - lnGamma(t+1) - lnGamma(rho t +
+        need is the |s(x)| the caller expects, which sets the mpmath sum's
+        first digits.  The mpmath sum takes the depth e_max =
+        term_exponent_max(p, cap) at cap >= x, the upper end of the bracket
+        x lies in (x itself when cap is None), searched once per bracket: the
+        last cap and its depth are kept.  E_max(x) = max_t [t ln x - lnGamma(t+1) - lnGamma(rho t +
         beta)] is nondecreasing in x, as its x-derivative is t*/x >= 0, so
         the cap's depth bounds the point's.  The computed search can fall
         short of that by rounding, a few ulp where E_max is flat in x; the
@@ -263,33 +281,46 @@ class _ComboSeries:
         return self._certified_mp(x, depth[1], need)
 
     def _certified_mp(self, x, e_max: float, need=math.inf):
-        """s(x), real or complex x, above the floor 10^-(dps-8) exp(e_max).
+        """s(x), real or complex x, above the floor 10^(8-d) exp(e_max) at d digits.
 
         e_max >= term_exponent_max(p, |x|), up to the search's rounding
-        (see certified).  The rungs are dps (_dps_budget),
-        dps + 40 and dps + 80 digits, each with its own floor; the floors are
-        formed once per (dps, e_max), so a bracket or a contour that shares
-        its depth forms them once.  The first tried is the first whose floor
-        lies below need, the |s(x)| the caller expects (else the last), then
-        each later one while the value stays under its floor.  Raises
-        ConvergenceError when the last rung does.
+        (see certified).  need is the |s(x)| the caller expects, float or
+        mpf; the first try is at the fewest digits d whose floor lies
+        _NEED_MARGIN digits under it, clamped to [dps, dps + 80] with dps
+        from _dps_budget (dps itself when need is inf), and each retry 40
+        digits more, up to dps + 80, while the value stays under its floor.
+        Raises ConvergenceError when dps + 80 digits do.
         """
         dps = self._dps_budget(abs(x), e_max)
-        memo = self._floors
-        if memo[0] != dps or memo[1] != e_max:
-            with mp.workdps(30):
-                scale = mp.exp(e_max)
-                memo = self._floors = (dps, e_max, [
-                    mp.mpf(10) ** (8 - dps - k) * scale for k in (0, 40, 80)])
-        floors = memo[2]
-        start = sum(floor >= need for floor in floors[:2])
-        for k in range(start, 3):
-            v = self._eval_mp(x, dps + 40 * k)
-            if abs(v) > floors[k]:
+        top = dps + 80
+        d = dps
+        if need < math.inf:
+            # floor <= need 10^-margin
+            want = (8 + _NEED_MARGIN + (e_max - _ln(need)) / _LN10
+                    if need > 0 else math.inf)
+            d = top if not want < top else max(dps, math.ceil(want))
+        while True:
+            v = self._eval_mp(x, d)
+            if abs(v) > self._floor(e_max, d):
                 return v
-        raise ConvergenceError(
-            f"s({x!r}) for rho={self.p.rho}, beta={self.p.beta}, "
-            f"(a, b)=({self.a}, {self.b}) under its floor at {dps + 80} digits")
+            if d >= top:
+                raise ConvergenceError(
+                    f"s({x!r}) for rho={self.p.rho}, beta={self.p.beta}, "
+                    f"(a, b)=({self.a}, {self.b}) under its floor at {top} digits")
+            d = min(d + 40, top)
+
+    def _floor(self, e_max: float, d: int):
+        """10^(8-d) exp(e_max), formed once per (e_max, d): a bracket or a
+        contour that shares its depth shares its floors."""
+        memo = self._floors                # read once: scans may share a series
+        if memo[0] != e_max:
+            with mp.workdps(30):
+                memo = self._floors = (e_max, mp.exp(e_max), {})
+        floor = memo[2].get(d)
+        if floor is None:
+            with mp.workdps(30):
+                floor = memo[2][d] = mp.mpf(10) ** (8 - d) * memo[1]
+        return floor
 
 
 # Past this cancellation depth, about ln 1e16, a double sum's rounding noise
@@ -393,27 +424,54 @@ _EXTRAPOLATION = {3: (1.0, -3.0, 3.0), 4: (-1.0, 4.0, -6.0, 4.0),
 # on each side, and at least this many refinement widths.
 _BRACKET_SAFETY = 8.0
 _BRACKET_MIN_XTOL = 8.0
+# The slope-corrected step serves the zeros after the first _NEWTON_FROM,
+# and only while the last prediction's error times the last slope
+# extrapolation's relative error stays under _NEWTON_GATE refinement widths:
+# that product is about how far the step lands from the zero.
+_NEWTON_FROM = 5
+_NEWTON_GATE = 0.1
+_NEWTON_HALF = 0.45                     # its points x1 +- this many xtol
+
+
+def _next_value(values: list[float]) -> float:
+    # Next value of the polynomial through the last five (at least three).
+    m = min(len(values), 5)
+    return math.fsum(c * v for c, v in zip(_EXTRAPOLATION[m], values[-m:]))
 
 
 def _extrapolate(zeros: list[float], power: float) -> float:
-    # Next zero from a polynomial through the last five (at least three) in
-    # the variable x^power.
-    m = min(len(zeros), 5)
-    u = math.fsum(c * z ** power for c, z in zip(_EXTRAPOLATION[m], zeros[-m:]))
-    return max(u, 0.0) ** (1.0 / power)
+    # Next zero from a polynomial in the variable x^power.
+    return max(_next_value([z ** power for z in zeros[-5:]]), 0.0) ** (1.0 / power)
+
+
+def _log_slope(a: float, b: float, fa, fb) -> float:
+    # ln(|s(b) - s(a)| / (b - a))
+    return _ln(abs(fb - fa)) - math.log(b - a)
 
 
 class _Scan:
     """A resumable sign-change scan for the positive zeros x of s(x).
 
-    Once three zeros are known, the next one is bracketed around a
-    polynomial extrapolation of the last five (fewer at start-up), in x or
-    in x^(1/(1+rho)), where the zeros are asymptotically evenly spaced;
+    Once three zeros are known, the next one is predicted by a polynomial
+    extrapolation of the last five (fewer at start-up), in x or in
+    x^(1/(1+rho)), where the zeros are asymptotically evenly spaced;
     whichever variable predicted the last zero better is used.  The bracket
-    is 0.06 of the last gap on each side for the first prediction, then a
-    safety multiple of the last prediction's error, so the refinement
-    starts next to the zero.  The plain stepping scan covers start-up and
-    recovers any missed prediction.
+    pred +- h is 0.06 of the last gap on each side for the first prediction,
+    then a safety multiple of the last prediction's error.
+
+    Past the first _NEWTON_FROM zeros, and while the last prediction's error
+    times the last slope extrapolation's relative error is well under the
+    refinement width xtol, the scan reads s(pred) and steps to
+    x1 = pred - s(pred)/s', where ln|s'| is extrapolated from its values at
+    the last five zeros, each measured on its final bracket; s' takes the
+    sign opposite to s just past the last zero.  It then reads x1 +- 0.45
+    xtol: a straddle is a certified bracket of width <= xtol, three
+    evaluations for the zero.  While that gate is shut it reads the
+    bracket's ends instead, the upper one only if the lower does not cross.
+    Either way every point lies in (pred - h, pred + h), so one depth search
+    at pred + h serves them all, and the points are walked in order from the
+    scan's last point: the first sign change is refined, and without one the
+    plain stepping scan resumes past them.  Stepping also covers start-up.
 
     The scan keeps its whole loop state between requests, so a longer
     request continues exactly as if the scan had never stopped: a table
@@ -430,6 +488,8 @@ class _Scan:
         self.preds: dict[float, float] = {}
         self.half: float | None = None    # prediction bracket half-width
         self.slope = math.inf             # secant slope |ds/dx| at the last zero
+        self.log_slopes: list[float] = []  # ln|ds/dx| at each zero
+        self.slope_err = math.inf         # |ln s'| extrapolation's miss, last zero
         self.steps = 0
 
     def zeros(self, count: int) -> list[float]:
@@ -441,25 +501,52 @@ class _Scan:
         if len(self.known) >= count:
             return self.known[:count]
         ev = self.ev
-        zeros = list(self.known)
+        zeros, log_slopes = list(self.known), list(self.log_slopes)
         x, fx, step, half, steps = self.x, self.fx, self.step, self.half, self.steps
-        slope = self.slope
+        slope, slope_err = self.slope, self.slope_err
         errors, preds = dict(self.errors), dict(self.preds)
         cap = _SCAN_CAP_PER_ZERO * count
 
+        def read(t: float, need=math.inf, hi: float | None = None):
+            nonlocal steps
+            steps += 1
+            return ev.certified(t, need, hi)
+
         def found(lo: float, hi: float, flo, fhi) -> None:
-            nonlocal half, slope
+            nonlocal half, slope, slope_err
             xtol = _xtol_for(hi, self.tol, self.form)
             slope = abs(fhi - flo) / (hi - lo)
             need = slope * (0.25 * xtol)  # |s| a quarter width from the zero
-            # every refinement point lies under hi: one depth search
-            a, b = _refine_bracket(lambda x: ev.certified(x, need, hi),
-                                   lo, hi, flo, fhi, xtol)
+            seen = {lo: flo, hi: fhi}
+
+            def f(t: float):
+                # every refinement point lies under hi: one depth search
+                seen[t] = ft = ev.certified(t, need, hi)
+                return ft
+
+            a, b = _refine_bracket(f, lo, hi, flo, fhi, xtol)
             zeros.append(0.5 * (a + b))
+            log_slope = _log_slope(a, b, seen[a], seen[b])
+            if len(log_slopes) >= 3:
+                slope_err = abs(log_slope - _next_value(log_slopes))
+            log_slopes.append(log_slope)
             if preds:
                 errors.update((k, abs(zeros[-1] - v)) for k, v in preds.items())
                 half = max(_BRACKET_SAFETY * min(errors.values()),
                            _BRACKET_MIN_XTOL * xtol)
+
+        def walk(points) -> bool:
+            # (t, s(t)) in increasing t from the scan's last point: the first
+            # sign change goes to found(); x ends at the last point read
+            nonlocal x, fx
+            for t, ft in points:
+                crossed = (ft < 0) != (fx < 0)
+                if crossed:
+                    found(x, t, fx, ft)
+                x, fx = t, ft
+                if crossed:
+                    return True
+            return False
 
         while len(zeros) < count:
             if steps >= cap:
@@ -475,23 +562,24 @@ class _Scan:
                 lo, hi = pred - h, pred + h
                 if lo > x:
                     need = slope * (0.25 * h)  # a quarter bracket from the zero
-                    flo = ev.certified(lo, need, hi)
-                    steps += 1
-                    step = 0.12 * gap
-                    if (flo < 0) == (fx < 0):
-                        fhi = ev.certified(hi, need, hi)
-                        steps += 1
-                        x, fx = hi, fhi        # if short, stepping resumes here
-                        if (fhi < 0) != (flo < 0):
-                            found(lo, hi, flo, fhi)
-                            continue
+                    step = 0.12 * gap          # if no point crosses, stepping resumes
+                    if (len(zeros) >= _NEWTON_FROM and min(errors.values()) * slope_err
+                            < _NEWTON_GATE * _xtol_for(pred, self.tol, self.form)):
+                        fp = read(pred, need, hi)
+                        dx = float(fp / mp.exp(_next_value(log_slopes)))
+                        x1 = pred - dx if fx < 0 else pred + dx
+                        xtol = _xtol_for(x1, self.tol, self.form)
+                        points = [(pred, fp)] + [
+                            (t, read(t, slope * (0.25 * xtol), hi))
+                            for t in (x1 - _NEWTON_HALF * xtol, x1 + _NEWTON_HALF * xtol)
+                            if lo < t < hi]
+                        crossed = walk(sorted(points, key=operator.itemgetter(0)))
                     else:
-                        found(x, lo, fx, flo)  # prediction long: zero before lo
-                        x, fx = lo, flo
+                        crossed = walk((t, read(t, need, hi)) for t in (lo, hi))
+                    if crossed:
                         continue
             x2 = x + step
-            fx2 = ev.certified(x2)
-            steps += 1
+            fx2 = read(x2)
             if (fx < 0) != (fx2 < 0):
                 found(x, x2, fx, fx2)
                 if len(zeros) >= 2:
@@ -506,7 +594,7 @@ class _Scan:
                 step = min(step, 0.05 * (1.0 + x))
         self.known, self.x, self.fx, self.step = zeros, x, fx, step
         self.errors, self.preds, self.half, self.steps = errors, preds, half, steps
-        self.slope = slope
+        self.slope, self.log_slopes, self.slope_err = slope, log_slopes, slope_err
         return zeros[:count]
 
 
@@ -682,6 +770,7 @@ def hadamard_partial_product(table: ZeroTable, z: complex, N: int) -> complex:
     """Product over the first N table zeros.
 
     form minus_z_squared: prod (1 - z^2/lambda_n^2); minus_z: prod (1 - z/lambda_n).
+    Raises ConvergenceError where the product leaves the double range.
     """
     _check_table(table)
     N = _check_count(N, len(table.zeros))
@@ -690,11 +779,16 @@ def hadamard_partial_product(table: ZeroTable, z: complex, N: int) -> complex:
         raise ParameterError(f"z must be a finite number, got {z!r}")
     z = complex(z)
     lam = np.asarray(table.zeros[:N], dtype=float)
-    if table.form == "minus_z_squared":
-        factors = 1.0 - (z * z) / (lam * lam)
-    else:
-        factors = 1.0 - z / lam
-    return complex(np.prod(factors))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if table.form == "minus_z_squared":
+            factors = 1.0 - (z * z) / (lam * lam)
+        else:
+            factors = 1.0 - z / lam
+        prod = complex(np.prod(factors))
+    if not cmath.isfinite(prod):
+        raise ConvergenceError(
+            f"partial product over {N} zeros at z={z!r} leaves the double range")
+    return prod
 
 
 def reciprocal_square_sum(table: ZeroTable, N: int | None = None) -> float:

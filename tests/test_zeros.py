@@ -123,17 +123,20 @@ def test_zero_tables_are_deterministic(bessel_params):
     assert a.zeros == b.zeros
 
 
-# Cold 80-zero scans in x = r^2 at tol 1e-12, frozen when the bracket solver
-# began to serve the radius certifier too: a few zeros by value and the whole
-# scan by the SHA-256 of repr(xs), first 16 hex digits.  Cold scans, because
-# a table extended from a cached shorter one may differ in the last bits.
+# Cold 80-zero scans in x = r^2 at tol 1e-12: a few zeros by value and the
+# whole scan by the SHA-256 of repr(xs), first 16 hex digits.  Frozen again
+# when the slope-corrected step took over the deep zeros, which moved these
+# by at most 1.5e-14 relative; test_deep_zero_tables_bracket_the_true_zeros
+# holds the same rows to a truth independent of the package.  Cold scans,
+# because a table extended from a cached shorter one may differ in the last
+# bits.
 FROZEN_SCANS = {
-    (1.0, 1.0): ((1.4457964907361407, 234.6197783689277, 3898.710448661637,
-                  15692.88770972001), "6fa8fc54ba83b127"),
-    (0.5, 0.5): ((0.960775351512676, 77.87656083553753, 660.1995805290271,
-                  1885.0736314050525), "986fd05d9a7af23d"),
-    (2.0, 2.0): ((7.235525569225327, 7073.571025373634, 452625.60286971857,
-                  3620972.3184051216), "237afbbe892caf1c"),
+    (1.0, 1.0): ((1.4457964907361407, 234.6197783689277, 3898.7104486616654,
+                  15692.887709720066), "ea19bf1f18ada67f"),
+    (0.5, 0.5): ((0.960775351512676, 77.87656083553753, 660.1995805290387,
+                  1885.073631405033), "307e3fceb4fe3732"),
+    (2.0, 2.0): ((7.235525569225327, 7073.571025373634, 452625.60286971886,
+                  3620972.3184051206), "56cd9a81bca10b8a"),
 }
 
 
@@ -144,6 +147,81 @@ def test_deep_zero_scans_are_bit_identical(rho, beta):
     values, digest = FROZEN_SCANS[rho, beta]
     assert tuple(xs[i] for i in (0, 9, 39, 79)) == values
     assert hashlib.sha256(repr(xs).encode()).hexdigest()[:16] == digest
+
+
+def _base_by_mpmath(rho: float, beta: float, r):
+    """Gamma(beta) W(rho, beta; -r^2) from mpmath's own functions, for the
+    deep-zero rows (1/2, 1/2) and (2, 2).  Splitting n by parity and using
+    (2k)! = 4^k k! (1/2)_k, (2k+1)! = 4^k k! (3/2)_k gives
+
+        Gamma(1/2) W(1/2, 1/2; -x) = 0F2(; 1/2, 1/2; x^2/4)
+                                     - sqrt(pi) x 0F2(; 1, 3/2; x^2/4),
+        Gamma(2) W(2, 2; -x)       = 0F2(; 1, 3/2; -x/4).
+    """
+    x = mp.mpf(r) ** 2
+    if (rho, beta) == (0.5, 0.5):
+        z = x * x / 4
+        return mp.hyper([], [0.5, 0.5], z) - mp.sqrt(mp.pi) * x * mp.hyper([], [1, 1.5], z)
+    assert (rho, beta) == (2.0, 2.0)
+    return mp.hyper([], [1, 1.5], -x / 4)
+
+
+def _assert_brackets_the_true_zeros(rho: float, beta: float, lam, tol: float) -> None:
+    # Each r_k - tol < zero < r_k + tol, by an independent mpmath evaluation:
+    # j_{0,k}/2 for the Bessel row; elsewhere the base's sign at r_k -+ tol,
+    # (-1)^(k-1) then (-1)^k, at two precisions past the sums' cancellation.
+    assert len(lam) == 80
+    if (rho, beta) == (1.0, 1.0):
+        for k, r in enumerate(lam, 1):
+            assert abs(r - mp.besseljzero(0, k) / 2) < tol, k
+        return
+    for k, r in enumerate(lam, 1):
+        for dps in (250, 300):
+            with mp.workdps(dps):
+                lo = _base_by_mpmath(rho, beta, mp.mpf(r) - tol)
+                hi = _base_by_mpmath(rho, beta, mp.mpf(r) + tol)
+            assert ((lo > 0) == (k % 2 == 1) and (hi > 0) == (k % 2 == 0)
+                    and lo != 0 and hi != 0), (k, dps)
+
+
+@pytest.mark.parametrize("rho, beta", [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0)])
+def test_deep_zero_tables_bracket_the_true_zeros(rho, beta):
+    # The benchmark's 80-zero rows against a truth that shares no code with
+    # the package's evaluator.
+    table = positive_zeros(WrightParams(rho, beta), "minus_z_squared", 80)
+    _assert_brackets_the_true_zeros(rho, beta, table.zeros, table.tol)
+
+
+def _cold_bessel_scan_evals(monkeypatch) -> tuple[list[float], int]:
+    """A cold 80-zero (1, 1) scan in x = r^2 and its certified evaluations."""
+    certified, evals = _ComboSeries.certified, 0
+
+    def counted(self, x, *args):
+        nonlocal evals
+        evals += 1
+        return certified(self, x, *args)
+
+    monkeypatch.setattr(_ComboSeries, "certified", counted)
+    xs = _Scan(_ComboSeries(WrightParams(1.0, 1.0), 1.0, 0.0), 1e-12,
+               "minus_z_squared").zeros(80)
+    monkeypatch.setattr(_ComboSeries, "certified", certified)
+    return xs, evals
+
+
+@pytest.mark.parametrize("shift", [-3.0, 3.0])
+def test_a_missed_slope_corrected_step_falls_back(monkeypatch, shift):
+    # Every ln|s'| off by the same shift leaves its extrapolation's error,
+    # and so the gate, as it was (the weights sum to 1), but the step goes
+    # e^-shift times as far as it should: 19 prediction errors past the
+    # zero, mostly outside the bracket where no point is read, or 95% short
+    # of it, where the walk or the stepping that resumes finds the zero.
+    # Either costs evaluations, and the table still brackets every zero.
+    _, fair = _cold_bessel_scan_evals(monkeypatch)
+    log_slope = zeros._log_slope
+    monkeypatch.setattr(zeros, "_log_slope", lambda *args: log_slope(*args) + shift)
+    xs, spoiled = _cold_bessel_scan_evals(monkeypatch)
+    assert spoiled > fair + 40
+    _assert_brackets_the_true_zeros(1.0, 1.0, [math.sqrt(x) for x in xs], 1e-12)
 
 
 def test_tolerance_refinement_consistency(bessel_params):
@@ -260,6 +338,18 @@ def test_partial_product_validation(bessel_params):
     # any integer type counts, NumPy's included
     assert (hadamard_partial_product(table, 0.3, np.int64(3))
             == hadamard_partial_product(table, 0.3, 3))
+
+
+@pytest.mark.parametrize("form, z", [("minus_z_squared", 1e100),
+                                     ("minus_z_squared", 1e200),
+                                     ("minus_z_squared", -1e100j),
+                                     ("minus_z", 1e200)])
+def test_partial_product_past_the_double_range_raises(bessel_params, form, z):
+    # |z|^6 resp. |z|^3 over the three zeros' product overflows: a typed
+    # error, not inf or nan with a numpy warning
+    table = positive_zeros(bessel_params, form, 3)
+    with pytest.raises(ConvergenceError, match="double range"):
+        hadamard_partial_product(table, z, 3)
 
 
 @pytest.mark.parametrize("N", [0, -1, 4, 2.5, True])
@@ -521,7 +611,7 @@ def test_the_depth_at_a_bracket_cap_bounds_its_points(rho, beta, cap, frac):
 
 
 # ----------------------------------------------------------------------------
-# evaluation policy on deep scans: rung start and skipped double sums
+# evaluation policy on deep scans: first digits and skipped double sums
 # ----------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -559,10 +649,10 @@ def scan_log():
 
 
 def test_rung_start_keeps_the_ladder_value(scan_log):
-    # A call that starts above its budget's rung returns the double the full
-    # ladder from the budget returns, so the refinement reads the same
-    # number: the rung it skipped failed, or passed with the same double
-    # (about one call in five here, the mpf differing below 1e-16).
+    # A call that starts above its budget, at the digits its need asks for,
+    # returns the double the ladder from the budget returns, so the
+    # refinement reads the same number: the budget's digits fail, or pass
+    # with the same double (the mpf differing below 1e-16).
     for (rho, beta), rec in scan_log.items():
         ev = _ComboSeries(WrightParams(rho, beta), 1.0, 0.0)
         above = [(x, e_max, v) for x, e_max, v, dps in rec["mp"]
@@ -585,8 +675,8 @@ def test_skipped_double_sums_could_not_certify(scan_log):
 
 
 def test_mpmath_retries_are_rare(scan_log):
-    # Starting on the right rung leaves few retries: 2 of 313 calls on
-    # (1, 1), where a start on the budget's rung retried 213.
+    # Starting at the digits the need asks for leaves few retries: none of
+    # 249 calls on (1, 1), where a start at the budget retried 213.
     rec = scan_log[1.0, 1.0]
     retries = len(rec["dps"]) - len(rec["mp"])
     assert retries <= 0.1 * len(rec["mp"])
