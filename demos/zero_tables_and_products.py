@@ -17,7 +17,6 @@ from wright_radii import (
     count_zeros_in_disk,
     derivative_positive_zeros,
     hadamard_partial_product,
-    log_gamma,
     positive_zeros,
     reciprocal_square_sum,
 )
@@ -51,7 +50,7 @@ def main() -> None:
     print("  (errors shrink slowly: the tail decays like a small power of N)")
 
     print()
-    limit = math.exp(log_gamma(p.beta) - log_gamma(p.rho + p.beta))
+    limit = math.exp(math.lgamma(p.beta) - math.lgamma(p.rho + p.beta))
     print(f"sum of 1/lambda_n^2 versus Gamma(beta)/Gamma(rho+beta) = {limit:.10f}")
     for n in (10, 30, 60):
         s = reciprocal_square_sum(table, n)

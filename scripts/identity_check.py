@@ -14,9 +14,9 @@ starts cold):
     compared, as a change to the sweep schedule or to what the real-axis
     route keeps moves them with every output kept;
   - the point, real-axis and circle functionals on the grid and on one
-    non-dyadic pair, NON_DYADIC, where rho*n + beta + s*rho and
-    rho*n + (beta + s*rho) round apart, so reading the wrong lgamma table
-    shows up; the region modulus on the grid;
+    non-dyadic pair, NON_DYADIC, where rho*n + beta is not exact in binary,
+    so a change to how a term's lgamma argument rounds shows up; the region
+    modulus on the grid;
   - the circle functionals on the kept sweep grids, level 0 and the
     refinement grids REFINED_CELLS, each next to a fresh grid of the same
     angles, built per call;
@@ -35,7 +35,10 @@ starts cold):
   - both routes on the 288 surface queries at each tol in COARSE_TOLS, where
     the search ends within 10 tol of the singularity matter: the result's
     RESULT_FIELDS or the name of the error it raises;
-  - the stdout bytes of `wright-radii sweep --check` on the surface grid.
+  - the stdout bytes of `wright-radii sweep --check` on the surface grid;
+  - the right, refused and wrong answers of each route on the probe of
+    tests/test_probe.py, printed per side but not compared: the probe's
+    truths and its list of wrong answers are the tree's own.
 
 Every RadiusResult is read through the fixed list RESULT_FIELDS, so a change
 to the dataclass's own fields is not a diff.
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import collections
 import fnmatch
 import json
 import math
@@ -274,6 +278,13 @@ def emit() -> dict:
                 res = _attempt(route, q, tol)
                 out.setdefault("coarse_probe", []).append(
                     res if isinstance(res, str) else _fields(res))
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_probe import outcomes
+    for route in ("cert", "real_axis"):
+        tally = collections.Counter(outcomes(route).values())
+        out["counts"][f"probe {route} right/refused/wrong"] = "/".join(
+            str(tally[v]) for v in ("right", "refused", "wrong"))
 
     with tempfile.TemporaryDirectory() as tmp:
         grid = Path(tmp) / "grid.txt"

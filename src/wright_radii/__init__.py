@@ -8,8 +8,7 @@ from .errors import (ConvergenceError, MonotonicityError,
 from .family import (FunctionalValue, NormalizedKind, base_eval,
                      convex_functional, convex_real, starlike_functional,
                      starlike_real)
-from .kernel import (EvalResult, WrightParams, log_gamma, wright_derivative,
-                     wright_eval)
+from .kernel import EvalResult, WrightParams, wright_derivative, wright_eval
 from .radii import (CrossCheckResult, JanowskiParams, RadiusQuery,
                     RadiusResult, boundary_sup, cross_validate, domain_bound,
                     radius_by_certification, radius_real_axis,
@@ -28,8 +27,8 @@ __all__ = [
     "WrightParams", "WrightRadiiError", "ZeroTable", "base_eval",
     "base_residual", "boundary_sup", "convex_functional", "convex_real",
     "count_zeros_in_disk", "cross_validate", "derivative_positive_zeros",
-    "domain_bound", "hadamard_partial_product", "log_gamma",
-    "positive_zeros", "radius_by_certification", "radius_real_axis",
-    "reciprocal_square_sum", "region_functional", "starlike_functional",
-    "starlike_real", "wright_derivative", "wright_eval", "__version__",
+    "domain_bound", "hadamard_partial_product", "positive_zeros",
+    "radius_by_certification", "radius_real_axis", "reciprocal_square_sum",
+    "region_functional", "starlike_functional", "starlike_real",
+    "wright_derivative", "wright_eval", "__version__",
 ]

@@ -54,17 +54,15 @@ def _json_value(v):
     return v
 
 
-def emit(records: list[dict], json_mode: bool, stream=None) -> None:
-    """Serialize flat records; column order is the dict insertion order."""
-    out = stream if stream is not None else sys.stdout
+def emit(records: list[dict], json_mode: bool) -> None:
+    """Serialize flat records to stdout; column order is the dict insertion order."""
     if json_mode:
         payload = [{k: _json_value(v) for k, v in rec.items()} for rec in records]
-        out.write(json.dumps(payload, indent=2))
-        out.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return
     if not records:
         return
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     header = list(records[0].keys())
     writer.writerow(header)
     for rec in records:

@@ -117,25 +117,13 @@ def _check_tol(tol: float) -> None:
 
 
 # ----------------------------------------------------------------------------
-# log-gamma
+# Gamma and its reciprocal
 # ----------------------------------------------------------------------------
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for real x > 0.
-
-    Relative error <= 1e-14 on [1e-3, 1e4].
-    """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise ParameterError(f"log_gamma requires a finite real, got {x!r}")
-    if x <= 0:
-        raise ParameterError(f"log_gamma domain is x > 0, got {x}")
-    return math.lgamma(x)
-
 
 def _gamma(x: float) -> float:
     """Gamma(x) for real x > 0, or ConvergenceError past the double range."""
     try:
-        return math.exp(log_gamma(x))
+        return math.exp(math.lgamma(x))
     except OverflowError:
         raise ConvergenceError(
             f"Gamma({x}) exceeds double-precision range") from None
@@ -144,7 +132,7 @@ def _gamma(x: float) -> float:
 def _recip_gamma(x: float, a: float = 1.0) -> float:
     """a/Gamma(x) for real x > 0, the series' term at the origin: a/exp(lgamma)
     while exp(lgamma) is a double, a*exp(-lgamma) beyond, which may be 0."""
-    lg = log_gamma(x)
+    lg = math.lgamma(x)
     try:
         return a / math.exp(lg)
     except OverflowError:
@@ -154,28 +142,30 @@ def _recip_gamma(x: float, a: float = 1.0) -> float:
 # ----------------------------------------------------------------------------
 # log-coefficient tables
 # ----------------------------------------------------------------------------
-# The term loops form n*log|z| - lf[n] - lgamma(rho*n + beta + s*rho) from
-# one shared table of log n!, lf[n] = lf[n-1] + log(n), and one lgamma table
-# per (rho, beta, s), grown on demand; each entry is what a loop summing term
-# by term would form.  Lists only grow; the lock keeps each entry at its index.
+# The term loops of W(rho, b; u) form n*log|u| - lf[n] - lgamma(rho*n + b)
+# from one shared table of log n!, lf[n] = lf[n-1] + log(n), and one lgamma
+# table per sequence Gamma(rho*n + b), grown on demand; each entry is what a
+# loop summing term by term would form.  A shifted series reads the table of
+# its own b = beta + s*rho, whichever loop sums it.  Lists only grow; the
+# lock keeps each entry at its index.
 
 _LOG_FACT = [0.0]
 _GROWING = threading.Lock()
 
 
 @functools.lru_cache(maxsize=256)
-def _lgammas(rho: float, beta: float, s: int) -> list[float]:
-    """lgamma(rho*n + beta + s*rho) for n < len, grown by _grow."""
+def _lgammas(rho: float, b: float) -> list[float]:
+    """lgamma(rho*n + b) for n < len, grown by _grow."""
     return []
 
 
-def _grow(lg: list[float], rho: float, beta: float, s: int, n: int) -> int:
-    """len(lg) once lg, the table of (rho, beta, s), and lf reach index n."""
+def _grow(lg: list[float], rho: float, b: float, n: int) -> int:
+    """len(lg) once lg, the table of (rho, b), and lf reach index n."""
     with _GROWING:
         while len(_LOG_FACT) <= n:
             _LOG_FACT.append(_LOG_FACT[-1] + math.log(len(_LOG_FACT)))
         while len(lg) <= n:
-            lg.append(math.lgamma(rho * len(lg) + beta + s * rho))
+            lg.append(math.lgamma(rho * len(lg) + b))
         return len(lg)
 
 
@@ -222,11 +212,8 @@ def _wright_shifts(p: WrightParams, u: complex, count: int,
     phases = []
     out = []
     for s in range(count):
-        # wright_eval(p.shifted(s)) reads the table of (rho, beta + s*rho, 0),
-        # not circle_eval's (rho, beta, s): rho*n + (beta + s*rho) and
-        # rho*n + beta + s*rho round apart
         b = beta + s * rho
-        lg = _lgammas(rho, b, 0)
+        lg = _lgammas(rho, b)
         known = len(lg)
         total, last_log, decays = zero, None, 0
         # Decay detection runs on log magnitudes: exp'd terms underflow to an
@@ -234,7 +221,7 @@ def _wright_shifts(p: WrightParams, u: complex, count: int,
         # ratio of zeros would stall the certificate.
         for n in range(_TERM_CAP):
             if n == known:
-                known = _grow(lg, rho, b, 0, n)
+                known = _grow(lg, rho, b, n)
             if n == len(bases):
                 bases.append(n * log_au - lf[n])
                 phases.append(phase)
@@ -303,14 +290,14 @@ def _magnitude_rows(rho: float, beta: float, modulus: float,
     """
     log_u = math.log(modulus)
     lf = _LOG_FACT
-    lgs = [_lgammas(rho, beta, s) for s in shifts]
+    lgs = [_lgammas(rho, beta + s * rho) for s in shifts]
     known = min(map(len, lgs))
     mag_rows: list[list[float]] = []
     last_log = None
     decays = 0
     for n in range(_TERM_CAP):
         if n == known:
-            known = min(_grow(lg, rho, beta, s, n) for s, lg in zip(shifts, lgs))
+            known = min(_grow(lg, rho, beta + s * rho, n) for s, lg in zip(shifts, lgs))
         log_row = [n * log_u - lf[n] - lg[n] for lg in lgs]
         log_mag = max(log_row)
         if log_mag > 709.0:
@@ -415,7 +402,7 @@ def combo_neg_axis(p: WrightParams, x: float, a: float = 1.0,
     if x == 0.0:
         return _recip_gamma(beta, a), 2.3e-16 * abs(a)
     log_x = math.log(x)
-    lf, lg = _LOG_FACT, _lgammas(rho, beta, 0)
+    lf, lg = _LOG_FACT, _lgammas(rho, beta)
     known = len(lg)
     total = 0.0
     max_mag = 0.0
@@ -426,7 +413,7 @@ def combo_neg_axis(p: WrightParams, x: float, a: float = 1.0,
     n = 0
     while n < 100_000:
         if n == known:
-            known = _grow(lg, rho, beta, 0, n)
+            known = _grow(lg, rho, beta, n)
         log_fact = lf[n]
         coeff = a - b * n
         log_mag = n * log_x - log_fact - lg[n]

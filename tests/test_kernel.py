@@ -15,7 +15,6 @@ from wright_radii import (
     EvalResult,
     ParameterError,
     WrightParams,
-    log_gamma,
     wright_derivative,
     wright_eval,
 )
@@ -30,8 +29,6 @@ from wright_radii.kernel import (_magnitude_rows, _PhasePowers, circle_eval,
 J0_AT_2 = 0.22389077914123567         # J0(2)
 J1_AT_2 = 0.57672480775687339         # J1(2)
 I1_AT_2 = 1.5906368546373291          # I1(2)
-LN_GAMMA_HALF = 0.57236494292470009   # log Gamma(1/2) = log sqrt(pi)
-LN_GAMMA_2P5 = 0.28468287047291916    # log Gamma(5/2)
 
 
 # ----------------------------------------------------------------------------
@@ -90,39 +87,13 @@ def test_eval_result_invariants():
 
 
 # ----------------------------------------------------------------------------
-# log gamma
-# ----------------------------------------------------------------------------
-
-def test_log_gamma_frozen_values():
-    assert log_gamma(0.5) == pytest.approx(LN_GAMMA_HALF, abs=1e-15)
-    assert log_gamma(2.5) == pytest.approx(LN_GAMMA_2P5, abs=1e-15)
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(2.0) == 0.0
-    assert log_gamma(4.0) == pytest.approx(math.log(6.0), rel=1e-15)
-
-
-def test_log_gamma_rejects_nonpositive():
-    with pytest.raises(ParameterError):
-        log_gamma(0.0)
-    with pytest.raises(ParameterError):
-        log_gamma(-1.0)
-
-
-@given(st.floats(min_value=0.1, max_value=50.0))
-def test_log_gamma_recursion(x):
-    # Gamma(x+1) = x Gamma(x), in log form.
-    assert log_gamma(x + 1.0) == pytest.approx(
-        log_gamma(x) + math.log(x), rel=1e-13, abs=1e-13)
-
-
-# ----------------------------------------------------------------------------
 # series evaluation against Bessel reductions
 # ----------------------------------------------------------------------------
 
 def test_value_at_origin_is_reciprocal_gamma():
     for beta in (0.5, 1.0, 1.5, 2.0, 3.0):
         res = wright_eval(WrightParams(1.0, beta), 0.0)
-        assert res.value == pytest.approx(math.exp(-log_gamma(beta)), rel=1e-15)
+        assert res.value == pytest.approx(math.exp(-math.lgamma(beta)), rel=1e-15)
         assert res.terms_used == 1
         assert res.abs_error_bound == 0.0
 
@@ -132,8 +103,8 @@ def test_value_at_origin_keeps_its_bits_up_to_the_gamma_overflow():
     # beta ~ 171.6, exp(-lgamma(beta)), here subnormal but not 0
     below = wright_eval(WrightParams(1.0, 171.0), 0.0)
     past = wright_eval(WrightParams(1.0, 172.0), 0.0)
-    assert below.value == 1.0 / math.exp(log_gamma(171.0))
-    assert past.value == math.exp(-log_gamma(172.0)) > 0.0
+    assert below.value == 1.0 / math.exp(math.lgamma(171.0))
+    assert past.value == math.exp(-math.lgamma(172.0)) > 0.0
     assert below.abs_error_bound == past.abs_error_bound == 0.0
 
 
@@ -272,7 +243,7 @@ def _magnitude_rows_oracle(p, modulus, shifts, tol=1e-14):
     for n in range(10_000):
         if n > 0:
             log_fact += math.log(n)
-        log_row = [n * log_u - log_fact - math.lgamma(p.rho * n + p.beta + s * p.rho)
+        log_row = [n * log_u - log_fact - math.lgamma(p.rho * n + (p.beta + s * p.rho))
                    for s in shifts]
         log_mag = max(log_row)
         mag_rows.append([math.exp(v) for v in log_row])
@@ -467,6 +438,22 @@ def test_point_shifts_equal_wright_eval_per_shift(p):
                 assert got == _wright_eval_oracle(p.shifted(s), u), (u, s)
 
 
+@pytest.mark.parametrize("modulus", (0.07, 0.4, 3.0, 30.0))
+def test_circle_shifts_read_the_tables_of_the_shifted_series(modulus):
+    # Column s of the circle rows is the series W(rho, beta + s*rho; u), so
+    # it reads the one table of Gamma(rho n + (beta + s rho)) that the point
+    # loop reads; at (0.3, 1.1) rho n + beta + s rho would round apart from
+    # it.  Over their common length the column equals, bit for bit, the
+    # rows of the shifted pair's own series.
+    p = WrightParams(0.3, 1.1)
+    rows = _magnitude_rows.__wrapped__(p.rho, p.beta, modulus, (0, 1, 2))
+    for s in (0, 1, 2):
+        q = p.shifted(s)
+        alone = _magnitude_rows.__wrapped__(q.rho, q.beta, modulus, (0,))[:, 0]
+        n = min(len(rows), len(alone))
+        assert np.array_equal(rows[:n, s], alone[:n]), s
+
+
 def test_point_shifts_raise_what_the_first_failing_shift_raises():
     p = WrightParams(1.0, 1.0)
     with pytest.raises(ConvergenceError) as want:
@@ -479,21 +466,21 @@ def test_point_shifts_raise_what_the_first_failing_shift_raises():
 def test_tables_grow_only_as_far_as_a_call_needs(fresh_tables):
     p = WrightParams(0.5, 2.0)
     ev = wright_eval(p, -0.3)
-    assert len(kernel._lgammas(0.5, 2.0, 0)) == len(kernel._LOG_FACT) == ev.terms_used
+    assert len(kernel._lgammas(0.5, 2.0)) == len(kernel._LOG_FACT) == ev.terms_used
     _magnitude_rows.__wrapped__(0.5, 2.0, 0.3, (0, 1))
-    assert len(kernel._lgammas(0.5, 2.0, 1)) <= len(kernel._LOG_FACT)
+    assert len(kernel._lgammas(0.5, 2.5)) <= len(kernel._LOG_FACT)
 
 
 def test_tables_grown_from_threads_keep_each_entry_at_its_index(fresh_tables):
     # Growth reads a table's length and appends the entry for it; threads
     # switching between the two would put an entry at the wrong index.
-    rho, beta = 0.5, 1.5
-    tables = [kernel._lgammas(rho, beta, s) for s in (0, 1, 2)]
+    rho, bs = 0.5, (1.5, 2.0, 2.5)
+    tables = [kernel._lgammas(rho, b) for b in bs]
 
     def grow():
-        for s, lg in enumerate(tables):
+        for b, lg in zip(bs, tables):
             for n in range(3000):
-                kernel._grow(lg, rho, beta, s, n)
+                kernel._grow(lg, rho, b, n)
 
     threads = [threading.Thread(target=grow) for _ in range(6)]
     interval = sys.getswitchinterval()
@@ -506,8 +493,8 @@ def test_tables_grown_from_threads_keep_each_entry_at_its_index(fresh_tables):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for s, lg in enumerate(tables):
-        assert lg == [math.lgamma(rho * n + beta + s * rho) for n in range(3000)]
+    for b, lg in zip(bs, tables):
+        assert lg == [math.lgamma(rho * n + b) for n in range(3000)]
     lf = kernel._LOG_FACT
     assert len(lf) == 3000 and all(lf[n] == lf[n - 1] + math.log(n)
                                    for n in range(1, 3000))
@@ -561,7 +548,7 @@ def test_combo_neg_axis_stops_once_every_term_underflows(fresh_tables):
     # not run its 100,000-term cap and grow the tables that far.
     p = WrightParams(1.0, 191.25)
     assert combo_neg_axis(p, 0.3) == (0.0, 0.0)
-    assert len(kernel._lgammas(1.0, 191.25, 0)) < 10
+    assert len(kernel._lgammas(1.0, 191.25)) < 10
     assert len(kernel._LOG_FACT) < 10
 
 

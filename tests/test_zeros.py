@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import hashlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -236,6 +237,21 @@ def test_base_residual_vanishes_on_zeros(bessel_params):
     for r in table.zeros:
         assert base_residual(bessel_params, "minus_z_squared", r) < 1e-9
     assert base_residual(bessel_params, "minus_z_squared", 0.5) > 0.1
+
+
+def test_base_residual_refuses_an_r_too_deep_within_a_second():
+    # r = 1e6 would sum W(1, 1; -1e12) at about 870,000 digits
+    def too_slow(signum, frame):
+        raise TimeoutError("base_residual ran past 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ParameterError, match="too deep"):
+            base_residual(WrightParams(1.0, 1.0), "minus_z_squared", 1e6)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ----------------------------------------------------------------------------
