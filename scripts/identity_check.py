@@ -24,9 +24,11 @@ starts cold):
     plus one winding count for (0.3, 1.1) that needs the mpmath rescue, and
     the number of certified evaluations (_ComboSeries.certified calls) that
     building those tables takes; the cancellation-depth searches
-    (zeros.term_exponent_max calls) and the mpmath sums
-    (_ComboSeries._eval_mp calls) of that section are printed per side but
-    not compared, as the sweeps are;
+    (zeros.term_exponent_max calls), the mpmath sums (_ComboSeries._eval_mp
+    calls) and the winding nodes rescued in mpmath (zeros._mp_wright_complex
+    calls, two a node) of that section are printed per side but not
+    compared, as the sweeps are: a change to the rescue's noise bound moves
+    them with every winding count kept;
   - radius_real_axis and the unseeded radius_by_certification on the
     336-query Janowski (1, -1) probe (rho in PROBE_RHO, beta in PROBE_BETA,
     every kind, star and convex): the radius or the name of the error it
@@ -216,10 +218,11 @@ def emit() -> dict:
                                 [x for v in vals for x in _c(v)])
 
     # count the scan's work as well as its outputs
-    evals = searches = mp_sums = 0
+    evals = searches = mp_sums = rescues = 0
     certified = _ComboSeries.certified
     depth = zeros.term_exponent_max
     eval_mp = _ComboSeries._eval_mp
+    rescue = zeros._mp_wright_complex
 
     def counted(self, x, *args):
         nonlocal evals
@@ -236,9 +239,15 @@ def emit() -> dict:
         mp_sums += 1
         return eval_mp(self, *args)
 
+    def counted_rescue(*args):
+        nonlocal rescues
+        rescues += 1
+        return rescue(*args)
+
     _ComboSeries.certified = counted
     zeros.term_exponent_max = counted_depth
     _ComboSeries._eval_mp = counted_mp
+    zeros._mp_wright_complex = counted_rescue
     for p in params:
         table = W.positive_zeros(p, "minus_z_squared", 80).zeros
         out.setdefault("zeros.table", []).append(list(table))
@@ -258,9 +267,11 @@ def emit() -> dict:
     _ComboSeries.certified = certified
     zeros.term_exponent_max = depth
     _ComboSeries._eval_mp = eval_mp
+    zeros._mp_wright_complex = rescue
     out["zeros.evals"] = [evals]
     out["counts"]["depth searches in the zero tables"] = searches
     out["counts"]["mpmath sums in the zero tables"] = mp_sums
+    out["counts"]["winding nodes rescued in mpmath"] = rescues // 2
 
     for kind in KINDS:
         for rho in PROBE_RHO:

@@ -20,7 +20,8 @@ n!, and each stops on its own certificate.  wright_eval is its count = 1
 case, and the family's point functionals read their two or three Wright
 values from one call.  circle_eval sums a whole circle |u| = const at once,
 from term magnitudes cached per modulus and the phase powers of the caller's
-_PhasePowers table.
+_PhasePowers table; _fft_circle_eval sums the m-th roots of unity by one
+inverse FFT of the same magnitudes, with their rounding bound.
 """
 from __future__ import annotations
 
@@ -322,6 +323,48 @@ def _magnitude_rows(rho: float, beta: float, modulus: float,
     mags = np.asarray(mag_rows, dtype=float)
     mags.setflags(write=False)
     return mags
+
+
+def _circle_bound(rho: float, beta: float, modulus: float,
+                  shifts: tuple[int, ...], ops: float) -> np.ndarray:
+    """Per shift s, a first-order bound on the error of a circle value summed
+    from the rows of _magnitude_rows with ops roundings a term (one count, or
+    one per term):
+
+        eps sum_n mags[n] (n |ln modulus| + ln n! + |lgamma(rho n + beta + s rho)|
+                           + 1 + ops) + _CIRCLE_TOL,
+
+    the rounding of each term's log and exp, of the sum, and the rows'
+    certified tail.  One scalar per circle: it holds at every phase.
+    """
+    mags = _magnitude_rows(rho, beta, modulus, shifts)
+    n = np.arange(len(mags))
+    lgs = np.empty_like(mags)
+    for k, s in enumerate(shifts):
+        lg = _lgammas(rho, beta + s * rho)
+        _grow(lg, rho, beta + s * rho, len(n))      # an evicted table starts empty
+        lgs[:, k] = lg[:len(n)]
+    weights = (n * abs(math.log(modulus)) + _LOG_FACT[:len(n)] + 1.0 + ops)[:, None]
+    return 2.0 ** -52 * (mags * (weights + abs(lgs))).sum(axis=0) + _CIRCLE_TOL
+
+
+def _fft_circle_eval(p: WrightParams, modulus: float, m: int,
+                     shifts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """W(rho, beta + s*rho; -modulus w^j), j < m, w = e^(2 pi i/m), each s in
+    shifts, as an array of shape (len(shifts), m), and its _circle_bound.
+
+    At the m-th roots of unity the series is an inverse DFT of the signed
+    rows (-1)^n mags[n], folded onto n mod m: one single-threaded FFT, with
+    no table of phase powers.  modulus > 0.
+    """
+    mags = _magnitude_rows(p.rho, p.beta, modulus, shifts)
+    n = np.arange(len(mags))
+    rows = np.zeros((m, len(shifts)))
+    np.add.at(rows, n % m, np.where(n[:, None] % 2, -mags, mags))
+    # roundings a term: (len(n) - 1) // m in the fold, 2 log2 m in the FFT
+    ops = 2.0 * math.log2(m) + (len(n) - 1) // m
+    return ((m * np.fft.ifft(rows, axis=0)).T,
+            _circle_bound(p.rho, p.beta, modulus, shifts, ops))
 
 
 class _PhasePowers:

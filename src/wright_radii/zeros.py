@@ -60,9 +60,9 @@ from mpmath import mp
 from .errors import (ConvergenceError, NonIntegerWindingError, ParameterError,
                      ScanExhaustedError)
 from .family import NormalizedKind
-from .kernel import (WrightParams, _check_params, _check_tol, _finite_real,
-                     _gamma, _PhasePowers, circle_eval, combo_neg_axis,
-                     envelope_exponent, term_exponent_max)
+from .kernel import (WrightParams, _check_params, _check_tol, _fft_circle_eval,
+                     _finite_real, _gamma, combo_neg_axis, envelope_exponent,
+                     term_exponent_max)
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
@@ -724,13 +724,14 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
     """Zeros of the base function inside |z| < R by the argument principle.
 
     Trapezoidal winding integral (1/2pi) int_0^{2pi} Re[z base'(z)/base(z)] dtheta
-    on |z| = R, spectrally accurate for the periodic integrand; node count is
-    doubled until the rounded count repeats with residual < 0.1.  Nodes whose
-    double-precision series value is drowned by cancellation noise (near the
-    negative-real axis of the Wright argument) are re-evaluated by the zero
-    scan's certified mpmath evaluator, or raise ConvergenceError.  The
-    minus_z_squared form counts on the minus_z contour |x| = R^2 and doubles
-    the count: Phi(z) = Psi(z^2), so each zero x of Psi gives the zeros +-sqrt(x).
+    on |z| = R at the m-th roots of unity, spectrally accurate for the periodic
+    integrand, with m doubled until the rounded count repeats with residual
+    < 0.1.  The node values are one inverse FFT of the signed term magnitudes
+    (kernel._fft_circle_eval); a node under 30 times the contour's rounding
+    bound is re-evaluated by the zero scan's certified mpmath evaluator, or
+    raises ConvergenceError.  The minus_z_squared form counts on the minus_z
+    contour |x| = R^2 and doubles the count: Phi(z) = Psi(z^2), so each zero x
+    of Psi gives the zeros +-sqrt(x).
     """
     _check_params(p)
     _check_form(form)
@@ -742,35 +743,29 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
     if not e_max <= 600.0:              # nan once R * R overflows
         raise ParameterError(
             f"contour radius {R} too deep for double-precision quadrature")
+    if modulus == 0.0:                  # R * R underflows: the base is 1/Gamma(beta)
+        return 0
     p1 = p.shifted(1)
     e_max1 = term_exponent_max(p1, modulus)
     # the rescue's mpmath setup, built once for all nodes and node counts
     series0, series1 = _ComboSeries(p, 1.0, 0.0), _ComboSeries(p1, 1.0, 0.0)
-    # Shared-magnitude rounding noise on the circle, same model as the axis.
-    n_star = max(10.0, 2.0 * modulus ** (1.0 / (1.0 + p.rho)))
-    noise0, noise1 = (2.3e-16 * math.exp(e) * max(1.0, e) * math.sqrt(n_star)
-                      for e in (e_max, e_max1))
     factor = 2 if form == "minus_z_squared" else 1
 
     prev_round: int | None = None
     for k in range(5):
         m = _QUADRATURE_POINTS << k
-        u_phases = -np.exp(2j * math.pi * np.arange(m) / m)
-        w0, w1 = circle_eval(p, modulus, _PhasePowers(u_phases), shifts=(0, 1))
+        (w0, w1), (noise0, noise1) = _fft_circle_eval(p, modulus, m, (0, 1))
         bad = (np.abs(w0) < 30.0 * noise0) | (np.abs(w1) < 30.0 * noise1)
-        u = modulus * u_phases
+        u = -modulus * np.exp(2j * math.pi * np.arange(m) / m)
         for j in np.nonzero(bad)[0]:
             w0[j] = _mp_wright_complex(p, u[j], e_max, series0)
             w1[j] = _mp_wright_complex(p1, u[j], e_max1, series1)
         # x Psi'(x)/Psi(x) at x = -u: d/dx W(rho, beta; -x) = -W(rho, rho+beta; -x)
         mean = factor * float(np.mean((u * w1 / w0).real))
-        nearest = int(round(mean))
-        if abs(mean - nearest) < 0.1:
-            if prev_round == nearest:
-                return nearest
-            prev_round = nearest
-        else:
-            prev_round = None
+        nearest = round(mean) if abs(mean - round(mean)) < 0.1 else None
+        if nearest is not None and nearest == prev_round:
+            return nearest
+        prev_round = nearest
     raise NonIntegerWindingError(
         f"winding integral did not stabilize near an integer for R={R} "
         f"(rho={p.rho}, beta={p.beta}); a zero may sit near the contour")

@@ -19,9 +19,9 @@ from wright_radii import (
     wright_eval,
 )
 from wright_radii import kernel
-from wright_radii.kernel import (_magnitude_rows, _PhasePowers, circle_eval,
-                                 combo_neg_axis, envelope_exponent,
-                                 term_exponent_max)
+from wright_radii.kernel import (_circle_bound, _fft_circle_eval, _magnitude_rows,
+                                 _PhasePowers, circle_eval, combo_neg_axis,
+                                 envelope_exponent, term_exponent_max)
 
 # Frozen reference values.  The Bessel literals pin the classical reductions
 # of the Wright series, so an error in the series, the Gamma recursion, or
@@ -306,6 +306,23 @@ def test_phase_power_rows_are_read_only_and_keep_their_bits_as_they_grow():
     assert np.array_equal(long[:5], _PhasePowers(phases).rows(5))
     assert np.array_equal(long, _PhasePowers(phases).rows(40))
     assert np.array_equal(grown.rows(5), short)
+
+
+@pytest.mark.parametrize("m", (4, 16, 64))
+def test_fft_circle_folds_the_terms_past_m(m):
+    # 42 terms at |u| = 21.2 on (0.5, 0.5): below m = 42 the signed rows fold
+    # onto n mod m, and the m values still agree with circle_eval's within
+    # the sum of the two bounds.  The bound reads the lgamma tables, which an
+    # LRU eviction can leave empty under a kept magnitude row.
+    p, modulus, shifts = WrightParams(0.5, 0.5), 21.2, (0, 1)
+    terms = len(_magnitude_rows(0.5, 0.5, modulus, shifts))
+    kernel._lgammas.cache_clear()
+    values, bound = _fft_circle_eval(p, modulus, m, shifts)
+    loop = circle_eval(p, modulus, _PhasePowers(-np.exp(2j * math.pi * np.arange(m) / m)),
+                       shifts)
+    loop_bound = _circle_bound(0.5, 0.5, modulus, shifts, terms + 5.0 * np.arange(terms))
+    assert terms == 42 and values.shape == (2, m)
+    assert np.all(np.abs(values - loop).max(axis=1) <= bound + loop_bound)
 
 
 def test_magnitude_rows_are_read_only_and_bounded():

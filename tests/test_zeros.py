@@ -30,7 +30,9 @@ from wright_radii import (
     reciprocal_square_sum,
 )
 from wright_radii import zeros
-from wright_radii.kernel import combo_neg_axis, term_exponent_max
+from wright_radii.kernel import (_circle_bound, _fft_circle_eval, _magnitude_rows,
+                                 _PhasePowers, circle_eval, combo_neg_axis,
+                                 term_exponent_max)
 from wright_radii.zeros import _ComboSeries, _mp_wright_complex, _Scan
 
 # j_{0,k}/2: zeros of g(r) = r J0(2r) for rho = beta = 1.
@@ -327,6 +329,41 @@ def test_count_in_disk_through_the_rescue():
     p = WrightParams(0.3, 1.1)
     lam = positive_zeros(p, "minus_z_squared", 7).zeros
     assert count_zeros_in_disk(p, "minus_z_squared", 0.5 * (lam[5] + lam[6])) == 12
+
+
+# The zero_tables benchmark rows, the rescue's non-dyadic pair and a large
+# beta, each on a winding contour between zeros k and k + 1 of its even base.
+WINDING_CONTOURS = ((0.5, 0.5, 4), (1.0, 1.0, 4), (2.0, 2.0, 4), (0.3, 1.1, 6),
+                    (1.0, 10.0, 4))
+
+
+@pytest.mark.parametrize("m", (512, 4096))
+@pytest.mark.parametrize("rho, beta, k", WINDING_CONTOURS)
+def test_contour_values_lie_within_their_bound(rho, beta, k, m):
+    # The FFT's nodes against an 80-digit sum at 30 of them, shift by shift;
+    # circle_eval on the same nodes, whose phase powers add about 5n
+    # roundings to term n and whose product adds one per term, must agree
+    # with the FFT within the sum of the two bounds at every node.
+    p = WrightParams(rho, beta)
+    lam = positive_zeros(p, "minus_z_squared", k + 1).zeros
+    modulus = (0.5 * (lam[k - 1] + lam[k])) ** 2
+    shifts = (0, 1)
+    values, bound = _fft_circle_eval(p, modulus, m, shifts)
+    terms = len(_magnitude_rows(rho, beta, modulus, shifts))
+    phases = -np.exp(2j * math.pi * np.arange(m) / m)
+    loop = circle_eval(p, modulus, _PhasePowers(phases), shifts)
+    loop_bound = _circle_bound(rho, beta, modulus, shifts,
+                               terms + 5.0 * np.arange(terms))
+    nodes = np.arange(0, m, m // 30)
+    with mp.workdps(80):
+        for s, fft, loop_s, b, lb in zip(shifts, values, loop, bound, loop_bound):
+            c = mp.mpf(beta) + s * mp.mpf(rho)
+            coeffs = [1 / (mp.factorial(n) * mp.gamma(mp.mpf(rho) * n + c))
+                      for n in range(terms + 60)]
+            for j in nodes:
+                u = -mp.mpf(modulus) * mp.expjpi(mp.mpf(2 * int(j)) / m)
+                assert abs(fft[j] - complex(mp.polyval(coeffs[::-1], u))) <= b, (s, j)
+            assert np.max(np.abs(fft - loop_s)) <= b + lb, s
 
 
 @settings(max_examples=12, deadline=None)
