@@ -7,12 +7,16 @@ Exports the parent with bench_pairs.export into .bench_build/, then computes
 the same outputs on both sides, each in a fresh interpreter (so every cache
 starts cold):
 
-  - the 288 surface and 216 Janowski B > 0 cross_validate results;
-  - the boundary sweeps the certifier takes on each of those two sets
+  - the 288 surface and 216 Janowski B > 0 cross_validate results, and
+    radius_by_certification alone on the surface;
+  - the boundary sweeps the certifier takes on each of those three runs
     (radii.boundary_sup calls) and the real-axis functional's evaluations
-    there (radii._functional_real calls), printed per side but not
-    compared, as a change to the sweep schedule or to what the real-axis
-    route keeps moves them with every output kept;
+    in the first two (radii._functional_real calls), printed per side but
+    not compared, as a change to the sweep schedule or to what the
+    real-axis route keeps moves them with every output kept.  The
+    certifier works out its own seed, so certifying the surface alone
+    sweeps as cross_validate does, 1,150 circles, where an unseeded
+    certifier takes 3,869;
   - the point, real-axis and circle functionals on the grid and on one
     non-dyadic pair, NON_DYADIC, where rho*n + beta is not exact in binary,
     so a change to how a term's lgamma argument rounds shows up; the region
@@ -29,15 +33,15 @@ starts cold):
     calls, two a node) of that section are printed per side but not
     compared, as the sweeps are: a change to the rescue's noise bound moves
     them with every winding count kept;
-  - radius_real_axis and the unseeded radius_by_certification on the
-    336-query Janowski (1, -1) probe (rho in PROBE_RHO, beta in PROBE_BETA,
-    every kind, star and convex): the radius or the name of the error it
-    raises, so a change to either route's accuracy rule or refusals shows up
-    as a diff;
+  - radius_real_axis and radius_by_certification on the 336-query Janowski
+    (1, -1) probe (rho in PROBE_RHO, beta in PROBE_BETA, every kind, star
+    and convex): the radius or the name of the error it raises, so a change
+    to either route's accuracy rule or refusals shows up as a diff;
   - both routes on the 288 surface queries at each tol in COARSE_TOLS, where
     the search ends within 10 tol of the singularity matter: the result's
     RESULT_FIELDS or the name of the error it raises;
-  - the stdout bytes of `wright-radii sweep --check` on the surface grid;
+  - the stdout bytes of `wright-radii sweep --check` and of plain
+    `wright-radii sweep` on the surface grid;
   - the right, refused and wrong answers of each route on the probe of
     tests/test_probe.py, printed per side but not compared: the probe's
     truths and its list of wrong answers are the tree's own.
@@ -182,6 +186,10 @@ def emit() -> dict:
                     _attempt(W.region_functional, q, z))
         out["counts"][f"certifier sweeps on {prefix}"] = len(sweeps)
         out["counts"][f"real-axis functional calls on {prefix}"] = real_calls
+    sweeps.clear()
+    for q in surface:
+        _result(out, "surface.plain_certifier", W.radius_by_certification(q))
+    out["counts"]["plain certifier sweeps on surface"] = len(sweeps)
     radii.boundary_sup = sup
     radii._functional_real = real
 
@@ -300,10 +308,12 @@ def emit() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         grid = Path(tmp) / "grid.txt"
         grid.write_text(SWEEP_GRID)
-        proc = subprocess.run(
-            [sys.executable, "-m", "wright_radii.cli", "sweep", str(grid), "--check"],
-            capture_output=True, text=True, check=True)
-    out["sweep_check.lines"] = proc.stdout.split("\n")
+        for field, flags in (("sweep_check.lines", ["--check"]),
+                             ("sweep.lines", [])):
+            proc = subprocess.run(
+                [sys.executable, "-m", "wright_radii.cli", "sweep", str(grid),
+                 *flags], capture_output=True, text=True, check=True)
+            out[field] = proc.stdout.split("\n")
     return out
 
 

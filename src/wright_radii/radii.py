@@ -20,10 +20,9 @@ Each radius is computed by two mutually checking routes:
   functional(r) = c on the real axis, with shipped candidate constants
   c = (1-A)/(1-B) (Janowski) and c = 2 - sqrt(2) (lemniscate).
 
-The real-axis crossing is the radius exactly where _real_axis_is_radius
-says so (Janowski B <= 0), and the two routes then agree to solver
-tolerance.  Elsewhere cross_validate reports their gap as a finding, with
-the certifier authoritative.
+For Janowski B <= 0 the real-axis crossing is the radius (_seed) and the
+two routes agree to solver tolerance.  Elsewhere cross_validate reports
+their gap as a finding, with the certifier authoritative.
 """
 from __future__ import annotations
 
@@ -301,8 +300,7 @@ def _bisection_walk(lo: float, hi: float, a: float, b: float,
     return lo, hi, None
 
 
-def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
-                            _seed: float | None = None) -> RadiusResult:
+def radius_by_certification(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
     """Largest r with sup_{|z|=r} |expression| < 1, bracketed to width tol.
 
     Sound because the sup, boundary_sup(query, r), is continuous and
@@ -318,22 +316,21 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
     pole, so a hold at hi is no radius: it raises ConvergenceError.
 
     The bracket is exactly that of bisecting from (0, hi) to width tol, found
-    in fewer sweeps.  The sign-known ends (a, b) start at (0, hi).  _seed, a
-    guess of the radius, names a cell of that bisection, the one it would
-    end in were the seed the radius; two probes at the cell's ends narrow
-    (a, b) by their signs, a probe outside the current (a, b) skipped.  The
-    bisection is then replayed: a midpoint at or below a holds and one at or
-    above b fails, by monotonicity, so only a midpoint strictly inside
-    (a, b) needs a sweep.  The first such midpoint first runs an
-    Anderson-Bjorck solve that narrows (a, b) to a quarter of tol; the rest
-    are swept.  A seed in the radius's cell thus leaves no midpoint inside
-    (a, b) and no solve: three sweeps, the two probes and the one at the
-    radius.  Unseeded, hi/2 lies inside (0, hi), so the solve runs first.
-    The probes and the solve only move an end to a point whose sign they
-    read, and the replayed midpoints are the bisection's own with its
-    verdicts, so the bracket, and every output bit, is the unseeded
-    bisection's whatever the seed.  sup_at_radius is the sweep at the
-    radius.
+    in fewer sweeps.  The sign-known ends (a, b) start at (0, hi).  _seed
+    works out a guess of the radius from the query; it names a cell of that
+    bisection, the one it would end in were the seed the radius, and two
+    probes at the cell's ends narrow (a, b) by their signs, a probe outside
+    the current (a, b) skipped.  The bisection is then replayed: a midpoint at
+    or below a holds and one at or above b fails, by monotonicity, so only a
+    midpoint strictly inside (a, b) needs a sweep.  The first such midpoint
+    first runs an Anderson-Bjorck solve that narrows (a, b) to a quarter of
+    tol; the rest are swept.  A seed in the radius's cell thus leaves no
+    midpoint inside (a, b) and no solve: three sweeps, the two probes and the
+    one at the radius.  With no seed, hi/2 lies inside (0, hi), so the solve
+    runs first.  The probes and the solve only move an end to a point whose
+    sign they read, and the replayed midpoints are the bisection's own with
+    its verdicts, so the bracket, and every output bit, is the unseeded
+    bisection's whatever the seed.  sup_at_radius is the sweep at the radius.
     """
     singularity, hi = _search_end(query, tol)   # checks query and tol
 
@@ -344,8 +341,9 @@ def radius_by_certification(query: RadiusQuery, tol: float = 1e-9, *,
         return boundary_sup(query, r, _stop_at=1.0)[0] - 1.0
 
     a, fa, b, fb = 0.0, -1.0, hi, None
-    if _seed is not None:
-        for x in _bisection_walk(0.0, hi, _seed, _seed, tol)[:2]:
+    seed = _seed(query, tol)
+    if seed is not None:
+        for x in _bisection_walk(0.0, hi, seed, seed, tol)[:2]:
             if a < x < b:
                 fx = excess(x)
                 if fx < 0.0:
@@ -478,8 +476,9 @@ def radius_real_axis(query: RadiusQuery, tol: float = 1e-9) -> RadiusResult:
 # cross-validation and findings
 # ----------------------------------------------------------------------------
 
-def _real_axis_is_radius(query: RadiusQuery) -> bool:
-    """Whether the real-axis crossing is the radius: Janowski B <= 0.
+def _seed(query: RadiusQuery, tol: float) -> float | None:
+    """The certifier's guess of the radius: for Janowski B <= 0 the
+    real-axis crossing, None if that route raises, else the other axis's.
 
     The functional maps |z| <= r into a disk centered on the real axis with
     leftmost point functional(r) attained at real z, and for B <= 0 the
@@ -491,7 +490,12 @@ def _real_axis_is_radius(query: RadiusQuery) -> bool:
     at 2 - sqrt(2) is only a containment lower bound.
     """
     jp = query.janowski
-    return jp is not None and jp.B <= 0.0
+    if jp is None or jp.B > 0.0:
+        return _other_axis_crossing(query, tol)
+    try:
+        return radius_real_axis(query, tol).radius
+    except WrightRadiiError:
+        return None
 
 
 def _other_axis_crossing(query: RadiusQuery, tol: float) -> float | None:
@@ -534,15 +538,11 @@ def cross_validate(query: RadiusQuery, tol: float = 1e-9) -> CrossCheckResult:
     max(CROSS_CHECK_TOLERANCE, 2 tol): each lies within tol of the crossing.
 
     The certifier is definitional ground truth; a finding therefore flags the
-    real-axis equation, never the certifier.  Where the crossing is the
-    radius (_real_axis_is_radius) it seeds the certifier's bracket;
-    elsewhere it lies off the radius, and the crossing on the other axis,
-    an upper bound of the radius, seeds it instead.
+    real-axis equation, never the certifier.  The certifier's own seed for
+    B <= 0 re-solves the real axis from the values kept by this first solve.
     """
     real = radius_real_axis(query, tol)
-    seed = (real.radius if _real_axis_is_radius(query)
-            else _other_axis_crossing(query, tol))
-    cert = radius_by_certification(query, tol, _seed=seed)
+    cert = radius_by_certification(query, tol)
     delta = abs(cert.radius - real.radius)
     finding = None
     if delta > max(CROSS_CHECK_TOLERANCE, 2.0 * tol):

@@ -33,6 +33,7 @@ from wright_radii import (
     wright_derivative,
     wright_eval,
 )
+from wright_radii import radii
 from wright_radii.radii import RADIUS_KINDS
 
 GRID = [WrightParams(r, b) for r in (0.5, 1.0, 2.0)
@@ -209,6 +210,31 @@ def test_radius_cross_validation(headline):
           f"{worst_jan:.2e}, {findings} findings (all lemniscate), "
           f"{elapsed:.1f}s")
     assert elapsed < 300.0
+
+
+def test_plain_certifier_sweeps_as_cross_validate(headline, monkeypatch):
+    # The certifier works out its own seed, so certifying the surface alone
+    # sweeps the circles cross_validate's certifier sweeps, 1,150 on the 288
+    # queries (an unseeded certifier takes 3,869), with the same results.
+    # The zero tables and the real-axis values are the headline run's,
+    # outside the count.
+    results, _ = headline
+    sweeps = 0
+    sup = radii.boundary_sup
+
+    def counted(*args, **kwargs):
+        nonlocal sweeps
+        sweeps += 1
+        return sup(*args, **kwargs)
+
+    monkeypatch.setattr(radii, "boundary_sup", counted)
+    for q, chk in results.items():
+        assert radius_by_certification(q) == chk.certifier, q
+    assert sweeps == 1150
+    sweeps = 0
+    for q in results:
+        cross_validate(q)
+    assert sweeps == 1150
 
 
 def test_halfplane_specialization(headline):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -325,17 +326,51 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_plain_sweep_matches_the_reference_columns(tmp_path, capsys):
-    # Plain sweep certifies unseeded, --check seeds the certifier from an
-    # axis crossing; every certifier column must agree on all 288 rows.
+def test_sweep_check_in_process_to_a_text_stream(tmp_path):
+    # cli.main inside this interpreter, its stdout a plain text stream with
+    # no .buffer (as an embedding caller redirects it), returns 0 and writes
+    # the reference bytes.
     root = Path(__file__).resolve().parents[1]
+    grid = tmp_path / "grid.txt"
+    grid.write_text(SURFACE_GRID)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep", str(grid), "--check"])
+    assert code == 0
+    want = (root / "perfbench" / "reference_sweep.csv").read_bytes().decode()
+    assert out.getvalue() == want
+
+
+def _reference_certifier_rows() -> list[dict[str, str]]:
+    # the reference sweep's rows without the cross-check's columns
+    root = Path(__file__).resolve().parents[1]
+    rows = rows_of((root / "perfbench" / "reference_sweep.csv").read_text())
+    for row in rows:
+        del row["delta"], row["finding"]
+    return rows
+
+
+def test_radius_cert_matches_the_reference_row(capsys):
+    # radius --method cert seeds its certifier as sweep --check does, with
+    # the same bits: G(1, 1) jan_star (1, -1) prints the reference row.
+    code, out, _ = run(capsys, "radius", "--kind", "g", "--what", "jan-star",
+                       "-A", "1", "-B", "-1", "--method", "cert")
+    assert code == 0
+    want = [row for row in _reference_certifier_rows()
+            if (row["kind"], row["rho"], row["beta"], row["what"], row["A"],
+                row["B"]) == ("g", "1", "1", "jan_star", "1", "-1")]
+    assert len(want) == 1
+    assert rows_of(out) == want
+
+
+def test_plain_sweep_matches_the_reference_columns(tmp_path, capsys):
+    # Plain sweep and --check seed the certifier alike; every certifier
+    # column must agree on all 288 rows.
     grid = tmp_path / "grid.txt"
     grid.write_text(SURFACE_GRID)
     code, out, _ = run(capsys, "sweep", str(grid))
     assert code == 0
-    want = rows_of((root / "perfbench" / "reference_sweep.csv").read_text())
-    for row in want:
-        del row["delta"], row["finding"]
+    want = _reference_certifier_rows()
     assert len(want) == 288
     assert rows_of(out) == want
 

@@ -546,9 +546,15 @@ def test_certifier_equals_bisection_on_continuous_params(rho, beta, kind, target
     assert radius_by_certification(q) == _bisection_oracle(q)
 
 
+def _seeded(patch, seed: float | None) -> None:
+    # the certifier's own seed replaced by a chosen one; None leaves it
+    # unseeded, the bisection's solve path
+    patch.setattr(radii, "_seed", lambda query, tol: seed)
+
+
 def test_certifier_sweep_count(monkeypatch):
-    # The bisection takes ~33 sweeps to tol 1e-9; the bracket solve with its
-    # replay takes about 13, counting the final sweep at the radius.
+    # The bisection takes ~33 sweeps to tol 1e-9; unseeded, the bracket solve
+    # with its replay takes about 13, counting the final sweep at the radius.
     sweeps = []
     sup = radii.boundary_sup
 
@@ -559,13 +565,14 @@ def test_certifier_sweep_count(monkeypatch):
     q = _q(NormalizedKind.G, P11, "lem_star")
     domain_bound(q)                                 # zero table outside the count
     monkeypatch.setattr(radii, "boundary_sup", counted)
+    _seeded(monkeypatch, None)
     radius_by_certification(q)
     assert len(sweeps) <= 16
     assert len(set(sweeps)) == len(sweeps)          # no radius swept twice
 
 
 # ----------------------------------------------------------------------------
-# a seed from the real-axis crossing narrows the start bracket
+# a seed from an axis crossing narrows the start bracket
 # ----------------------------------------------------------------------------
 
 def _seeds(query: RadiusQuery, tol: float = 1e-9) -> list[float]:
@@ -585,8 +592,10 @@ def test_seeded_certifier_equals_unseeded(rho, beta, kind, what, B, t):
     q = _q(kind, WrightParams(rho, beta), what, B + t * (1.0 - B), B)
     want = radius_by_certification(q)
     assert want == _bisection_oracle(q)
-    for seed in _seeds(q):
-        assert radius_by_certification(q, _seed=seed) == want, seed
+    with pytest.MonkeyPatch.context() as patch:
+        for seed in (None, *_seeds(q)):
+            _seeded(patch, seed)
+            assert radius_by_certification(q) == want, seed
 
 
 def _certifier_sweeps(monkeypatch, query: RadiusQuery) -> int:
@@ -631,12 +640,14 @@ def test_off_seeds_cost_at_most_six_sweeps(monkeypatch):
         return sup(*args, **kwargs)
 
     monkeypatch.setattr(radii, "boundary_sup", counted)
+    _seeded(monkeypatch, None)
     want = radius_by_certification(q, tol)
     unseeded = len(sweeps)
     worst = 0
     for seed in (c - 7 * tol, c + 1e4 * tol, 0.5 * c, 1.5 * c, 0.0, 2.0 * hi):
         sweeps.clear()
-        assert radius_by_certification(q, tol, _seed=seed) == want, seed
+        _seeded(monkeypatch, seed)
+        assert radius_by_certification(q, tol) == want, seed
         worst = max(worst, len(sweeps) - unseeded)
     assert worst <= 6
 
@@ -663,13 +674,15 @@ def test_seed_in_the_radius_cell_costs_three_sweeps(monkeypatch):
 
     monkeypatch.setattr(radii, "boundary_sup", counted)
     monkeypatch.setattr(radii, "_refine_bracket", solve)
-    assert radius_by_certification(q, tol, _seed=seed) == want
+    _seeded(monkeypatch, seed)
+    assert radius_by_certification(q, tol) == want
     assert len(sweeps) == 3 and solves == []
 
 
 @pytest.mark.parametrize("kind, what, A, B", (
     (NormalizedKind.G, "jan_star", 1.0, -1.0), (NormalizedKind.H, "lem_convex", None, None)))
-def test_seeds_on_the_bisection_path_keep_the_unseeded_radius(kind, what, A, B):
+def test_seeds_on_the_bisection_path_keep_the_unseeded_radius(monkeypatch, kind,
+                                                             what, A, B):
     # Seeds at the final cell's ends and at every midpoint of the bisection
     # from (0, hi) sit where a probe or the replay decides a midpoint twice.
     q = _q(kind, WrightParams(1.0, 1.5), what, A, B)
@@ -686,8 +699,9 @@ def test_seeds_on_the_bisection_path_keep_the_unseeded_radius(kind, what, A, B):
         else:
             hi = mid
     assert (lo, hi) == want.bracket
-    for seed in (*want.bracket, *path):
-        assert radius_by_certification(q, tol, _seed=seed) == want, seed
+    for seed in (None, *want.bracket, *path):
+        _seeded(monkeypatch, seed)
+        assert radius_by_certification(q, tol) == want, seed
 
 
 @pytest.mark.parametrize("what, A, B, sweeps", (
@@ -714,15 +728,19 @@ UNSHARP_TARGETS = (("lem_star", None, None), ("lem_convex", None, None),
        target=st.sampled_from(UNSHARP_TARGETS))
 def test_other_axis_seed_keeps_the_unseeded_radius(rho, beta, kind, target):
     # r_up, where the condition fails on the other axis, bounds the radius
-    # from above and seeds cross_validate's certifier, whose result is the
-    # unseeded one; a crossing solve that raises leaves the certifier
-    # unseeded, with the same result.
+    # from above and seeds the certifier, whose result is the unseeded one;
+    # a crossing solve that raises leaves the certifier unseeded, with the
+    # same result.
     q = _q(kind, WrightParams(rho, beta), *target)
     tol = 1e-9
-    want = radius_by_certification(q, tol)
+    with pytest.MonkeyPatch.context() as patch:
+        _seeded(patch, None)
+        want = radius_by_certification(q, tol)
     r_up = radii._other_axis_crossing(q, tol)
     assert r_up is not None
     assert want.radius <= r_up + tol
+    assert radii._seed(q, tol) == r_up
+    assert radius_by_certification(q, tol) == want
     assert cross_validate(q, tol).certifier == want
     scalar = radii._functional_scalar
 
@@ -733,7 +751,7 @@ def test_other_axis_seed_keeps_the_unseeded_radius(rho, beta, kind, target):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(radii, "_functional_scalar", off_axis_fails)
-        assert radii._other_axis_crossing(q, tol) is None
+        assert radii._seed(q, tol) is None
         assert cross_validate(q, tol).certifier == want
 
 
@@ -905,17 +923,18 @@ def test_certifier_refuses_the_domain_bound_at_beta_10():
         radius_by_certification(q, 1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "at beta >= 10 the certifier misses its own tol: seeded near the "
-    "crossing it gives 5.501669021851194, 2.2e-8 off"))
+@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
+    "at beta >= 10 the certifier misses the root: seeded at 5.5016 both "
+    "probes hold, and the sweep 10 tol below the pole at 6.677 reads as "
+    "holding, so it refuses"))
 @pytest.mark.parametrize("seed", (5.5016,))
-def test_certifier_meets_tol_at_beta_10(seed):
+def test_certifier_meets_tol_at_beta_10(monkeypatch, seed):
     # F(1, 10): 1 + x J9'(x)/J9(x) = 0 at x = 2r, the Bessel form of
     # w(r) = 0; the root is mpmath's at 80 digits.
     root = 5.501669044144797
     q = _q(NormalizedKind.F, WrightParams(1.0, 10.0), "jan_star", 1.0, -1.0)
-    assert radius_by_certification(q, 1e-9, _seed=seed).radius == pytest.approx(
-        root, abs=1e-9)
+    _seeded(monkeypatch, seed)
+    assert radius_by_certification(q, 1e-9).radius == pytest.approx(root, abs=1e-9)
 
 
 # ----------------------------------------------------------------------------
@@ -998,11 +1017,32 @@ def test_registry_janowski_descriptor():
     ("jan_star", 0.5, 0.25, False), ("jan_star", 1.0, 0.0, True),
     ("jan_convex", 1.0, -1.0, True), ("jan_star", 0.5, -0.5, True),
 ))
-def test_real_axis_is_radius_truth_table(what, A, B, is_radius):
-    # Janowski B <= 0 only: the lemniscate crossing is a containment bound
-    # and for B > 0 the image disk peaks off its leftmost point.
+def test_real_axis_is_radius_truth_table(monkeypatch, what, A, B, is_radius):
+    # The certifier's seed asks the real axis for Janowski B <= 0 only: the
+    # lemniscate crossing is a containment bound and for B > 0 the image
+    # disk peaks off its leftmost point, so the other axis answers instead.
+    # A real-axis route that raises leaves no seed.
     q = _q(NormalizedKind.G, P11, what, A, B)
-    assert radii._real_axis_is_radius(q) is is_radius
+    asked = []
+
+    def real_axis(query, tol):
+        asked.append("real")
+        return radii.RadiusResult(0.25, (0.2, 0.3), "real_axis", 1.0, 0.0)
+
+    def other_axis(query, tol):
+        asked.append("other")
+        return 0.75
+
+    monkeypatch.setattr(radii, "radius_real_axis", real_axis)
+    monkeypatch.setattr(radii, "_other_axis_crossing", other_axis)
+    assert radii._seed(q, 1e-9) == (0.25 if is_radius else 0.75)
+    assert asked == (["real"] if is_radius else ["other"])
+
+    def refused(query, tol):
+        raise ConvergenceError("stub")
+
+    monkeypatch.setattr(radii, "radius_real_axis", refused)
+    assert radii._seed(q, 1e-9) == (None if is_radius else 0.75)
 
 
 # ----------------------------------------------------------------------------

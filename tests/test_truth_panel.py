@@ -2,7 +2,7 @@
 
 Every entry is a Janowski target with B <= 0, where the radius is the
 smallest positive root of w(r) = c, or C(r) = c, with c = (1 - A)/(1 - B)
-(radii._real_axis_is_radius).  Each truth is that root computed with mpmath
+(the rule radii._seed states).  Each truth is that root computed with mpmath
 at 80 digits; `python3 scripts/truth_panel.py` recomputes every one from
 the series and prints how far the stored value lies from it.
 
