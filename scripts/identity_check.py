@@ -42,6 +42,14 @@ starts cold):
     RESULT_FIELDS or the name of the error it raises;
   - the stdout bytes of `wright-radii sweep --check` and of plain
     `wright-radii sweep` on the surface grid;
+  - the exit code, stdout and stderr of `wright-radii radius`, by both
+    methods and by the certifier alone, on the beta = 30 queries
+    CLI_RADIUS_QUERIES.  The CLI runs with one BLAS thread unless told
+    otherwise, and the certifier's circles for G(0.25, 30) jan_star (1, -1)
+    reach 129 terms, a matrix product above OpenBLAS's threading size, so
+    a parent that ran it threaded shows whether its bits depend on the
+    thread count.  With both methods, each query's real axis refuses tol
+    1e-9 before any circle is summed, so tol 1e-3 runs as well;
   - the right, refused and wrong answers of each route on the probe of
     tests/test_probe.py, printed per side but not compared: the probe's
     truths and its list of wrong answers are the tree's own.
@@ -85,6 +93,12 @@ COARSE_TOLS = (0.02, 0.03, 0.05)
 # refinement grids by their cells (i, j) of the level-0 grid: those about
 # theta = 0, pi/2 and pi, where most sweeps refine, and an interior one
 REFINED_CELLS = ((0, 1), (127, 129), (255, 256), (40, 42))
+CLI_RADIUS_QUERIES = (
+    ("g", "0.25", "jan-star", "1", "-1"),
+    ("g", "0.25", "jan-convex", "1", "-1"),
+    ("g", "0.1", "jan-star", "1", "-1"),
+    ("f", "0.5", "lem-star", None, None),
+)
 RESULT_FIELDS = ("radius", "bracket", "method", "sup_at_radius", "argmax_angle",
                  "clamped")
 SWEEP_GRID = """rho = 0.5, 1, 2
@@ -314,6 +328,16 @@ def emit() -> dict:
                 [sys.executable, "-m", "wright_radii.cli", "sweep", str(grid),
                  *flags], capture_output=True, text=True, check=True)
             out[field] = proc.stdout.split("\n")
+    for kind, rho, what, a, b in CLI_RADIUS_QUERIES:
+        janowski = ["-A", a, "-B", b] if a else []
+        for flags in (["--method", "both"], ["--method", "both", "--tol", "1e-3"],
+                      ["--method", "cert"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "wright_radii.cli", "radius", "--kind", kind,
+                 "--rho", rho, "--beta", "30", "--what", what, *janowski, *flags],
+                capture_output=True, text=True)
+            out.setdefault("radius_cli.lines", []).append(
+                [proc.returncode, proc.stdout, proc.stderr])
     return out
 
 

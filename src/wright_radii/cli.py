@@ -9,20 +9,30 @@ Output goes to stdout as CSV (default) or JSON (--json); diagnostics go to
 stderr.  Reals are printed with 15 significant digits and CSV rows end in LF,
 so identical invocations are byte-identical.  Exit codes: 0 success, 1
 numeric failure, 2 invalid parameters.
+
+Importing this module sets OPENBLAS_NUM_THREADS=1 for its own process, by
+os.environ.setdefault before the package loads numpy, so a value already set
+wins.  OpenBLAS's worker thread spins while numpy imports, and the CLI's
+matrix products are too small to gain from it.  `import wright_radii` alone
+sets nothing and leaves the host's BLAS untouched.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
 
-from .errors import ParameterError, WrightRadiiError
-from .family import NormalizedKind
-from .kernel import WrightParams, wright_eval
-from .radii import (JanowskiParams, RadiusQuery, cross_validate,
+# before the imports below load numpy; a value the user set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .errors import ParameterError, WrightRadiiError  # noqa: E402
+from .family import NormalizedKind  # noqa: E402
+from .kernel import WrightParams, wright_eval  # noqa: E402
+from .radii import (JanowskiParams, RadiusQuery, cross_validate,  # noqa: E402
                     radius_by_certification, radius_real_axis)
-from .zeros import base_residual, positive_zeros
+from .zeros import base_residual, positive_zeros  # noqa: E402
 
 _WHAT = {"lem-star": "lem_star", "lem-convex": "lem_convex",
          "jan-star": "jan_star", "jan-convex": "jan_convex"}

@@ -133,7 +133,10 @@ def _gamma(x: float) -> float:
 def _recip_gamma(x: float, a: float = 1.0) -> float:
     """a/Gamma(x) for real x > 0, the series' term at the origin: a/exp(lgamma)
     while exp(lgamma) is a double, a*exp(-lgamma) beyond, which may be 0."""
-    lg = math.lgamma(x)
+    try:
+        lg = math.lgamma(x)
+    except OverflowError:               # Gamma(x) past exp(1.8e308)
+        lg = math.inf
     try:
         return a / math.exp(lg)
     except OverflowError:
@@ -166,7 +169,12 @@ def _grow(lg: list[float], rho: float, b: float, n: int) -> int:
         while len(_LOG_FACT) <= n:
             _LOG_FACT.append(_LOG_FACT[-1] + math.log(len(_LOG_FACT)))
         while len(lg) <= n:
-            lg.append(math.lgamma(rho * len(lg) + b))
+            x = rho * len(lg) + b
+            try:
+                lg.append(math.lgamma(x))
+            except OverflowError:
+                raise ConvergenceError(
+                    f"lgamma({x}) exceeds double-precision range") from None
         return len(lg)
 
 

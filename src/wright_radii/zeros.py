@@ -336,7 +336,12 @@ def _doomed(p: WrightParams, x: float) -> bool:
         return False
     rho, beta = p.rho, p.beta
     t0 = (x * rho ** -rho) ** (1.0 / (1.0 + rho))
-    depth = t0 * math.log(x) - math.lgamma(t0 + 1.0) - math.lgamma(rho * t0 + beta)
+    try:
+        depth = t0 * math.log(x) - math.lgamma(t0 + 1.0) - math.lgamma(rho * t0 + beta)
+    except OverflowError:
+        raise ConvergenceError(
+            f"lgamma({max(t0 + 1.0, rho * t0 + beta)}) exceeds double-precision "
+            "range") from None
     return depth - max(envelope_exponent(p, x), 0.0) > _DOUBLE_DEPTH
 
 

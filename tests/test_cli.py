@@ -51,6 +51,16 @@ def test_eval_at_origin_past_the_gamma_overflow(capsys):
     assert float(row["abs_error_bound"]) == 5e-324
 
 
+def test_eval_at_origin_past_the_lgamma_overflow(capsys):
+    # 1/Gamma(1e308) underflows to 0 too, though lgamma(1e308) itself
+    # overflows; its evaluation once raised OverflowError
+    code, out, err = run(capsys, "eval", "--rho", "1", "--beta", "1e308", "--z", "0")
+    assert (code, err) == (0, "")
+    row = rows_of(out)[0]
+    assert float(row["value_re"]) == 0.0
+    assert float(row["abs_error_bound"]) == 5e-324
+
+
 def test_eval_bessel_value(capsys):
     code, out, _ = run(capsys, "eval", "--rho", "1", "--beta", "1",
                        "--z", "-1")
@@ -241,6 +251,25 @@ def test_radius_numeric_failure_exits_1(capsys):
     assert out == ""
     assert err.startswith("error: denominator ")
     assert "below its propagated error bound" in err
+
+
+@pytest.mark.parametrize("argv, arg", (
+    # the term loop's lgamma table, at n = 0 and at n = 1
+    (("eval", "--rho", "1", "--beta", "3e305", "--z", "0.5"), "3e+305"),
+    (("eval", "--rho", "1e306", "--beta", "1", "--z", "0.5"), "1e+306"),
+    # the zero scan's cancellation-depth test
+    (("zeros", "--rho", "1", "--beta", "1e308", "--count", "1"), "1e+308"),
+    (("radius", "--what", "lem-star", "--beta", "1e308", "--method", "cert"),
+     "1e+308"),
+    (("radius", "--what", "lem-star", "--beta", "1e308", "--method", "real-axis"),
+     "1e+308"),
+))
+def test_lgamma_past_the_double_range_exits_1(capsys, argv, arg):
+    # lgamma(rho n + beta) overflows above about 2.55e305: a numeric failure
+    # naming the argument, not an OverflowError traceback
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: lgamma({arg}) exceeds double-precision range\n"
 
 
 def test_radius_unknown_method_exits_2(capsys):
