@@ -504,15 +504,12 @@ def _other_axis_crossing(query: RadiusQuery, tol: float) -> float | None:
 
     There v is real, starts at 1 and increases, and the region condition
     reads v < level: sqrt(2) for the lemniscate, (1 + A)/(1 + B) for
-    Janowski B > -1.  The condition thus fails at r_up, which bounds the
-    radius from above.  None when v stays below level up to the certifier's
-    search end hi, or when the point functional raises; None too for
-    Janowski B = -1, whose target is the half-plane Re v > (1 - A)/2 with
-    no right end.
+    Janowski B > 0 (_seed sends every Janowski B <= 0 to the real axis).
+    The condition thus fails at r_up, which bounds the radius from above.
+    None when v stays below level up to the certifier's search end hi, or
+    when the point functional raises.
     """
     jp = query.janowski
-    if jp is not None and jp.B == -1.0:
-        return None
     level = math.sqrt(2.0) if jp is None else (1.0 + jp.A) / (1.0 + jp.B)
     axis = -1.0 if query.kind is NormalizedKind.H else 1j
 

@@ -41,9 +41,9 @@ term.  A sign that budget + 80 digits cannot certify raises
 ConvergenceError; the winding count's rescue runs the same ladder from the
 budget at complex argument.
 
-Zero tables are cached per parameter set as the scan that made them, and
-extended on demand by resuming that scan, so a table is the same whichever
-shorter tables were asked for first.
+Zero tables are cached per series, form and tol as the scan that made them,
+and extended on demand by resuming that scan, so a table is the cold scan at
+its own tol whatever was asked for first.
 """
 from __future__ import annotations
 
@@ -185,6 +185,9 @@ class _ComboSeries:
         caller's floor check certifies the sign.
         """
         P, Q = self._rho.numerator, self._rho.denominator
+        if P == 0:
+            raise ConvergenceError(f"rho={self.p.rho} reads as the fraction 0, "
+                                   "which leaves no hypergeometric series to sum")
         rows = self._hyp_params.get(beta)
         if rows is None:
             rows = []
@@ -478,9 +481,9 @@ class _Scan:
     scan's last point: the first sign change is refined, and without one the
     plain stepping scan resumes past them.  Stepping also covers start-up.
 
-    The scan keeps its whole loop state between requests, so a longer
-    request continues exactly as if the scan had never stopped: a table
-    does not depend on the shorter tables asked for before it.
+    The scan keeps its loop state between requests, bar the predictions that
+    each pass makes afresh, so a longer request continues exactly as if the
+    scan had never stopped: a table does not depend on shorter ones before it.
     """
 
     def __init__(self, ev: _ComboSeries, tol: float, form: str):
@@ -490,7 +493,6 @@ class _Scan:
         self.x, self.fx, self.step = 1e-12, ev.certified(1e-12), 0.05
         # last prediction error per extrapolation variable; x first
         self.errors = {1.0: 0.0, 1.0 / (1.0 + ev.p.rho): math.inf}
-        self.preds: dict[float, float] = {}
         self.half: float | None = None    # prediction bracket half-width
         self.slope = math.inf             # secant slope |ds/dx| at the last zero
         self.log_slopes: list[float] = []  # ln|ds/dx| at each zero
@@ -509,7 +511,7 @@ class _Scan:
         zeros, log_slopes = list(self.known), list(self.log_slopes)
         x, fx, step, half, steps = self.x, self.fx, self.step, self.half, self.steps
         slope, slope_err = self.slope, self.slope_err
-        errors, preds = dict(self.errors), dict(self.preds)
+        errors, preds = dict(self.errors), {}
         cap = _SCAN_CAP_PER_ZERO * count
 
         def read(t: float, need=math.inf, hi: float | None = None):
@@ -598,7 +600,7 @@ class _Scan:
                 # zero gaps of these series grow at least that fast
                 step = min(step, 0.05 * (1.0 + x))
         self.known, self.x, self.fx, self.step = zeros, x, fx, step
-        self.errors, self.preds, self.half, self.steps = errors, preds, half, steps
+        self.errors, self.half, self.steps = errors, half, steps
         self.slope, self.log_slopes, self.slope_err = slope, log_slopes, slope_err
         return zeros[:count]
 
@@ -619,25 +621,28 @@ def _check_count(N: int, top: int | None = None) -> int:
     return n
 
 
-# One scan per series and form.  Keyed per form because the refinement width
-# that realizes a form-space tolerance differs between the two forms
+# One scan per series, form and tol.  Keyed per form because the refinement
+# width that realizes a form-space tolerance differs between the two forms
 # (2 sqrt(x) tol vs tol).
-_x_zero_cache: dict[tuple[float, float, float, float, str], _Scan] = {}
+_x_zero_cache: dict[tuple[float, float, float, float, str, float], _Scan] = {}
 
 
 def _table(p: WrightParams, form: str, a: float, b: float, count: int,
            tol: float) -> ZeroTable:
     """The first `count` zeros in r of s(x), with x = r^2 or x = r by form.
 
-    A cached scan at this tol or tighter is resumed, so the result equals a
-    cold scan at the scan's tol; a looser one is replaced by a new scan at
-    tol.  A scan is cached only once its request has returned.
+    The cached scan of this series, form and tol is resumed, so the result
+    is a cold scan at tol.  A scan is cached only once its request has
+    returned.  Every process-wide cache is a pure memo, so no public result
+    depends on what was asked before or on what an LRU evicted: this
+    _x_zero_cache, kernel._lgammas, kernel._magnitude_rows,
+    family._refinement_grid and radii._real_axis_grid.
     """
     count = _check_count(count)
     _check_tol(tol)
-    key = (p.rho, p.beta, float(a), float(b), form)
+    key = (p.rho, p.beta, float(a), float(b), form, tol)
     scan = _x_zero_cache.get(key)
-    if scan is None or scan.tol > tol:
+    if scan is None:
         scan = _Scan(_ComboSeries(p, a, b), tol, form)
     xs = scan.zeros(count)
     _x_zero_cache[key] = scan
@@ -717,11 +722,9 @@ def base_residual(p: WrightParams, form: str, r: float) -> float:
 _QUADRATURE_POINTS = 512
 
 
-def _mp_wright_complex(p: WrightParams, u: complex, e_max: float,
-                       series: _ComboSeries | None = None) -> complex:
-    """W(rho, beta; u) at complex u, certified; e_max = term_exponent_max(p, |u|).
-    series, p's base series, keeps its mpmath setup across the nodes of a contour."""
-    series = series or _ComboSeries(p, 1.0, 0.0)
+def _mp_wright_complex(series: _ComboSeries, u: complex, e_max: float) -> complex:
+    """W(rho, beta; u) at complex u, certified, from the base series of series.p,
+    kept across a contour's nodes; e_max = term_exponent_max(series.p, |u|)."""
     return complex(series._certified_mp(-complex(u), e_max))
 
 
@@ -763,8 +766,8 @@ def count_zeros_in_disk(p: WrightParams, form: str, R: float) -> int:
         bad = (np.abs(w0) < 30.0 * noise0) | (np.abs(w1) < 30.0 * noise1)
         u = -modulus * np.exp(2j * math.pi * np.arange(m) / m)
         for j in np.nonzero(bad)[0]:
-            w0[j] = _mp_wright_complex(p, u[j], e_max, series0)
-            w1[j] = _mp_wright_complex(p1, u[j], e_max1, series1)
+            w0[j] = _mp_wright_complex(series0, u[j], e_max)
+            w1[j] = _mp_wright_complex(series1, u[j], e_max1)
         # x Psi'(x)/Psi(x) at x = -u: d/dx W(rho, beta; -x) = -W(rho, rho+beta; -x)
         mean = factor * float(np.mean((u * w1 / w0).real))
         nearest = round(mean) if abs(mean - round(mean)) < 0.1 else None

@@ -272,6 +272,26 @@ def test_lgamma_past_the_double_range_exits_1(capsys, argv, arg):
     assert err == f"error: lgamma({arg}) exceeds double-precision range\n"
 
 
+@pytest.mark.parametrize("argv", (
+    ("zeros", "--rho", "1e-300", "--beta", "1", "--count", "1"),
+    ("radius", "--what", "lem-star", "--rho", "1e-300", "--beta", "1"),
+))
+def test_rho_that_reads_as_zero_exits_1(argv):
+    # rho below about 1e-15 reads as the fraction 0, which leaves the mpmath
+    # sum no hypergeometric series: a prompt numeric failure naming rho, not
+    # a ValueError traceback
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "wright_radii.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: rho=1e-300 ")
+
+
 def test_radius_unknown_method_exits_2(capsys):
     # no paper method: real-axis solves the paper's equation, and both
     # reports where its root is not the radius

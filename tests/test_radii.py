@@ -757,11 +757,16 @@ def test_other_axis_seed_keeps_the_unseeded_radius(rho, beta, kind, target):
 
 @pytest.mark.parametrize("what, A", (("jan_star", 0.5), ("jan_star", 1.0),
                                      ("jan_convex", 0.5)))
-def test_other_axis_crossing_refuses_the_half_plane(what, A):
+def test_half_plane_seed_never_asks_the_other_axis(monkeypatch, what, A):
     # For B = -1 the target is the half-plane Re v > (1 - A)/2, which has
-    # no right end, so there is no crossing on the other axis.
+    # no right end on the other axis: the seed is the real-axis radius.
+    def other_axis(query, tol):
+        raise AssertionError("the other axis was asked")
+
+    monkeypatch.setattr(radii, "_other_axis_crossing", other_axis)
     for kind in NormalizedKind:
-        assert radii._other_axis_crossing(_q(kind, P11, what, A, -1.0), 1e-9) is None
+        q = _q(kind, P11, what, A, -1.0)
+        assert radii._seed(q, 1e-9) == radius_real_axis(q, 1e-9).radius
 
 
 @pytest.mark.parametrize("tol", (1e-15, 1e-12))

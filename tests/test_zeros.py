@@ -320,7 +320,8 @@ def test_rescue_matches_exact_argument_sum():
                               for n in range(300)))
     dps = _ComboSeries(p, 1.0, 0.0)._dps_budget(40.0, e_max)
     floor = 10.0 ** (-(dps - 8)) * math.exp(e_max)
-    assert abs(_mp_wright_complex(p, u, e_max) - ref) <= floor < 1e-3 * abs(ref)
+    got = _mp_wright_complex(_ComboSeries(p, 1.0, 0.0), u, e_max)
+    assert abs(got - ref) <= floor < 1e-3 * abs(ref)
 
 
 def test_count_in_disk_through_the_rescue():
@@ -525,8 +526,8 @@ def test_irrational_rho_table_uses_per_term_sum(monkeypatch):
 
 def test_table_extension_resumes_and_keeps_tighter_tol(monkeypatch):
     # Extending a cached table evaluates only past its last zero and agrees
-    # with a fresh scan to tol; a looser request neither rescans nor
-    # loosens the cached table.
+    # with a fresh scan to tol; a looser request is a cold scan at its own
+    # tol and leaves the default table's bits as they were.
     p = WrightParams(1.0, 0.75)
     first = positive_zeros(p, "minus_z_squared", 3)
     seen = []
@@ -543,12 +544,11 @@ def test_table_extension_resumes_and_keeps_tighter_tol(monkeypatch):
     fresh = _Scan(_ComboSeries(p, 1.0, 0.0), 1e-12, "minus_z_squared").zeros(6)
     for got, x in zip(longer.zeros, fresh):
         assert got == pytest.approx(math.sqrt(x), abs=1e-12)
+    loose = positive_zeros(p, "minus_z_squared", 7, tol=1e-6)
+    cold = _Scan(_ComboSeries(p, 1.0, 0.0), 1e-6, "minus_z_squared").zeros(7)
+    assert (loose.tol, loose.zeros) == (1e-6, tuple(math.sqrt(x) for x in cold))
     seen.clear()
-    assert positive_zeros(p, "minus_z_squared", 6, tol=1e-6).zeros == longer.zeros
-    assert seen == []
-    positive_zeros(p, "minus_z_squared", 7, tol=1e-6)
-    seen.clear()
-    positive_zeros(p, "minus_z_squared", 7)
+    assert positive_zeros(p, "minus_z_squared", 6).zeros == longer.zeros
     assert seen == []
 
 
@@ -607,8 +607,7 @@ def test_uncertified_sign_raises(monkeypatch):
         ev.certified(400.0)
     # The winding count's rescue goes through the same attempts.
     with pytest.raises(ConvergenceError):
-        _mp_wright_complex(WrightParams(0.5, 1.0), -400.0 + 1j,
-                           term_exponent_max(WrightParams(0.5, 1.0), 400.0))
+        _mp_wright_complex(ev, -400.0 + 1j, term_exponent_max(ev.p, 400.0))
 
 
 def test_cancellation_depth_only_on_the_mpmath_path(monkeypatch):
